@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-bench fmt-check test race bench-smoke bench-report merge-smoke determinism-smoke serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos ci
+.PHONY: all build vet lint lint-self lint-bench fmt-check test race bench-smoke bench-report merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos ci
 
 all: ci
 
@@ -95,6 +95,25 @@ determinism-smoke:
 	fi
 	$(GO) test ./internal/faultfs/ -run 'TestScheduleDeterministic' -count=2
 
+# The committed golden: the deterministic tables of a seed-1 run must
+# match, byte for byte, the same sections of results/dwmbench_seed1.txt.
+# determinism-smoke only compares runs of the current tree with each
+# other; this catches a change that shifts every run the same way (a
+# different RNG draw, accepted move or tie-break). Each table is one
+# blank-line-separated paragraph headed by its ID, which is how the awk
+# filter picks the golden's sections.
+GOLDEN = results/dwmbench_seed1.txt
+
+golden-check:
+	@a="$$(mktemp)"; b="$$(mktemp)"; trap 'rm -f "$$a" "$$b"' EXIT; \
+	$(GO) run ./cmd/dwmbench -seed 1 -only $(DETERMINISTIC_EXPS) > "$$a" && \
+	awk -v ids=",$(DETERMINISTIC_EXPS)," 'BEGIN { RS = ""; ORS = "\n\n" } index(ids, "," $$1 ",")' \
+		$(GOLDEN) > "$$b" && \
+	if ! cmp -s "$$b" "$$a"; then \
+		echo "golden-check: tables differ from $(GOLDEN):"; \
+		diff -u "$$b" "$$a"; exit 1; \
+	fi
+
 # End-to-end service smoke: boot dwmserved on a kernel-chosen port,
 # submit the same job twice, require byte-identical results, and check
 # SIGTERM drains with exit 0.
@@ -144,4 +163,4 @@ load-smoke:
 chaos:
 	CHAOS_SEEDS=128 $(GO) test ./internal/faultfs/ -run TestChaosAtomicity -count=1
 
-ci: fmt-check vet lint lint-self build race bench-smoke merge-smoke determinism-smoke serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos
+ci: fmt-check vet lint lint-self build race bench-smoke merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos

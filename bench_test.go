@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dwm"
 	"repro/internal/graph"
 	"repro/internal/layout"
@@ -86,39 +85,6 @@ func BenchmarkTwoOptFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.TwoOpt(g, start, core.TwoOptOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluatorSwapDelta(b *testing.B) {
-	tr := workload.Zipf(128, 4096, 1.2, 1)
-	g, err := graph.FromTrace(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := cost.NewEvaluator(g, layout.Identity(g.N()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.SwapDelta(i%g.N(), (i*7+3)%g.N())
-	}
-}
-
-func BenchmarkCostLinear(b *testing.B) {
-	tr := workload.Zipf(256, 8192, 1.2, 1)
-	g, err := graph.FromTrace(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := layout.Identity(g.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cost.Linear(g, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,10 +16,12 @@ import (
 // Annealer instrumentation (see internal/obs): proposed iterations,
 // accepted moves, chains run, how often a restart chain (index > 0)
 // beat the primary chain, and chains cut short by cancellation. The
-// proposal-delta histogram records the |delta| of every proposed swap —
-// its shape (how much mass sits at small deltas) is what the cooling
-// schedule acts on, so a drifting distribution explains a stalling
-// anneal better than any total can.
+// proposal-delta histogram records the signed cost delta of every
+// proposed swap (u ≠ v), so every downhill or neutral move lands in the
+// ≤0 bucket and the other buckets hold the uphill moves the Metropolis
+// test has to decide. Their shape relative to the temperature is what
+// the cooling schedule acts on, so a drifting distribution explains a
+// stalling anneal better than any total can.
 var (
 	obsIters       = obs.GetCounter("core.anneal.iterations")
 	obsAccepted    = obs.GetCounter("core.anneal.accepted_moves")
@@ -313,6 +315,7 @@ func annealChain(ctx context.Context, c *graph.CSR, p layout.Placement, opts Ann
 	if err := ctx.Err(); err != nil {
 		return finish(0, err)
 	}
+	invTemp := 1 / temp // acceptUphill's bracket scale, refreshed on cooling
 	for i := 0; i < iters; i++ {
 		if i%cancelCheckEvery == cancelCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
@@ -328,12 +331,12 @@ func annealChain(ctx context.Context, c *graph.CSR, p layout.Placement, opts Ann
 		}
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
-			continue
+			continue // skips this proposal's cooling step too (frozen schedule)
 		}
 		d := ev.SwapDelta(u, v)
 		deltas.Observe(d)
-		if d <= 0 || rng.Float64() < math.Exp(-float64(d)/temp) {
-			ev.Swap(u, v)
+		if d <= 0 || acceptUphill(rng.Float64(), d, temp, invTemp) {
+			ev.SwapKnown(u, v, d)
 			accepted++
 			if c := ev.Cost(); c < bestCost {
 				bestCost = c
@@ -345,12 +348,54 @@ func annealChain(ctx context.Context, c *graph.CSR, p layout.Placement, opts Ann
 			if temp < 1e-6 {
 				temp = 1e-6
 			}
+			invTemp = 1 / temp
 		}
 	}
 	if opts.Checkpoint != nil && bestCost < ckptCost {
 		opts.Checkpoint(best.Clone(), bestCost)
 	}
 	return finish(iters, nil)
+}
+
+// acceptGuard is the relative margin acceptUphill leaves around each
+// Taylor bracket. The brackets are evaluated at d·invTemp rather than at
+// the d/temp math.Exp sees, and with float64 rounding; for x < 746 both
+// errors move e^-x by less than 1e-12 relative, so a decision taken
+// outside the guarded band is the one math.Exp makes. Past x ≈ 745
+// math.Exp returns 0 and rejects every u > 0, as the upper test does.
+const acceptGuard = 1e-9
+
+// acceptUphill is the Metropolis test for an uphill move, d > 0: it
+// reports u < math.Exp(-float64(d)/temp) exactly, for every input, while
+// evaluating math.Exp only when u falls inside a narrow band around it.
+// With x = d/temp, the truncated Taylor series bracket e^-x for x >= 0:
+//
+//	1 - x + x²/2 - x³/6  <=  e^-x  <=  1 / (1 + x + x²/2 + x³/6)
+//
+// u below the lower bracket accepts, u at or above the upper bracket
+// rejects (compared in multiply form, u·P(x) >= 1, with no division),
+// and only the band between them pays for math.Exp: a few percent of
+// u's range for x between 1 and 5, well under one percent below x = 0.3
+// or above x = 10. Most proposals of a cooled chain are large uphill
+// moves that the upper test rejects. The fallback call keeps the exact
+// expression of the plain rule: a precomputed -1/temp can differ from
+// -float64(d)/temp in the last bit.
+//
+// What the brackets cannot decide falls through to math.Exp: u == 0
+// past x ≈ 1.6 (0·P(x) is 0, or NaN once P overflows) and a NaN
+// temperature. The lower bracket turns negative past x ≈ 1.6; near that
+// root the polynomial loses relative precision, but e^-x exceeds it
+// there by x⁴e^-x/24 > 0.008, far more than its rounding error, so the
+// lower test never accepts wrongly.
+func acceptUphill(u float64, d int64, temp, invTemp float64) bool {
+	x := float64(d) * invTemp
+	if u*(1+x*(1+x*(0.5+x*(1.0/6)))) >= 1+acceptGuard {
+		return false
+	}
+	if u < (1-x*(1-x*(0.5-x*(1.0/6))))*(1-acceptGuard) {
+		return true
+	}
+	return u < math.Exp(-float64(d)/temp)
 }
 
 // GreedyAnneal runs greedy chain construction followed by simulated

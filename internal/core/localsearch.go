@@ -50,8 +50,8 @@ func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Plac
 			}
 			for s2 := s1 + 1; s2 < hi; s2++ {
 				u, v := itemAt[s1], itemAt[s2]
-				if ev.SwapDelta(u, v) < 0 {
-					ev.Swap(u, v)
+				if d := ev.SwapDelta(u, v); d < 0 {
+					ev.SwapKnown(u, v, d)
 					itemAt[s1], itemAt[s2] = v, u
 					improved = true
 				}

@@ -190,9 +190,11 @@ func maxSlot(p layout.Placement) int {
 	return m
 }
 
+// abs is |x|, branch-free through the sign mask rather than through the
+// compiler's choice of a conditional move: SwapDelta and LinearCSR call
+// it for every neighbor, and the sign of a slot distance is close to a
+// coin flip, the worst case for a predicted branch.
 func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+	m := x >> 63
+	return (x ^ m) - m
 }

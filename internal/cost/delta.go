@@ -6,11 +6,9 @@ import (
 	"repro/internal/graph"
 )
 
-// This file extends Evaluator beyond single swaps with the delta
-// primitives the streaming engine needs: rotations and single-item moves
-// (richer neighborhood than swaps, still O(Σ deg) per proposal), cost
-// tracking under graph mutation (EdgeDelta/ApplyGraphDeltas), and
-// branch-light batch evaluation of swap proposals (SwapDeltaBatch).
+// This file extends Evaluator with the delta primitives the streaming
+// engine needs: cost tracking under graph mutation
+// (EdgeDelta/ApplyGraphDeltas).
 
 // EdgeDelta folds an edge-weight increment into the tracked cost: adding
 // w to edge {u,v} changes the Linear objective by w·|pos(u)-pos(v)|
@@ -30,7 +28,7 @@ func (e *Evaluator) Rebase(c *graph.CSR) error {
 	if c.N() != len(e.pos) {
 		return fmt.Errorf("cost: rebase onto CSR with %d vertices, evaluator has %d", c.N(), len(e.pos))
 	}
-	e.csr = c
+	e.setCSR(c)
 	return nil
 }
 
@@ -47,162 +45,4 @@ func (e *Evaluator) ApplyGraphDeltas(c *graph.CSR, ds []graph.Delta) error {
 		e.EdgeDelta(d.U, d.V, d.W)
 	}
 	return nil
-}
-
-// RotateDelta returns the cost change of cyclically rotating the given
-// items' slots — items[i] takes the slot of items[i+1], and the last item
-// takes the first's — without applying it. Items must be distinct; a set
-// smaller than two is a no-op. Cost is O(Σ deg(items)): each edge inside
-// the rotation set is counted exactly once via the scratch tags.
-func (e *Evaluator) RotateDelta(items []int) int64 {
-	k := len(items)
-	if k < 2 {
-		return 0
-	}
-	if e.tag == nil {
-		e.tag = make([]int32, len(e.pos))
-		e.npos = make([]int, len(e.pos))
-	}
-	for i, x := range items {
-		if e.tag[x] != 0 {
-			e.clearTags(items[:i])
-			panic(fmt.Sprintf("cost: duplicate item %d in rotation set", x))
-		}
-		e.tag[x] = int32(i + 1)
-		e.npos[x] = e.pos[items[(i+1)%k]]
-	}
-	var delta int64
-	for a, x := range items {
-		nx, px := e.npos[x], e.pos[x]
-		cols, ws := e.csr.Row(x)
-		for i, to := range cols {
-			t := int(to)
-			if tb := int(e.tag[t]); tb != 0 {
-				// In-set edge: count it once, when scanning its
-				// lower-indexed endpoint; both endpoints move.
-				if tb-1 < a {
-					continue
-				}
-				delta += ws[i] * int64(abs(nx-e.npos[t])-abs(px-e.pos[t]))
-			} else {
-				delta += ws[i] * int64(abs(nx-e.pos[t])-abs(px-e.pos[t]))
-			}
-		}
-	}
-	e.clearTags(items)
-	return delta
-}
-
-// Rotate applies the cyclic rotation and returns the new cost.
-func (e *Evaluator) Rotate(items []int) int64 {
-	if len(items) < 2 {
-		return e.cur
-	}
-	e.cur += e.RotateDelta(items)
-	// RotateDelta left npos populated for exactly these items.
-	for _, x := range items {
-		e.pos[x] = e.npos[x]
-	}
-	for _, x := range items {
-		e.inv[e.pos[x]] = x
-	}
-	return e.cur
-}
-
-// clearTags resets the scratch tags for the given items.
-func (e *Evaluator) clearTags(items []int) {
-	for _, x := range items {
-		e.tag[x] = 0
-	}
-}
-
-// moveCycle builds the rotation set equivalent to "move item u to slot,
-// shifting the items in between by one" into e.cycle and returns it. A
-// move is the classic insertion neighborhood: every item strictly between
-// u's slot and the target shifts one position toward u's old slot.
-func (e *Evaluator) moveCycle(u, slot int) []int {
-	pu := e.pos[u]
-	c := e.cycle[:0]
-	switch {
-	case slot > pu:
-		for s := slot; s > pu; s-- {
-			c = append(c, e.inv[s])
-		}
-	case slot < pu:
-		for s := slot; s < pu; s++ {
-			c = append(c, e.inv[s])
-		}
-	}
-	if len(c) > 0 {
-		c = append(c, u)
-	}
-	e.cycle = c
-	return c
-}
-
-// MoveDelta returns the cost change of moving item u to the given slot,
-// shifting the items between u's current slot and the target by one
-// position, without applying it.
-func (e *Evaluator) MoveDelta(u, slot int) int64 {
-	if slot < 0 || slot >= len(e.pos) {
-		panic(fmt.Sprintf("cost: move target slot %d outside [0,%d)", slot, len(e.pos)))
-	}
-	return e.RotateDelta(e.moveCycle(u, slot))
-}
-
-// Move applies the insertion move of item u to the given slot and returns
-// the new cost.
-func (e *Evaluator) Move(u, slot int) int64 {
-	if slot < 0 || slot >= len(e.pos) {
-		panic(fmt.Sprintf("cost: move target slot %d outside [0,%d)", slot, len(e.pos)))
-	}
-	return e.Rotate(e.moveCycle(u, slot))
-}
-
-// SwapDeltaBatch evaluates many swap proposals in one call, writing the
-// cost delta of swapping us[j] with vs[j] into out[j]. It reuses out when
-// it has capacity and returns the filled slice. The inner loops avoid the
-// per-neighbor "is this the swap partner" branch of SwapDelta: the
-// partner's term is summed like any other and corrected once per proposal
-// with 2·w(u,v)·|pu-pv| (zero when the edge is absent), which keeps the
-// row scans free of data-dependent skips. Proposals with u == v come out
-// as zero naturally.
-func (e *Evaluator) SwapDeltaBatch(us, vs []int, out []int64) []int64 {
-	if len(us) != len(vs) {
-		panic(fmt.Sprintf("cost: batch length mismatch: %d us, %d vs", len(us), len(vs)))
-	}
-	if cap(out) < len(us) {
-		out = make([]int64, len(us))
-	}
-	out = out[:len(us)]
-	pos := e.pos
-	for j := range us {
-		u, v := us[j], vs[j]
-		pu, pv := pos[u], pos[v]
-		var d, wuv int64
-		cols, ws := e.csr.Row(u)
-		for i, to := range cols {
-			pt := pos[to]
-			d += ws[i] * int64(absz(pv-pt)-absz(pu-pt))
-			if int(to) == v {
-				wuv = ws[i]
-			}
-		}
-		cols, ws = e.csr.Row(v)
-		for i, to := range cols {
-			pt := pos[to]
-			d += ws[i] * int64(absz(pu-pt)-absz(pv-pt))
-		}
-		out[j] = d + 2*wuv*int64(absz(pu-pv))
-	}
-	return out
-}
-
-// absz is the branch-free |x| used by the batch hot loop: the sign mask
-// turns the conditional negate of abs into two ALU ops, which keeps the
-// row scans free of unpredictable branches (proposal distances alternate
-// sign roughly half the time, the worst case for a branchy abs).
-func absz(x int) int {
-	m := x >> 63
-	return (x ^ m) - m
 }

@@ -98,112 +98,6 @@ func TestEvaluatorTracksGraphDeltas(t *testing.T) {
 	}
 }
 
-// TestRotateDeltaMatchesRecompute checks RotateDelta/Rotate against a
-// from-scratch cost recompute across random rotation sets of varying
-// size, including sets with adjacent and entangled items.
-func TestRotateDeltaMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	n := 40
-	g := randomEvalGraph(t, rng, n, 600)
-	e, err := NewEvaluator(g, randomPlacement(rng, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 200; trial++ {
-		k := 2 + rng.Intn(6)
-		perm := rng.Perm(n)[:k]
-		want := e.Cost() + e.RotateDelta(perm)
-		got := e.Rotate(perm)
-		if got != want {
-			t.Fatalf("trial %d: Rotate returned %d, RotateDelta predicted %d", trial, got, want)
-		}
-		if err := e.Verify(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Placement and inverse must stay consistent.
-		p := e.Placement()
-		for item, slot := range p {
-			if e.ItemAt(slot) != item {
-				t.Fatalf("trial %d: inv[%d] = %d, want %d", trial, slot, e.ItemAt(slot), item)
-			}
-		}
-	}
-}
-
-// TestMoveDeltaMatchesRecompute checks the insertion move against a
-// recompute: moving an item to an arbitrary slot shifts the span between
-// old and new slot by one and must leave a valid permutation with the
-// predicted cost.
-func TestMoveDeltaMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	n := 32
-	g := randomEvalGraph(t, rng, n, 500)
-	e, err := NewEvaluator(g, randomPlacement(rng, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 300; trial++ {
-		u, slot := rng.Intn(n), rng.Intn(n)
-		before := e.Placement()
-		want := e.Cost() + e.MoveDelta(u, slot)
-		got := e.Move(u, slot)
-		if got != want {
-			t.Fatalf("trial %d: Move returned %d, MoveDelta predicted %d", trial, got, want)
-		}
-		if err := e.Verify(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		after := e.Placement()
-		if after[u] != slot {
-			t.Fatalf("trial %d: item %d at slot %d, want %d", trial, u, after[u], slot)
-		}
-		if err := after.Validate(n); err != nil {
-			t.Fatalf("trial %d: move broke the permutation: %v", trial, err)
-		}
-		// Items outside the shifted span must not move.
-		lo, hi := before[u], slot
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for item, s := range before {
-			if item != u && (s < lo || s > hi) && after[item] != s {
-				t.Fatalf("trial %d: item %d outside span moved %d->%d", trial, item, s, after[item])
-			}
-		}
-	}
-}
-
-// TestRotateDeltaTrivialSets pins the degenerate cases: empty and
-// single-item rotations are free, and a 2-cycle equals a swap.
-func TestRotateDeltaTrivialSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 16
-	g := randomEvalGraph(t, rng, n, 200)
-	e, err := NewEvaluator(g, layout.Identity(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := e.RotateDelta(nil); d != 0 {
-		t.Fatalf("RotateDelta(nil) = %d, want 0", d)
-	}
-	if d := e.RotateDelta([]int{3}); d != 0 {
-		t.Fatalf("RotateDelta(single) = %d, want 0", d)
-	}
-	for trial := 0; trial < 50; trial++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			continue
-		}
-		if rot, swp := e.RotateDelta([]int{u, v}), e.SwapDelta(u, v); rot != swp {
-			t.Fatalf("RotateDelta({%d,%d}) = %d, SwapDelta = %d", u, v, rot, swp)
-		}
-	}
-	// MoveDelta to the item's own slot is free.
-	if d := e.MoveDelta(5, e.Placement()[5]); d != 0 {
-		t.Fatalf("MoveDelta to own slot = %d, want 0", d)
-	}
-}
-
 // TestEdgeDeltaUnderMutation pins EdgeDelta directly: the cost moves by
 // w·|pos(u)-pos(v)| per increment and Verify agrees once the graph
 // actually changes.
@@ -234,116 +128,4 @@ func TestEdgeDeltaUnderMutation(t *testing.T) {
 	if err := e.Verify(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestSwapDeltaBatchMatchesSwapDelta checks the branch-light batch path
-// against the reference single-proposal path across random proposals,
-// including u==v no-ops and adjacent items.
-func TestSwapDeltaBatchMatchesSwapDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	n := 48
-	g := randomEvalGraph(t, rng, n, 800)
-	e, err := NewEvaluator(g, randomPlacement(rng, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 256
-	us := make([]int, batch)
-	vs := make([]int, batch)
-	for j := range us {
-		us[j] = rng.Intn(n)
-		if j%17 == 0 {
-			vs[j] = us[j] // self-swap must come out zero
-		} else {
-			vs[j] = rng.Intn(n)
-		}
-	}
-	var out []int64
-	out = e.SwapDeltaBatch(us, vs, out)
-	if len(out) != batch {
-		t.Fatalf("batch returned %d deltas, want %d", len(out), batch)
-	}
-	for j := range us {
-		if want := e.SwapDelta(us[j], vs[j]); out[j] != want {
-			t.Fatalf("proposal %d (swap %d,%d): batch %d, reference %d", j, us[j], vs[j], out[j], want)
-		}
-	}
-	// The returned slice must be reused when capacity allows.
-	again := e.SwapDeltaBatch(us[:8], vs[:8], out)
-	if &again[0] != &out[0] {
-		t.Fatal("batch did not reuse the provided output slice")
-	}
-}
-
-// BenchmarkSwapDeltaBatch gates the branch-light claim: evaluating many
-// proposals through the batch path must not be slower per proposal than
-// the reference SwapDelta loop it replaces.
-func BenchmarkSwapDeltaBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1024
-	g := randomEvalGraph(b, rng, n, 40000)
-	e, err := NewEvaluator(g, layout.Identity(n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 512
-	us := make([]int, batch)
-	vs := make([]int, batch)
-	for j := range us {
-		us[j], vs[j] = rng.Intn(n), rng.Intn(n)
-	}
-	out := make([]int64, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = e.SwapDeltaBatch(us, vs, out)
-	}
-	_ = out
-}
-
-// BenchmarkSwapDeltaLoop is the reference point for the batch benchmark:
-// the same proposals through the single-call path.
-func BenchmarkSwapDeltaLoop(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1024
-	g := randomEvalGraph(b, rng, n, 40000)
-	e, err := NewEvaluator(g, layout.Identity(n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 512
-	us := make([]int, batch)
-	vs := make([]int, batch)
-	for j := range us {
-		us[j], vs[j] = rng.Intn(n), rng.Intn(n)
-	}
-	out := make([]int64, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range us {
-			out[j] = e.SwapDelta(us[j], vs[j])
-		}
-	}
-	_ = out
-}
-
-// BenchmarkRotateDelta measures the rotation primitive at the set sizes
-// the session's move neighborhood uses.
-func BenchmarkRotateDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	n := 1024
-	g := randomEvalGraph(b, rng, n, 40000)
-	e, err := NewEvaluator(g, layout.Identity(n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := rng.Perm(n)[:8]
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += e.RotateDelta(set)
-	}
-	_ = sink
 }

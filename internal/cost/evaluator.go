@@ -17,15 +17,13 @@ type Evaluator struct {
 	csr *graph.CSR
 	g   *graph.Graph // live graph when known, for Verify; nil if CSR-built
 	pos layout.Placement
-	inv []int // slot -> item, the inverse of pos, maintained by Swap/Rotate/Move
 	cur int64
 
-	// Scratch for RotateDelta/MoveDelta: tag[x] = 1+index of x in the set
-	// being rotated (0 = outside), npos[x] = x's post-rotation slot. Both
-	// are reset to their resting state before every delta call returns.
-	tag   []int32
-	npos  []int
-	cycle []int // MoveDelta's rotation-set scratch
+	// csr's arrays (graph.CSR.Arrays), cached so SwapDelta slices rows
+	// directly instead of paying a checked CSR.Row call per row.
+	rowPtr  []int
+	colIdx  []int32
+	weights []int64
 }
 
 // NewEvaluator builds an evaluator for a placement that must be a
@@ -51,12 +49,15 @@ func NewEvaluatorCSR(c *graph.CSR, p layout.Placement) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{csr: c, pos: p.Clone(), cur: cost}
-	e.inv = make([]int, len(e.pos))
-	for item, slot := range e.pos {
-		e.inv[slot] = item
-	}
+	e := &Evaluator{pos: p.Clone(), cur: cost}
+	e.setCSR(c)
 	return e, nil
+}
+
+// setCSR points the evaluator, and its cached row arrays, at c.
+func (e *Evaluator) setCSR(c *graph.CSR) {
+	e.csr = c
+	e.rowPtr, e.colIdx, e.weights = c.Arrays()
 }
 
 // Cost returns the current Linear cost.
@@ -66,42 +67,55 @@ func (e *Evaluator) Cost() int64 { return e.cur }
 func (e *Evaluator) Placement() layout.Placement { return e.pos.Clone() }
 
 // SwapDelta returns the cost change of swapping the slots of items u and
-// v, without applying it.
+// v, without applying it. It is the annealer's inner loop, so it scans
+// the two CSR rows straight out of the cached arrays, with each row's
+// bounds checked once. The u–v edge itself is skipped: its length
+// |pu-pv| survives the swap.
 func (e *Evaluator) SwapDelta(u, v int) int64 {
 	if u == v {
 		return 0
 	}
-	pu, pv := e.pos[u], e.pos[v]
+	pos, rowPtr := e.pos, e.rowPtr
+	pu, pv := pos[u], pos[v]
 	var delta int64
-	cols, ws := e.csr.Row(u)
+	lo, hi := rowPtr[u], rowPtr[u+1]
+	cols, ws := e.colIdx[lo:hi], e.weights[lo:hi]
+	ws = ws[:len(cols)]
 	for i, to := range cols {
 		if int(to) == v {
-			continue // |pu-pv| unchanged under swap
+			continue
 		}
-		delta += ws[i] * int64(abs(pv-e.pos[to])-abs(pu-e.pos[to]))
+		pt := pos[to]
+		delta += ws[i] * int64(abs(pv-pt)-abs(pu-pt))
 	}
-	cols, ws = e.csr.Row(v)
+	lo, hi = rowPtr[v], rowPtr[v+1]
+	cols, ws = e.colIdx[lo:hi], e.weights[lo:hi]
+	ws = ws[:len(cols)]
 	for i, to := range cols {
 		if int(to) == u {
 			continue
 		}
-		delta += ws[i] * int64(abs(pu-e.pos[to])-abs(pv-e.pos[to]))
+		pt := pos[to]
+		delta += ws[i] * int64(abs(pu-pt)-abs(pv-pt))
 	}
 	return delta
 }
 
 // Swap applies the swap of items u and v and returns the new cost.
 func (e *Evaluator) Swap(u, v int) int64 {
-	e.cur += e.SwapDelta(u, v)
-	pu, pv := e.pos[u], e.pos[v]
-	e.pos.Swap(u, v)
-	e.inv[pu], e.inv[pv] = v, u
-	return e.cur
+	return e.SwapKnown(u, v, e.SwapDelta(u, v))
 }
 
-// ItemAt returns the item occupying the given slot (the inverse of the
-// placement), maintained incrementally across Swap/Rotate/Move.
-func (e *Evaluator) ItemAt(slot int) int { return e.inv[slot] }
+// SwapKnown applies the swap of items u and v given d, the SwapDelta(u, v)
+// the caller computed on the current placement, and returns the new cost.
+// It spares a caller that priced the swap before deciding on it (the
+// annealer) a second pair of row scans. A d from any other placement
+// silently corrupts the tracked cost; Verify detects it.
+func (e *Evaluator) SwapKnown(u, v int, d int64) int64 {
+	e.cur += d
+	e.pos.Swap(u, v)
+	return e.cur
+}
 
 // Verify recomputes the cost from scratch and reports whether the
 // incremental bookkeeping agrees; it is used by tests and can guard long

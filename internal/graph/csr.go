@@ -120,6 +120,14 @@ func (c *CSR) Row(u int) ([]int32, []int64) {
 	return c.colIdx[lo:hi], c.weights[lo:hi]
 }
 
+// Arrays returns the three CSR arrays themselves, shared and read-only:
+// vertex u's row is colIdx/weights[rowPtr[u]:rowPtr[u+1]]. It is Row for
+// loops that index several rows per call (cost.Evaluator.SwapDelta) and
+// cannot afford a bounds-checked call per row.
+func (c *CSR) Arrays() (rowPtr []int, colIdx []int32, weights []int64) {
+	return c.rowPtr, c.colIdx, c.weights
+}
+
 // Neighbors calls fn for every neighbor of u with the edge weight, in
 // ascending neighbor order, mirroring Graph.Neighbors without the
 // per-call sort and allocation.

@@ -1,0 +1,83 @@
+package obs_test
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	_ "repro/internal/core" // registers core.anneal.proposal_delta
+	"repro/internal/obs"
+	_ "repro/internal/serve" // registers the serve.* histograms
+	_ "repro/internal/sim"   // registers sim.shift_distance
+	"repro/internal/wal"
+)
+
+// maxExact bounds the values whose float64 conversion is exact; inside
+// it the integer search must agree with the float one it replaced.
+const maxExact = 1<<53 - 1
+
+// checkBucketSearch compares obs's integer bucket search with
+// sort.SearchFloat64s over float64(v) on the bounds' edges (each floor
+// and its neighbours), the int64 extremes of the exact range, and random
+// values both near the bounds and across the whole exact range.
+func checkBucketSearch(t *testing.T, name string, bounds []float64) {
+	t.Helper()
+	h := obs.NewRegistry().Histogram(name, bounds)
+	vals := []int64{0, 1, -1, maxExact, -maxExact}
+	for _, b := range bounds {
+		f := math.Floor(b)
+		if math.Abs(f) > maxExact-2 {
+			continue
+		}
+		for d := int64(-2); d <= 2; d++ {
+			vals = append(vals, int64(f)+d)
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(len(name))))
+	span := int64(4 * math.Min(math.Abs(bounds[len(bounds)-1])+1, maxExact/4))
+	for i := 0; i < 4000; i++ {
+		vals = append(vals, rng.Int63n(2*span+1)-span, rng.Int63n(2*maxExact+1)-maxExact)
+	}
+	for _, v := range vals {
+		want := sort.SearchFloat64s(bounds, float64(v))
+		if got := obs.BucketOf(h, v); got != want {
+			t.Fatalf("%s: bucket(%d) = %d, sort.SearchFloat64s = %d (bounds %v)", name, v, got, want, bounds)
+		}
+	}
+}
+
+// TestBucketSearchMatchesFloatOnRegisteredBounds runs the comparison on
+// every histogram the repository registers: the package-level ones of
+// core, sim and serve, and the per-journal one wal.Open adds.
+func TestBucketSearchMatchesFloatOnRegisteredBounds(t *testing.T) {
+	l, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	hists := obs.Default().Snapshot().Histograms
+	for _, name := range []string{"core.anneal.proposal_delta", "sim.shift_distance",
+		"serve.job.wall_ms", "wal.fsync_ms"} {
+		if _, ok := hists[name]; !ok {
+			t.Fatalf("histogram %s not registered", name)
+		}
+	}
+	names := make([]string, 0, len(hists))
+	for name := range hists {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		checkBucketSearch(t, name, hists[name].Bounds)
+	}
+}
+
+// TestBucketSearchMatchesFloatOnOddBounds covers bounds no package
+// registers today: negative, fractional, and beyond the int64 range,
+// where the precomputed floors saturate.
+func TestBucketSearchMatchesFloatOnOddBounds(t *testing.T) {
+	checkBucketSearch(t, "odd", []float64{-1e19, -7.5, -2, -0.25, 0.5, 3, 3.75, 1e15, 1e19})
+	checkBucketSearch(t, "tiny", []float64{0.1, 0.2, 0.3})
+	checkBucketSearch(t, "single", []float64{0})
+}

@@ -1,17 +1,16 @@
 package obs
 
 // Fixed-bucket histograms. A Histogram is as cheap to update as a
-// Counter (one binary search over a handful of bounds plus two atomic
-// adds), so the hot layers keep theirs on unconditionally: the simulator
-// observes per-access shift distances, the annealer its proposal deltas,
-// and the serving layer queue-wait and job latency. Distributions — not
+// Counter (one integer binary search over a handful of bounds plus two
+// atomic adds), so the hot layers keep theirs on unconditionally: the
+// simulator observes per-access shift distances, the annealer its
+// proposal deltas, and the serving layer queue-wait and job latency. Distributions — not
 // totals — are how the placement papers diagnose quality, and how a
 // perf regression in the tail shows up before it moves a mean.
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -22,8 +21,12 @@ import (
 // obtain one from a Registry.
 type Histogram struct {
 	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	sum    atomic.Int64
+	// ibounds[i] is floor(bounds[i]), clamped to the int64 range. For an
+	// int64 v, v <= bounds[i] exactly when v <= ibounds[i], so the bucket
+	// search runs on integers (see bucket).
+	ibounds []int64
+	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	sum     atomic.Int64
 	// exemplars holds, per bucket, the most recent traced observation
 	// (see ObserveTrace) — the breadcrumb that links a latency bucket
 	// back to a concrete request in /debug/events. Last-write-wins; nil
@@ -56,10 +59,49 @@ func newHistogram(bounds []float64) *Histogram {
 	}
 	h := &Histogram{
 		bounds:    append([]float64(nil), bounds...),
+		ibounds:   make([]int64, len(bounds)),
 		counts:    make([]atomic.Int64, len(bounds)+1),
 		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
 	}
+	for i, b := range bounds {
+		h.ibounds[i] = floorInt64(b)
+	}
 	return h
+}
+
+// floorInt64 is floor(b) saturated to the int64 range. Saturation keeps
+// the order against every |v| < 2⁵³, the range bucket is exact on: such
+// a v is below any bound of 2⁶³ or more and above any bound under -2⁶³.
+func floorInt64(b float64) int64 {
+	switch f := math.Floor(b); {
+	case f >= math.MaxInt64: // 2⁶³ after rounding
+		return math.MaxInt64
+	case f < math.MinInt64:
+		return math.MinInt64
+	default:
+		return int64(f)
+	}
+}
+
+// bucket returns the index of the bucket holding v: the first i with
+// v <= bounds[i], or len(bounds) for the overflow bucket. It is the
+// integer form of sort.SearchFloat64s(bounds, float64(v)) and agrees
+// with it whenever float64(v) is exact (|v| < 2⁵³); beyond that the
+// float search rounds v first and this one does not. The hot loops
+// (anneal proposals, simulated accesses) call it once per step; integer
+// compares spare them the float conversion and sort.Search's callback.
+func (h *Histogram) bucket(v int64) int {
+	ib := h.ibounds
+	lo, hi := 0, len(ib)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ib[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // resetHistogram zeroes a histogram in place (Registry.Reset and the
@@ -74,7 +116,7 @@ func resetHistogram(h *Histogram) {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	i := sort.SearchFloat64s(h.bounds, float64(v))
+	i := h.bucket(v)
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 }
@@ -83,7 +125,7 @@ func (h *Histogram) Observe(v int64) {
 // it as the bucket's exemplar. One atomic pointer store on top of
 // Observe — cheap enough for the serving layer to use on every request.
 func (h *Histogram) ObserveTrace(v int64, traceID string) {
-	i := sort.SearchFloat64s(h.bounds, float64(v))
+	i := h.bucket(v)
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	if traceID != "" {
@@ -110,7 +152,7 @@ type LocalHistogram struct {
 
 // Observe records one value into the local buffer.
 func (l *LocalHistogram) Observe(v int64) {
-	i := sort.SearchFloat64s(l.h.bounds, float64(v))
+	i := l.h.bucket(v)
 	l.counts[i]++
 	l.sum += v
 }
