@@ -1,7 +1,11 @@
 // Package client is the resilient Go client for the dwmserved API: it
-// submits placement jobs, polls them to completion, and absorbs the
+// submits placement jobs, waits for them to complete, and absorbs the
 // transient failures a real deployment throws at callers — queue-full
 // 429s, 5xx blips, connection resets, and server restarts.
+//
+// Wait long-polls: each GET asks the server to hold the answer until the
+// job is terminal (GET /v1/jobs/{id}?wait=), so a result arrives as soon
+// as the job finishes.
 //
 // The retry discipline:
 //
@@ -55,8 +59,6 @@ type Options struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth; 0 selects 5s.
 	MaxBackoff time.Duration
-	// PollInterval is Wait's polling cadence; 0 selects 50ms.
-	PollInterval time.Duration
 	// DisableIdempotency stops Submit from stamping ClientKey, restoring
 	// fire-and-duplicate semantics for callers that want N runs of the
 	// same request to be N jobs.
@@ -105,13 +107,6 @@ func (o Options) maxBackoff() time.Duration {
 		return o.MaxBackoff
 	}
 	return 5 * time.Second
-}
-
-func (o Options) pollInterval() time.Duration {
-	if o.PollInterval > 0 {
-		return o.PollInterval
-	}
-	return 50 * time.Millisecond
 }
 
 // Client talks to one dwmserved instance. It is safe for concurrent use
@@ -330,10 +325,22 @@ func (c *Client) Submit(ctx context.Context, req serve.PlaceRequest) (serve.JobS
 	return js, nil
 }
 
-// Job fetches a job's current status.
+// waitWindow is how long one of Wait's GETs asks the server to hold the
+// answer. A window that expires costs one more round trip, so its length
+// only bounds how long a request sits in proxies and connection pools.
+const waitWindow = 30 * time.Second
+
+// Job fetches a job's current status without blocking.
 func (c *Client) Job(ctx context.Context, id string) (serve.JobStatus, error) {
+	return c.get(ctx, id, "")
+}
+
+// get fetches a job's status with the given query string. Job and Wait
+// share its retry key, so a waited GET retries and carries a traceparent
+// exactly as a plain one does.
+func (c *Client) get(ctx context.Context, id, query string) (serve.JobStatus, error) {
 	var js serve.JobStatus
-	if err := c.roundTrip(ctx, id+"/get", http.MethodGet, "/v1/jobs/"+id, nil, &js); err != nil {
+	if err := c.roundTrip(ctx, id+"/get", http.MethodGet, "/v1/jobs/"+id+query, nil, &js); err != nil {
 		return serve.JobStatus{}, err
 	}
 	return js, nil
@@ -349,18 +356,18 @@ func (c *Client) Cancel(ctx context.Context, id string) (serve.JobStatus, error)
 	return js, nil
 }
 
-// Wait polls until the job reaches a terminal state or ctx expires.
+// Wait blocks until the job reaches a terminal state or ctx expires.
+// Each GET long-polls for up to waitWindow; a non-terminal answer means
+// the window expired, and the call is sent again at once.
 func (c *Client) Wait(ctx context.Context, id string) (serve.JobStatus, error) {
+	query := "?wait=" + waitWindow.String()
 	for {
-		js, err := c.Job(ctx, id)
+		js, err := c.get(ctx, id, query)
 		if err != nil {
 			return serve.JobStatus{}, err
 		}
 		if js.Status == "done" || js.Status == "failed" {
 			return js, nil
-		}
-		if err := c.sleep(ctx, c.opts.pollInterval()); err != nil {
-			return serve.JobStatus{}, err
 		}
 	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -292,7 +293,7 @@ func TestRunAgainstRealServer(t *testing.T) {
 	}
 	req := serve.PlaceRequest{Trace: trace.String(), Seed: 1, Iterations: 2000}
 
-	c := New(Options{BaseURL: srv.URL, PollInterval: time.Millisecond})
+	c := New(Options{BaseURL: srv.URL})
 	first, err := c.Run(context.Background(), req)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -309,5 +310,126 @@ func TestRunAgainstRealServer(t *testing.T) {
 	}
 	if fmt.Sprint(second.Result.Placement) != fmt.Sprint(first.Result.Placement) {
 		t.Fatal("rerun returned different placement bytes")
+	}
+}
+
+// jobScript answers GET /v1/jobs/{id} from a list of statuses, the last
+// repeating, and records each request's query.
+type jobScript struct {
+	mu       sync.Mutex
+	statuses []string
+	queries  []string
+}
+
+func (s *jobScript) handler(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	i := min(len(s.queries), len(s.statuses)-1)
+	s.queries = append(s.queries, r.URL.RawQuery)
+	st := s.statuses[i]
+	s.mu.Unlock()
+	json.NewEncoder(w).Encode(serve.JobStatus{ID: "job-000001", Status: st})
+}
+
+func (s *jobScript) all() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.queries...)
+}
+
+// A non-terminal answer means the long-poll window expired: Wait sends
+// the same waited GET again at once, with no sleep in between.
+func TestWaitResendsAfterExpiredWindow(t *testing.T) {
+	js := &jobScript{statuses: []string{"queued", "running", "done"}}
+	srv := httptest.NewServer(http.HandlerFunc(js.handler))
+	t.Cleanup(srv.Close)
+	fs := &fakeSleep{}
+	c := New(Options{BaseURL: srv.URL, Sleep: fs.sleep})
+	got, err := c.Wait(context.Background(), "job-000001")
+	if err != nil || got.Status != "done" {
+		t.Fatalf("Wait = %+v, %v", got, err)
+	}
+	qs := js.all()
+	if len(qs) != 3 {
+		t.Fatalf("%d GETs, want 3", len(qs))
+	}
+	for i, q := range qs {
+		if q != "wait=30s" {
+			t.Errorf("GET %d query = %q, want wait=30s", i+1, q)
+		}
+	}
+	if d := fs.all(); len(d) != 0 {
+		t.Fatalf("slept %v between waited GETs", d)
+	}
+}
+
+// Cancelling ctx while a long-poll is parked on the server ends Wait
+// with the context's error.
+func TestWaitCancelledMidWait(t *testing.T) {
+	parked := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(parked)
+		<-r.Context().Done()
+	}))
+	t.Cleanup(srv.Close)
+	c := New(Options{BaseURL: srv.URL})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-parked
+		cancel()
+	}()
+	if _, err := c.Wait(ctx, "job-000001"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+}
+
+// Against the real service, Wait long-polls: one GET per job, however
+// long the job runs.
+func TestWaitOneGetPerJob(t *testing.T) {
+	s, err := serve.New(serve.Options{Workers: 1, DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	gets := map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			mu.Lock()
+			gets[r.URL.Path]++
+			mu.Unlock()
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+		srv.Close()
+	})
+
+	var trace strings.Builder
+	trace.WriteString("dwmtrace 1\nname client-wait\nitems 16\n")
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&trace, "R %d\n", (i*5)%16)
+	}
+	fs := &fakeSleep{}
+	c := New(Options{BaseURL: srv.URL, Sleep: fs.sleep})
+	for seed := int64(1); seed <= 3; seed++ {
+		js, err := c.Run(context.Background(), serve.PlaceRequest{Trace: trace.String(), Seed: seed, Iterations: 200000})
+		if err != nil || js.Status != "done" {
+			t.Fatalf("seed %d: Run = %+v, %v", seed, js, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(gets) != 3 {
+		t.Fatalf("GETs by path = %v, want 3 jobs", gets)
+	}
+	for path, n := range gets {
+		if n != 1 {
+			t.Errorf("%s: %d GETs, want 1", path, n)
+		}
+	}
+	if d := fs.all(); len(d) != 0 {
+		t.Errorf("Wait slept %v against a long-poll server", d)
 	}
 }

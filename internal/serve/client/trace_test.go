@@ -3,10 +3,12 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -160,5 +162,58 @@ func TestOnRetryNotCalledOnPermanentError(t *testing.T) {
 	}
 	if called {
 		t.Fatal("OnRetry fired for a permanent 4xx")
+	}
+}
+
+// Wait's GETs keep Job's retry and trace behaviour: the same
+// deterministic traceparent on every attempt, and the same backoff and
+// Retry-After schedule as any other call. Job itself sends no wait.
+func TestWaitRetriesAndTraceparent(t *testing.T) {
+	ss := &scriptServer{
+		script: []func(http.ResponseWriter){
+			status(http.StatusInternalServerError, `{"error":"blip"}`),
+			func(w http.ResponseWriter) {
+				w.Header().Set("Retry-After", "2")
+				w.WriteHeader(http.StatusTooManyRequests)
+			},
+		},
+		final: serve.JobStatus{ID: "job-000004", Status: "done"},
+	}
+	var mu sync.Mutex
+	var headers, queries []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		headers = append(headers, r.Header.Get("traceparent"))
+		queries = append(queries, r.URL.RawQuery)
+		mu.Unlock()
+		ss.handler(w, r)
+	}))
+	defer srv.Close()
+	fs := &fakeSleep{}
+	c := New(Options{BaseURL: srv.URL, Sleep: fs.sleep})
+
+	if _, err := c.Wait(context.Background(), "job-000004"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Job(context.Background(), "job-000004"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(headers) != 4 {
+		t.Fatalf("got %d requests, want 3 Wait attempts + 1 Job", len(headers))
+	}
+	want := obs.DeriveTraceContext("client/job-000004/get").TraceParent()
+	for i, h := range headers {
+		if h != want {
+			t.Errorf("request %d traceparent = %q, want %q", i+1, h, want)
+		}
+	}
+	if queries[0] != "wait=30s" || queries[2] != "wait=30s" || queries[3] != "" {
+		t.Errorf("queries = %q", queries)
+	}
+	wantSleeps := []time.Duration{c.backoffFor("job-000004/get", 1), 2 * time.Second}
+	if d := fs.all(); fmt.Sprint(d) != fmt.Sprint(wantSleeps) {
+		t.Errorf("retry schedule = %v, want %v", d, wantSleeps)
 	}
 }

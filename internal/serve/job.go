@@ -165,6 +165,11 @@ type job struct {
 	plan     *cachePlan
 	cacheHit bool
 
+	// done is closed once the job is terminal (see finish in runJob).
+	// It is set at construction and never reassigned, so waiters read it
+	// without the lock.
+	done chan struct{}
+
 	mu        sync.Mutex
 	status    string                      //dwmlint:guard mu
 	result    *Result                     //dwmlint:guard mu
@@ -177,6 +182,14 @@ type job struct {
 	ckptAt    time.Time                   //dwmlint:guard mu
 	prog      map[int]core.AnnealProgress //dwmlint:guard mu
 }
+
+// closedCh is the completion channel of jobs that are born terminal:
+// cache hits and replayed finished jobs.
+var closedCh = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // recordCheckpoint keeps the lowest-cost placement seen so far and
 // reports whether this call improved it (the journal hook in runJob
@@ -232,18 +245,17 @@ func (j *job) snapshot(now time.Time) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:     j.id,
-		Status: j.status,
-		Trace: TraceInfo{
-			Name:     j.tr.Name,
-			Accesses: j.tr.Len(),
-			Items:    j.tr.NumItems,
-		},
+		ID:        j.id,
+		Status:    j.status,
 		Result:    j.result,
 		Error:     j.errMsg,
 		ElapsedMS: j.elapsedMS,
 		CacheHit:  j.cacheHit,
 		TraceID:   j.tc.TraceID,
+	}
+	// A job whose trace no longer parses at journal replay has none.
+	if j.tr != nil {
+		st.Trace = TraceInfo{Name: j.tr.Name, Accesses: j.tr.Len(), Items: j.tr.NumItems}
 	}
 	if len(j.prog) > 0 {
 		p := &JobProgress{CheckpointAgeMS: -1}

@@ -403,6 +403,22 @@ func TestRequestValidation(t *testing.T) {
 	if jr.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d", jr.StatusCode)
 	}
+	// The wait parameter of GET /v1/jobs/{id}.
+	_, id := submit(t, base, PlaceRequest{Trace: testTrace(t), Seed: 1, Iterations: 1000})
+	for _, c := range []struct {
+		id, wait string
+		want     int
+	}{
+		{id, "abc", http.StatusBadRequest},
+		{id, "-1s", http.StatusBadRequest},
+		{id, "", http.StatusBadRequest},
+		{"job-999999", "1s", http.StatusNotFound},
+		{id, "0s", http.StatusOK},
+	} {
+		if res := getWaited(t, base, c.id, c.wait); res.code != c.want {
+			t.Errorf("GET %s?wait=%s: status %d, want %d", c.id, c.wait, res.code, c.want)
+		}
+	}
 }
 
 // Non-anneal policies run to completion through the same API.

@@ -29,10 +29,8 @@ import (
 )
 
 // Service instrumentation (see internal/obs), exposed over GET /metrics
-// in the Prometheus text format. The histograms carry the same signals
-// as the queue-wait and wall timers but with full distributions (and
-// millisecond units, hence the distinct _ms names — a Timer already
-// claims the bare names' _count series in the exposition).
+// in the Prometheus text format. Job queue wait and run time are
+// millisecond histograms.
 var (
 	obsAccepted    = obs.GetCounter("serve.jobs.accepted")
 	obsRejected    = obs.GetCounter("serve.jobs.rejected")
@@ -42,8 +40,6 @@ var (
 	obsPanics      = obs.GetCounter("serve.panics_recovered")
 	obsQueueDepth  = obs.GetGauge("serve.queue.depth")
 	obsRunning     = obs.GetGauge("serve.jobs.running")
-	obsQueueWait   = obs.GetTimer("serve.job.queue_wait")
-	obsJobWall     = obs.GetTimer("serve.job.wall")
 	obsQueueWaitMS = obs.GetHistogram("serve.job.queue_wait_ms",
 		[]float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000})
 	obsJobWallMS = obs.GetHistogram("serve.job.wall_ms",
@@ -338,7 +334,7 @@ func (s *Server) recover() ([]*job, error) {
 	for _, id := range st.jobOrder {
 		rec := st.jobs[id]
 		tr, terr := parseTrace(rec.req)
-		j := &job{id: id, req: rec.req, tr: tr, tc: rec.traceContext()}
+		j := &job{id: id, req: rec.req, tr: tr, tc: rec.traceContext(), done: closedCh}
 		switch {
 		case terr != nil:
 			// The trace was valid when accepted (acceptance journals after
@@ -356,6 +352,7 @@ func (s *Server) recover() ([]*job, error) {
 		default:
 			j.status = statusQueued
 			j.enqueued = now
+			j.done = make(chan struct{})
 			if rec.ckpt != nil {
 				j.ckpt = layout.Placement(rec.ckpt)
 				j.ckptCost = rec.ckptCost
@@ -637,6 +634,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			status:   statusDone,
 			result:   plan.hit,
 			cacheHit: true,
+			done:     closedCh,
 		}
 		if err := s.jl.append(rctx, journalRecord{T: recJobAccept, ID: j.id, Req: &req, Trace: tc.TraceParent()}); err != nil {
 			s.mu.Unlock()
@@ -710,6 +708,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		plan:     plan,
 		status:   statusQueued,
 		enqueued: time.Now(),
+		done:     make(chan struct{}),
 	}
 	// Write-ahead acceptance: the job is durable before the 202 leaves
 	// the server. Journaling under s.mu keeps journal order consistent
@@ -754,12 +753,42 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
+// maxJobWait caps how long one GET /v1/jobs/{id}?wait= blocks; a
+// longer wait is clamped to it.
+const maxJobWait = time.Minute
+
 // handleJob reports a job's status and, when finished, its result.
+// With ?wait=DUR (a Go duration, clamped to maxJobWait) it long-polls:
+// the response is held until the job is terminal, the wait expires, or
+// the request's context ends, and then carries the same snapshot a
+// plain GET would. Shutdown ends every wait too: the drain finishes
+// every accepted job, which wakes its waiters, before the listener
+// closes. A bad or negative wait is a 400.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	waited := q.Has("wait")
+	var wait time.Duration
+	if waited {
+		d, err := time.ParseDuration(q.Get("wait"))
+		if err != nil || d < 0 {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("invalid wait %q: want a non-negative duration such as 10s", q.Get("wait"))})
+			return
+		}
+		wait = min(d, maxJobWait)
+	}
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
 		return
+	}
+	if waited {
+		t := time.NewTimer(wait)
+		select {
+		case <-j.done:
+		case <-t.C:
+		case <-r.Context().Done():
+		}
+		t.Stop()
 	}
 	writeJSON(w, http.StatusOK, j.snapshot(time.Now()))
 }
@@ -968,7 +997,6 @@ func (s *Server) runJob(j *job) {
 		}
 	}()
 
-	obsQueueWait.Observe(start.Sub(j.enqueued))
 	obsQueueWaitMS.Observe(start.Sub(j.enqueued).Milliseconds())
 	ctx, span := obs.StartSpan(ctx, "serve.job.run")
 	defer span.End()
@@ -985,7 +1013,6 @@ func (s *Server) runJob(j *job) {
 
 	finish := func(res *Result, errMsg string) {
 		elapsed := time.Since(start)
-		obsJobWall.Observe(elapsed)
 		obsJobWallMS.Observe(elapsed.Milliseconds())
 		// The per-tenant latency series records the job's trace ID as a
 		// bucket exemplar: the /metrics scrape links a slow bucket to a
@@ -1006,6 +1033,14 @@ func (s *Server) runJob(j *job) {
 			if res.Partial {
 				obsPartial.Inc()
 			}
+		}
+		// Closing under j.mu, in the step that sets the terminal status,
+		// means a woken waiter sees what a plain GET would. finish runs a
+		// second time only when the journal append below panics.
+		select {
+		case <-j.done:
+		default:
+			close(j.done)
 		}
 		j.mu.Unlock()
 		// Journal the terminal state. Failure here degrades rather than
@@ -1057,11 +1092,13 @@ func (s *Server) runJob(j *job) {
 		finish(nil, err.Error())
 		return
 	}
-	finish(res, "")
-	// Memoize the finished result: full runs only (a partial is not the
-	// key's answer), and only for planned (cacheable) jobs. Put is
-	// first-wins, so concurrent duplicates cannot flap the stored bytes.
+	// Memoize the result before finishing: full runs only (a partial is
+	// not the key's answer), and only for planned (cacheable) jobs. A
+	// caller woken by the job's completion may resubmit at once, and that
+	// resubmission must hit. Put is first-wins, so concurrent duplicates
+	// cannot flap the stored bytes.
 	if j.plan != nil && !res.Partial && s.cache != nil {
 		s.cache.Put(j.plan.key, storeEntry(j.plan.canon, res))
 	}
+	finish(res, "")
 }

@@ -2,7 +2,8 @@
 # serve-smoke: end-to-end check of cmd/dwmserved. Boots the daemon on a
 # kernel-chosen port, submits the same placement job twice, and requires
 # (a) both jobs finish with byte-identical results — the service
-# determinism guarantee — and (b) SIGTERM drains cleanly with exit 0.
+# determinism guarantee — (b) a malformed ?wait= is a 400, and (c)
+# SIGTERM drains cleanly with exit 0.
 # Run from the repository root (the Makefile serve-smoke target).
 set -eu
 
@@ -46,12 +47,13 @@ submit() {
 }
 
 # poll <job-id> <out-file>: wait for the job and store its result with
-# sorted keys, so byte comparison is meaningful.
+# sorted keys, so byte comparison is meaningful. Each GET long-polls for
+# the time left of a 30 s budget, so one call per job normally suffices
+# and a job that never finishes fails the smoke after about 30 s.
 poll() {
-	n=0
-	while [ "$n" -le 600 ]; do
-		n=$((n + 1))
-		st=$(curl -fsS "$base/v1/jobs/$1")
+	end=$(($(date +%s) + 30))
+	while left=$((end - $(date +%s))) && [ "$left" -gt 0 ]; do
+		st=$(curl -fsS "$base/v1/jobs/$1?wait=${left}s")
 		case $(printf '%s' "$st" | jq -r .status) in
 		done)
 			printf '%s' "$st" | jq -S .result >"$2"
@@ -62,7 +64,6 @@ poll() {
 			return 1
 			;;
 		esac
-		sleep 0.05
 	done
 	echo "serve-smoke: job $1 never finished" >&2
 	return 1
@@ -79,6 +80,12 @@ if ! cmp -s "$dir/r1.json" "$dir/r2.json"; then
 fi
 if [ "$(jq -r '.placement | length' "$dir/r1.json")" -eq 0 ]; then
 	echo "serve-smoke: empty placement in result" >&2
+	exit 1
+fi
+
+code=$(curl -sS -o /dev/null -w '%{http_code}' "$base/v1/jobs/$id1?wait=bogus")
+if [ "$code" != 400 ]; then
+	echo "serve-smoke: ?wait=bogus answered $code, want 400" >&2
 	exit 1
 fi
 
