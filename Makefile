@@ -42,11 +42,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of the heaviest experiment benchmark: catches
-# regressions that only show up under the full pipeline without paying
-# for a statistically meaningful run.
+# One iteration of the heaviest experiment benchmark and of the Propose
+# layer benchmark: catches regressions (or a panicking benchmark) that
+# only show up under the full pipeline without paying for a
+# statistically meaningful run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE2MainComparison$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPropose$$' -benchtime 1x ./internal/core
 
 # Refresh BENCH_dwmbench.json (per-experiment wall times with deltas vs
 # the committed report).

@@ -69,11 +69,16 @@ func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Plac
 // items in between. It complements TwoOpt, which cannot express
 // relocations in one move.
 //
-// To stay fast on large instances, candidate target slots for an item are
-// restricted to the slots adjacent to the item's graph neighbors (where a
-// relocation can actually pay off) rather than all n positions, so a pass
-// costs O(Σ deg(v)·E_eval) instead of O(n²·E_eval). Returns the refined
-// placement and its cost.
+// Candidate target slots for an item x are the slots beside each graph
+// neighbour's current slot (neighbours in ascending ID order, offsets −1,
+// 0, +1, duplicates kept), where a relocation can actually pay off. Every
+// candidate is priced with an exact integer delta: one sweep outward from
+// x's slot in each direction accumulates the change on the edges of the
+// items the move would shift, and x's own edges are added per candidate.
+// The first strictly best improving candidate is applied. The sweeps read
+// only the rows of the items between x and its farthest candidate, so a
+// pass costs at most O(n·E + Σ deg²), with no full re-cost. Returns the
+// refined placement and its cost.
 func Insertion(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placement, int64, error) {
 	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, fmt.Errorf("core: Insertion: %w", err)
@@ -92,56 +97,104 @@ func Insertion(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placem
 	if err != nil {
 		return nil, 0, err
 	}
+	rowPtr, colIdx, weights := c.Arrays()
 
-	apply := func(from, to int) {
-		item := order[from]
-		if from < to {
-			copy(order[from:to], order[from+1:to+1])
-		} else {
-			copy(order[to+1:from+1], order[to:from])
-		}
-		order[to] = item
-		for s, it := range order {
-			cur[it] = s
-		}
-	}
+	// shifted[to] is the cost change, on edges not incident to x, of
+	// moving x to slot to: the items between x and to each move one slot
+	// toward x's old slot.
+	shifted := make([]int64, n)
+	var cands []int
 
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
-		for item := 0; item < n; item++ {
-			from := cur[item]
-			// Candidate targets: beside each neighbor's current slot.
-			var cands []int
-			c.Neighbors(item, func(v int, _ int64) {
-				for _, d := range []int{-1, 0, 1} {
-					if to := cur[v] + d; to >= 0 && to < n && to != from {
+		for x := 0; x < n; x++ {
+			from := cur[x]
+			xs, xe := rowPtr[x], rowPtr[x+1]
+			cands = cands[:0]
+			lo, hi := from, from
+			var xOld int64
+			for i := xs; i < xe; i++ {
+				pv := cur[colIdx[i]]
+				xOld += weights[i] * int64(abs(pv-from))
+				for to := pv - 1; to <= pv+1; to++ {
+					if to >= 0 && to < n && to != from {
 						cands = append(cands, to)
+						lo, hi = min(lo, to), max(hi, to)
 					}
 				}
-			})
-			bestTo, bestCost := -1, curCost
+			}
+			if len(cands) == 0 {
+				continue
+			}
+
+			// Sweep outward from from, rightward then leftward. When
+			// y = order[to] joins the shifted items, each edge (y, v) with
+			// v ≠ x grows by its weight if v lies beyond to and shrinks
+			// otherwise (an edge to an already-shifted v stops growing).
+			for _, dir := range [2]int{1, -1} {
+				var acc int64
+				for to := from + dir; lo <= to && to <= hi; to += dir {
+					y := order[to]
+					for i := rowPtr[y]; i < rowPtr[y+1]; i++ {
+						v := int(colIdx[i])
+						if v == x {
+							continue
+						}
+						if (cur[v]-to)*dir > 0 {
+							acc += weights[i]
+						} else {
+							acc -= weights[i]
+						}
+					}
+					shifted[to] = acc
+				}
+			}
+
+			bestTo, bestDelta := -1, int64(0)
 			for _, to := range cands {
-				apply(from, to)
-				cc, err := cost.LinearCSR(c, cur)
-				if err != nil {
-					return nil, 0, err
+				d := shifted[to] - xOld
+				for i := xs; i < xe; i++ {
+					pv := cur[colIdx[i]]
+					if from < pv && pv <= to {
+						pv--
+					} else if to <= pv && pv < from {
+						pv++
+					}
+					d += weights[i] * int64(abs(pv-to))
 				}
-				if cc < bestCost {
-					bestTo, bestCost = to, cc
+				if d < bestDelta {
+					bestTo, bestDelta = to, d
 				}
-				apply(to, from) // undo
 			}
-			if bestTo >= 0 {
-				apply(from, bestTo)
-				curCost = bestCost
-				improved = true
+			if bestTo < 0 {
+				continue
 			}
+			// Rewrite only the slots between from and bestTo.
+			lo, hi = min(from, bestTo), max(from, bestTo)
+			if from < bestTo {
+				copy(order[from:bestTo], order[from+1:bestTo+1])
+			} else {
+				copy(order[bestTo+1:from+1], order[bestTo:from])
+			}
+			order[bestTo] = x
+			for s := lo; s <= hi; s++ {
+				cur[order[s]] = s
+			}
+			curCost += bestDelta
+			improved = true
 		}
 		if !improved {
 			break
 		}
 	}
 	return cur, curCost, nil
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // GreedyTwoOpt runs the proposed pipeline: greedy chain construction

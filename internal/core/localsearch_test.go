@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cost"
+	"repro/internal/graph"
 	"repro/internal/layout"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestTwoOptNeverWorsens(t *testing.T) {
@@ -176,6 +180,182 @@ func TestInsertionFixesRelocation(t *testing.T) {
 	}
 	if c != 4 {
 		t.Errorf("Insertion cost = %d, want 4", c)
+	}
+}
+
+// insertionReference is the brute-force Insertion that the sweep-priced
+// one must reproduce exactly: every candidate is applied, the whole graph
+// is re-costed with LinearCSR, and the move is undone. Candidate order and
+// the strict first-best tie-break are the same as Insertion's.
+func insertionReference(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placement, int64, error) {
+	if err := p.Validate(g.N()); err != nil {
+		return nil, 0, err
+	}
+	c := g.Freeze()
+	n := c.N()
+	if maxPasses <= 0 {
+		maxPasses = 10
+	}
+	cur := p.Clone()
+	order, err := cur.Order()
+	if err != nil {
+		return nil, 0, err
+	}
+	curCost, err := cost.LinearCSR(c, cur)
+	if err != nil {
+		return nil, 0, err
+	}
+
+	apply := func(from, to int) {
+		item := order[from]
+		if from < to {
+			copy(order[from:to], order[from+1:to+1])
+		} else {
+			copy(order[to+1:from+1], order[to:from])
+		}
+		order[to] = item
+		for s, it := range order {
+			cur[it] = s
+		}
+	}
+
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for item := 0; item < n; item++ {
+			from := cur[item]
+			var cands []int
+			c.Neighbors(item, func(v int, _ int64) {
+				for _, d := range []int{-1, 0, 1} {
+					if to := cur[v] + d; to >= 0 && to < n && to != from {
+						cands = append(cands, to)
+					}
+				}
+			})
+			bestTo, bestCost := -1, curCost
+			for _, to := range cands {
+				apply(from, to)
+				cc, err := cost.LinearCSR(c, cur)
+				if err != nil {
+					return nil, 0, err
+				}
+				if cc < bestCost {
+					bestTo, bestCost = to, cc
+				}
+				apply(to, from) // undo
+			}
+			if bestTo >= 0 {
+				apply(from, bestTo)
+				curCost = bestCost
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return cur, curCost, nil
+}
+
+// insertionMatchesReference runs Insertion and insertionReference from
+// start with each pass budget and reports the first disagreement.
+func insertionMatchesReference(g *graph.Graph, start layout.Placement) error {
+	for _, passes := range []int{1, 3, 10} {
+		want, wantCost, err := insertionReference(g, start, passes)
+		if err != nil {
+			return err
+		}
+		got, gotCost, err := Insertion(g, start, passes)
+		if err != nil {
+			return err
+		}
+		if gotCost != wantCost {
+			return fmt.Errorf("maxPasses=%d: cost %d, reference %d", passes, gotCost, wantCost)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("maxPasses=%d: item %d in slot %d, reference slot %d", passes, i, got[i], want[i])
+			}
+		}
+	}
+	return nil
+}
+
+// TestInsertionMatchesReference is Insertion's oracle: on random graphs
+// (n from 2 to 40, some items isolated) from random starts, the
+// sweep-priced Insertion must return the reference's placement and cost
+// for every pass budget.
+func TestInsertionMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(39) + 2
+		g, err := graph.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Edges only among the first k items leave the rest isolated.
+		k := n - rng.Intn(n/2+1)
+		for i, edges := 0, rng.Intn(4*n+1); i < edges; i++ {
+			if u, v := rng.Intn(k), rng.Intn(k); u != v {
+				g.AddWeight(u, v, int64(rng.Intn(20)+1))
+			}
+		}
+		start, err := layout.FromOrder(rng.Perm(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := insertionMatchesReference(g, start); err != nil {
+			t.Logf("seed %d, n=%d: %v", seed, n, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestInsertionMatchesReferenceOnTraces runs the same oracle on trace
+// graphs: Zipf, phased and Markov traces from the greedy chain and from a
+// random permutation, and every suite kernel from the greedy chain (a
+// random start on the dense kernels makes the brute force take over a
+// minute under -race).
+func TestInsertionMatchesReferenceOnTraces(t *testing.T) {
+	traces := []*trace.Trace{
+		workload.Zipf(48, 2048, 1.3, 3),
+		workload.Zipf(64, 2048, 1.1, 4),
+		workload.Phased(40, 2048, 4, 1.3, 5),
+		workload.Phased(56, 2048, 3, 1.3, 6),
+		workload.Markov(64, 2048, 7),
+		workload.Markov(96, 3072, 8),
+	}
+	randomStarts := len(traces)
+	for _, gen := range workload.Suite() {
+		traces = append(traces, gen.Make(1))
+	}
+	for i, tr := range traces {
+		t.Run(fmt.Sprintf("%d-%s", i, tr.Name), func(t *testing.T) {
+			g, err := graph.FromTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			greedy, err := GreedyChain(g, SeedHeaviestEdge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			starts := []layout.Placement{greedy}
+			if i < randomStarts {
+				random, err := layout.FromOrder(rand.New(rand.NewSource(int64(i))).Perm(g.N()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				starts = append(starts, random)
+			}
+			for _, start := range starts {
+				if err := insertionMatchesReference(g, start); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

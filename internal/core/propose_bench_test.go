@@ -1,0 +1,52 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// denseBenchInput is the fixed input of the refinement benchmarks: a
+// dense Zipf trace (n = 160, 8192 accesses, skew 1.3), the largest shape
+// of the benchmark's offline-dense inputs.
+func denseBenchInput(b *testing.B) (*trace.Trace, *graph.Graph) {
+	b.Helper()
+	tr := workload.Zipf(160, 8192, 1.3, 7)
+	g, err := graph.FromTrace(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, g
+}
+
+// BenchmarkInsertion times Propose's relocation stage (three passes) from
+// the TwoOpt-refined greedy chain on the dense input.
+func BenchmarkInsertion(b *testing.B) {
+	_, g := denseBenchInput(b)
+	start, _, err := GreedyTwoOpt(g, TwoOptOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Insertion(g, start, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPropose times the whole single-tape pipeline on the dense
+// input.
+func BenchmarkPropose(b *testing.B) {
+	tr, g := denseBenchInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Propose(tr, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

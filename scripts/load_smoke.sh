@@ -86,7 +86,9 @@ grep -q '# {trace_id="' "$dir/metrics.txt" || {
 }
 
 # --- leg 3: client trace IDs appear on server-side spans ---------------
-tid=$(jq -r '[.slowest[] | select(.trace_id != "")][0].trace_id' BENCH_dwmload.json)
+# Stream appends carry no trace ID, and the report omits the field for
+# them, so an absent trace_id counts as empty.
+tid=$(jq -r '[.slowest[] | select((.trace_id // "") != "")][0].trace_id' BENCH_dwmload.json)
 if [ -z "$tid" ] || [ "$tid" = "null" ]; then
 	echo "load-smoke: report has no trace IDs among slowest requests" >&2
 	exit 1
