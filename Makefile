@@ -49,6 +49,8 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE2MainComparison$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPropose$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkTwoOpt$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkTwoOptWindowed$$' -benchtime 1x ./internal/core
 
 # Refresh BENCH_dwmbench.json (per-experiment wall times with deltas vs
 # the committed report).

@@ -20,25 +20,74 @@ type TwoOptOptions struct {
 	Window int
 }
 
-// TwoOpt refines a placement by steepest-descent pairwise swaps under the
-// Linear (MinLA) objective, using O(degree) incremental deltas. It returns
-// the refined placement and its Linear cost. The input placement must be a
+// TwoOpt refines a placement by first-improvement pairwise swaps under the
+// Linear (MinLA) objective. A pass visits the slot pairs (s1, s2), s1 < s2
+// (within the window, if one is set), in lexicographic order and applies
+// each swap of the items in s1 and s2 that strictly lowers the cost, at
+// once; passes repeat until one applies nothing. It returns the refined
+// placement and its Linear cost. The input placement must be a
 // permutation of [0, g.N()) and is not mutated.
+//
+// Most pairs are rejected without reading the row of the item in s2. For
+// u in s1, F_u(q) = Σ w·|q − pos t| over u's edges (u, t); for v in s2,
+// the swap changes the cost by
+//
+//	F_u(s2) − F_u(s1) + F_v(s1) − F_v(s2) + 2·w_uv·(s2 − s1).
+//
+// A row sweep keeps F_u(s2) − F_u(s1) as s2 advances, and w_uv is read
+// from u's edge weights scattered by slot. F_v is convex, so F_v(s1) −
+// F_v(s2) ≥ −F_v'(s2)·(s2 − s1), where F_v'(s2) is v's slope
+// Σ w·sign(s2 − pos t), kept per slot and updated on every applied swap.
+// A pair whose bound is ≥ 0 cannot improve and is skipped; the rest are
+// priced exactly in O(deg v). The visit order and every applied swap are
+// therefore those of pricing each pair in full.
 func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Placement, int64, error) {
-	ev, err := cost.NewEvaluator(g, p)
-	if err != nil {
+	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, fmt.Errorf("core: TwoOpt: %w", err)
 	}
-	n := g.N()
+	c := g.Freeze()
+	n := c.N()
 	maxPasses := opts.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 50 * n // effectively "until converged"
 	}
-	// itemAt[s] = item in slot s, maintained for window filtering.
-	itemAt := make([]int, n)
-	cur := ev.Placement()
-	for item, s := range cur {
-		itemAt[s] = item
+	pos := p.Clone()
+	itemAt, err := pos.Order()
+	if err != nil {
+		return nil, 0, err
+	}
+	curCost, err := cost.LinearCSR(c, pos)
+	if err != nil {
+		return nil, 0, err
+	}
+	rowPtr, colIdx, weights := c.Arrays()
+
+	// slopeAt[s] = Σ w·sign(s − pos t) over the edges (x, t) of the item x
+	// in slot s: F_x's derivative at x's own slot, which no neighbour
+	// shares, so it is never a kink.
+	slopeOf := func(x int) int64 {
+		s := pos[x]
+		var sl int64
+		for i := rowPtr[x]; i < rowPtr[x+1]; i++ {
+			if pos[colIdx[i]] < s {
+				sl += weights[i]
+			} else {
+				sl -= weights[i]
+			}
+		}
+		return sl
+	}
+	slopeAt := make([]int64, n)
+	for x := 0; x < n; x++ {
+		slopeAt[pos[x]] = slopeOf(x)
+	}
+	// wslot[s] is the weight of the edge between the row's item and the
+	// item in slot s (0 if none).
+	wslot := make([]int64, n)
+	scatter := func(x int) {
+		for i := rowPtr[x]; i < rowPtr[x+1]; i++ {
+			wslot[pos[colIdx[i]]] = weights[i]
+		}
 	}
 
 	for pass := 0; pass < maxPasses; pass++ {
@@ -48,20 +97,74 @@ func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Plac
 			if opts.Window > 0 && s1+opts.Window+1 < n {
 				hi = s1 + opts.Window + 1
 			}
+			u := itemAt[s1]
+			scatter(u)
+			// At s2, rise = F_u(s2) − F_u(s1) and sl is F_u's slope on
+			// [s2, s2+1]; the sweep starts from u's own slope at s1.
+			var rise int64
+			sl := slopeAt[s1]
 			for s2 := s1 + 1; s2 < hi; s2++ {
-				u, v := itemAt[s1], itemAt[s2]
-				if d := ev.SwapDelta(u, v); d < 0 {
-					ev.SwapKnown(u, v, d)
-					itemAt[s1], itemAt[s2] = v, u
-					improved = true
+				rise += sl
+				w2 := wslot[s2]
+				sl += 2 * w2
+				dp := int64(s2 - s1)
+				au := rise + 2*w2*dp
+				if au-slopeAt[s2]*dp >= 0 {
+					continue
 				}
+				v := itemAt[s2]
+				d := au
+				for i := rowPtr[v]; i < rowPtr[v+1]; i++ {
+					pt := pos[colIdx[i]]
+					d += weights[i] * int64(abs(s1-pt)-abs(s2-pt))
+				}
+				if d >= 0 {
+					continue
+				}
+				// Apply the swap. Only the slopes of neighbours strictly
+				// between s1 and s2 change: u passes them rightward and v
+				// leftward; u's and v's own slopes are recomputed.
+				for i := rowPtr[u]; i < rowPtr[u+1]; i++ {
+					pt := pos[colIdx[i]]
+					wslot[pt] = 0
+					if s1 < pt && pt < s2 {
+						slopeAt[pt] -= 2 * weights[i]
+					}
+				}
+				for i := rowPtr[v]; i < rowPtr[v+1]; i++ {
+					if pt := pos[colIdx[i]]; s1 < pt && pt < s2 {
+						slopeAt[pt] += 2 * weights[i]
+					}
+				}
+				pos[u], pos[v] = s2, s1
+				itemAt[s1], itemAt[s2] = v, u
+				slopeAt[s1], slopeAt[s2] = slopeOf(v), slopeOf(u)
+				curCost += d
+				improved = true
+
+				// v now heads the row: restart the sweep state at s2.
+				u = v
+				scatter(u)
+				rise, sl = 0, 0
+				for i := rowPtr[u]; i < rowPtr[u+1]; i++ {
+					pt := pos[colIdx[i]]
+					rise += weights[i] * int64(abs(s2-pt)-abs(s1-pt))
+					if pt <= s2 {
+						sl += weights[i]
+					} else {
+						sl -= weights[i]
+					}
+				}
+			}
+			for i := rowPtr[u]; i < rowPtr[u+1]; i++ {
+				wslot[pos[colIdx[i]]] = 0
 			}
 		}
 		if !improved {
 			break
 		}
 	}
-	return ev.Placement(), ev.Cost(), nil
+	return pos, curCost, nil
 }
 
 // Insertion refines a placement with OR-opt-style single-item relocation:

@@ -136,6 +136,154 @@ func TestTwoOptDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// twoOptReference is the plain TwoOpt that the bound-filtered one must
+// reproduce exactly: every slot pair in the window is priced in full with
+// the evaluator's SwapDelta, and each improving swap is applied at once.
+func twoOptReference(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Placement, int64, error) {
+	ev, err := cost.NewEvaluator(g, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := g.N()
+	maxPasses := opts.MaxPasses
+	if maxPasses <= 0 {
+		maxPasses = 50 * n
+	}
+	itemAt, err := p.Order()
+	if err != nil {
+		return nil, 0, err
+	}
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for s1 := 0; s1 < n; s1++ {
+			hi := n
+			if opts.Window > 0 && s1+opts.Window+1 < n {
+				hi = s1 + opts.Window + 1
+			}
+			for s2 := s1 + 1; s2 < hi; s2++ {
+				u, v := itemAt[s1], itemAt[s2]
+				if d := ev.SwapDelta(u, v); d < 0 {
+					ev.SwapKnown(u, v, d)
+					itemAt[s1], itemAt[s2] = v, u
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return ev.Placement(), ev.Cost(), nil
+}
+
+// twoOptMatchesReference runs TwoOpt and twoOptReference from start with
+// each window and pass budget and reports the first disagreement.
+func twoOptMatchesReference(g *graph.Graph, start layout.Placement) error {
+	for _, window := range []int{0, 1, 3, 8} {
+		for _, passes := range []int{0, 1, 2} {
+			opts := TwoOptOptions{Window: window, MaxPasses: passes}
+			want, wantCost, err := twoOptReference(g, start, opts)
+			if err != nil {
+				return err
+			}
+			got, gotCost, err := TwoOpt(g, start, opts)
+			if err != nil {
+				return err
+			}
+			if gotCost != wantCost {
+				return fmt.Errorf("%+v: cost %d, reference %d", opts, gotCost, wantCost)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return fmt.Errorf("%+v: item %d in slot %d, reference slot %d", opts, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestTwoOptMatchesReference is TwoOpt's oracle: on random graphs (n from
+// 2 to 40, some items isolated, weights drawn from a small range so many
+// tie) from random starts, TwoOpt must return the reference's placement
+// and cost for every window and pass budget.
+func TestTwoOptMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(39) + 2
+		g, err := graph.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Edges only among the first k items leave the rest isolated.
+		k := n - rng.Intn(n/2+1)
+		maxW := []int{1, 3, 20}[rng.Intn(3)]
+		for i, edges := 0, rng.Intn(4*n+1); i < edges; i++ {
+			if u, v := rng.Intn(k), rng.Intn(k); u != v {
+				g.AddWeight(u, v, int64(rng.Intn(maxW)+1))
+			}
+		}
+		start, err := layout.FromOrder(rng.Perm(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twoOptMatchesReference(g, start); err != nil {
+			t.Logf("seed %d, n=%d: %v", seed, n, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTwoOptMatchesReferenceOnTraces runs the same oracle on trace graphs:
+// dense Zipf and phased traces, Markov walks and every suite kernel, each
+// from both greedy chains, program order and a random permutation.
+func TestTwoOptMatchesReferenceOnTraces(t *testing.T) {
+	traces := []*trace.Trace{
+		workload.Zipf(96, 4096, 1.3, 3),
+		workload.Zipf(128, 8192, 1.1, 4),
+		workload.Phased(64, 4096, 4, 1.3, 5),
+		workload.Phased(112, 8192, 3, 1.3, 6),
+		workload.Markov(64, 2048, 7),
+		workload.Markov(160, 4096, 8),
+	}
+	for _, gen := range workload.Suite() {
+		traces = append(traces, gen.Make(1))
+	}
+	for i, tr := range traces {
+		t.Run(fmt.Sprintf("%d-%s", i, tr.Name), func(t *testing.T) {
+			g, err := graph.FromTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var starts []layout.Placement
+			for _, seed := range []GreedySeed{SeedHeaviestEdge, SeedHeaviestVertex} {
+				p, err := GreedyChain(g, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				starts = append(starts, p)
+			}
+			po, err := ProgramOrder(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			random, err := layout.FromOrder(rand.New(rand.NewSource(int64(i))).Perm(g.N()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, start := range append(starts, po, random) {
+				if err := twoOptMatchesReference(g, start); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestInsertionNeverWorsens(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

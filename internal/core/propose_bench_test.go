@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/layout"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -46,6 +47,56 @@ func BenchmarkPropose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Propose(tr, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTwoOpt times Propose's first refinement stage: TwoOpt to
+// convergence from each of the three seeds (both greedy chains and
+// program order), one after another, on the dense input.
+func BenchmarkTwoOpt(b *testing.B) {
+	tr, g := denseBenchInput(b)
+	var seeds []layout.Placement
+	for _, seed := range []GreedySeed{SeedHeaviestEdge, SeedHeaviestVertex} {
+		p, err := GreedyChain(g, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seeds = append(seeds, p)
+	}
+	po, err := ProgramOrder(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeds = append(seeds, po)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range seeds {
+			if _, _, err := TwoOpt(g, s, TwoOptOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkTwoOptWindowed times the windowed TwoOpt that Multilevel runs
+// after uncoarsening (window 8, two passes) on a sparse Markov walk,
+// n = 2048, from the greedy chain.
+func BenchmarkTwoOptWindowed(b *testing.B) {
+	g, err := graph.FromTrace(workload.Markov(2048, 20*2048, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	start, err := GreedyChain(g, SeedHeaviestEdge)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := TwoOpt(g, start, TwoOptOptions{Window: 8, MaxPasses: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

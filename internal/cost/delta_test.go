@@ -47,7 +47,8 @@ func TestEvaluatorTracksGraphDeltas(t *testing.T) {
 		for round := 0; round < 30; round++ {
 			// Interleave placement moves with graph mutation, as the
 			// streaming session does.
-			e.Swap(rng.Intn(n), rng.Intn(n))
+			u, v := rng.Intn(n), rng.Intn(n)
+			e.SwapKnown(u, v, e.SwapDelta(u, v))
 			batch := make([]graph.Delta, 0, 6)
 			pend := make(map[[2]int]int64)
 			for len(batch) < 1+rng.Intn(6) {

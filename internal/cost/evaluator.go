@@ -101,11 +101,6 @@ func (e *Evaluator) SwapDelta(u, v int) int64 {
 	return delta
 }
 
-// Swap applies the swap of items u and v and returns the new cost.
-func (e *Evaluator) Swap(u, v int) int64 {
-	return e.SwapKnown(u, v, e.SwapDelta(u, v))
-}
-
 // SwapKnown applies the swap of items u and v given d, the SwapDelta(u, v)
 // the caller computed on the current placement, and returns the new cost.
 // It spares a caller that priced the swap before deciding on it (the

@@ -53,7 +53,7 @@ func TestEvaluatorSwapMatchesRecompute(t *testing.T) {
 			u, v := rng.Intn(n), rng.Intn(n)
 			d := e.SwapDelta(u, v)
 			before := e.Cost()
-			after := e.Swap(u, v)
+			after := e.SwapKnown(u, v, e.SwapDelta(u, v))
 			if after != before+d {
 				return false
 			}
@@ -106,7 +106,7 @@ func TestEvaluatorSwapAdjacentItems(t *testing.T) {
 	if d := e.SwapDelta(0, 1); d != 0 {
 		t.Errorf("adjacent swap delta = %d, want 0", d)
 	}
-	e.Swap(0, 1)
+	e.SwapKnown(0, 1, e.SwapDelta(0, 1))
 	if err := e.Verify(); err != nil {
 		t.Error(err)
 	}
