@@ -207,7 +207,7 @@ func TestPipelineAdaptiveOverStaticStart(t *testing.T) {
 	// The analytic evaluator on the final layout must agree with a fresh
 	// static walk of that layout.
 	final := s.Placement()
-	want, err := cost.SinglePort(tr.Items(), final, dev.Geometry().PortPositions()[0])
+	want, err := cost.MultiPort(tr.Items(), final, dev.Geometry().PortPositions(), tr.NumItems)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 //     single-port tape whose head rests where the last access left it,
 //     this equals the exact shift count of serving the trace, minus the
 //     initial seek.
-//   - SinglePort / MultiPort: exact head simulation on one tape, including
-//     the initial seek from the port's home position.
+//   - MultiPort: exact head simulation on one tape, including the initial
+//     seek from the ports' home position.
 //   - MultiTape: exact per-tape head simulation on a multi-tape device.
 //
 // The Evaluator type provides O(degree) incremental re-evaluation of item
@@ -49,13 +49,6 @@ func LinearCSR(c *graph.CSR, p layout.Placement) (int64, error) {
 	return total / 2, nil // every edge counted from both endpoints
 }
 
-// SinglePort returns the exact shift count of serving seq on a single
-// tape with one port at position port, with the head starting aligned at
-// the port (offset zero) and resting where each access leaves it.
-func SinglePort(seq []int, p layout.Placement, port int) (int64, error) {
-	return MultiPort(seq, p, []int{port}, maxSlot(p)+1)
-}
-
 // MultiPort returns the exact shift count of serving seq on a single tape
 // of tapeLen slots with the given port positions, starting from offset
 // zero and choosing the nearest port per access (the same greedy policy
@@ -64,38 +57,12 @@ func MultiPort(seq []int, p layout.Placement, ports []int, tapeLen int) (int64, 
 	if err := p.Validate(tapeLen); err != nil {
 		return 0, err
 	}
-	if len(ports) == 0 {
-		return 0, fmt.Errorf("cost: no ports")
+	if err := checkPorts(ports, tapeLen); err != nil {
+		return 0, err
 	}
-	for i, q := range ports {
-		if q < 0 || q >= tapeLen {
-			return 0, fmt.Errorf("cost: port %d at %d outside [0,%d)", i, q, tapeLen)
-		}
-	}
-	var total int64
-	offset := 0
-	for i, item := range seq {
-		if item < 0 || item >= len(p) {
-			return 0, fmt.Errorf("cost: access %d references item %d outside [0,%d)", i, item, len(p))
-		}
-		slot := p[item]
-		best := -1
-		for _, q := range ports {
-			d := abs(slot - q - offset)
-			if best == -1 || d < best {
-				best = d
-			}
-		}
-		// Recompute the chosen offset (nearest port).
-		for _, q := range ports {
-			if abs(slot-q-offset) == best {
-				offset = slot - q
-				break
-			}
-		}
-		total += int64(best)
-	}
-	return total, nil
+	var total [1]int64
+	err := headWalk(seq, nil, p, ports, total[:])
+	return total[0], err
 }
 
 // MultiTapeBreakdown returns the per-tape shift counts of serving seq,
@@ -106,35 +73,12 @@ func MultiTapeBreakdown(seq []int, mp layout.MultiPlacement, tapes, tapeLen int,
 	if err := mp.Validate(tapes, tapeLen); err != nil {
 		return nil, err
 	}
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("cost: no ports")
+	if err := checkPorts(ports, tapeLen); err != nil {
+		return nil, err
 	}
-	for i, q := range ports {
-		if q < 0 || q >= tapeLen {
-			return nil, fmt.Errorf("cost: port %d at %d outside [0,%d)", i, q, tapeLen)
-		}
-	}
-	offsets := make([]int, tapes)
 	perTape := make([]int64, tapes)
-	for i, item := range seq {
-		if item < 0 || item >= mp.Items() {
-			return nil, fmt.Errorf("cost: access %d references item %d outside [0,%d)", i, item, mp.Items())
-		}
-		tp, slot := mp.Tape[item], mp.Slot[item]
-		best := -1
-		for _, q := range ports {
-			d := abs(slot - q - offsets[tp])
-			if best == -1 || d < best {
-				best = d
-			}
-		}
-		for _, q := range ports {
-			if abs(slot-q-offsets[tp]) == best {
-				offsets[tp] = slot - q
-				break
-			}
-		}
-		perTape[tp] += int64(best)
+	if err := headWalk(seq, mp.Tape, mp.Slot, ports, perTape); err != nil {
+		return nil, err
 	}
 	return perTape, nil
 }
@@ -144,50 +88,53 @@ func MultiTapeBreakdown(seq []int, mp layout.MultiPlacement, tapes, tapeLen int,
 // port positions. Each tape keeps its own head offset; cross-tape
 // transitions cost nothing by themselves.
 func MultiTape(seq []int, mp layout.MultiPlacement, tapes, tapeLen int, ports []int) (int64, error) {
-	if err := mp.Validate(tapes, tapeLen); err != nil {
-		return 0, err
+	perTape, err := MultiTapeBreakdown(seq, mp, tapes, tapeLen, ports)
+	var total int64
+	for _, c := range perTape {
+		total += c
 	}
+	return total, err
+}
+
+// checkPorts rejects an empty port list and any port outside the tape.
+func checkPorts(ports []int, tapeLen int) error {
 	if len(ports) == 0 {
-		return 0, fmt.Errorf("cost: no ports")
+		return fmt.Errorf("cost: no ports")
 	}
 	for i, q := range ports {
 		if q < 0 || q >= tapeLen {
-			return 0, fmt.Errorf("cost: port %d at %d outside [0,%d)", i, q, tapeLen)
+			return fmt.Errorf("cost: port %d at %d outside [0,%d)", i, q, tapeLen)
 		}
 	}
-	offsets := make([]int, tapes)
-	var total int64
-	for i, item := range seq {
-		if item < 0 || item >= mp.Items() {
-			return 0, fmt.Errorf("cost: access %d references item %d outside [0,%d)", i, item, mp.Items())
-		}
-		tp, slot := mp.Tape[item], mp.Slot[item]
-		best := -1
-		for _, q := range ports {
-			d := abs(slot - q - offsets[tp])
-			if best == -1 || d < best {
-				best = d
-			}
-		}
-		for _, q := range ports {
-			if abs(slot-q-offsets[tp]) == best {
-				offsets[tp] = slot - q
-				break
-			}
-		}
-		total += int64(best)
-	}
-	return total, nil
+	return nil
 }
 
-func maxSlot(p layout.Placement) int {
-	m := 0
-	for _, s := range p {
-		if s > m {
-			m = s
+// headWalk serves seq one access at a time: it moves the head of the
+// item's tape (tape[item], or tape 0 when tape is nil) so that the item's
+// slot sits under the nearest port, and adds the shifts to that tape's
+// entry of perTape. Every head starts at offset zero. Among equally near
+// ports the first in list order wins, the tie rule of dwm.Tape.
+func headWalk(seq, tape, slot, ports []int, perTape []int64) error {
+	offsets := make([]int, len(perTape))
+	for i, item := range seq {
+		if item < 0 || item >= len(slot) {
+			return fmt.Errorf("cost: access %d references item %d outside [0,%d)", i, item, len(slot))
 		}
+		tp := 0
+		if tape != nil {
+			tp = tape[item]
+		}
+		s := slot[item] - offsets[tp]
+		best, at := -1, 0
+		for _, q := range ports {
+			if d := abs(s - q); best == -1 || d < best {
+				best, at = d, q
+			}
+		}
+		offsets[tp] = slot[item] - at
+		perTape[tp] += int64(best)
 	}
-	return m
+	return nil
 }
 
 // abs is |x|, branch-free through the sign mask rather than through the

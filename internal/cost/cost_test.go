@@ -54,7 +54,7 @@ func TestLinearSizeMismatch(t *testing.T) {
 func TestSinglePortMatchesManualWalk(t *testing.T) {
 	// Items 0..3 at identity slots, port at 0.
 	seq := []int{2, 0, 3, 3, 1}
-	c, err := SinglePort(seq, layout.Identity(4), 0)
+	c, err := MultiPort(seq, layout.Identity(4), []int{0}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSinglePortMatchesManualWalk(t *testing.T) {
 }
 
 func TestSinglePortEqualsLinearPlusSeek(t *testing.T) {
-	// For a single-port tape, SinglePort = Linear + initial seek.
+	// For a single-port tape, MultiPort = Linear + initial seek.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(12) + 2
@@ -87,7 +87,7 @@ func TestSinglePortEqualsLinearPlusSeek(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sp, err := SinglePort(tr.Items(), p, port)
+		sp, err := MultiPort(tr.Items(), p, []int{port}, n)
 		if err != nil {
 			return false
 		}
@@ -99,7 +99,7 @@ func TestSinglePortEqualsLinearPlusSeek(t *testing.T) {
 	}
 }
 
-func TestMultiPortNeverWorseThanSinglePort(t *testing.T) {
+func TestMultiPortNeverWorseThanOnePort(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 16

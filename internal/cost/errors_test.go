@@ -12,10 +12,10 @@ import (
 
 func TestSinglePortErrorPaths(t *testing.T) {
 	p := layout.Identity(4)
-	if _, err := SinglePort([]int{9}, p, 0); err == nil {
+	if _, err := MultiPort([]int{9}, p, []int{0}, 4); err == nil {
 		t.Error("out-of-range item accepted")
 	}
-	if _, err := SinglePort([]int{-1}, p, 0); err == nil {
+	if _, err := MultiPort([]int{-1}, p, []int{0}, 4); err == nil {
 		t.Error("negative item accepted")
 	}
 }

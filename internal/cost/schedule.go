@@ -21,15 +21,10 @@ func MultiPortOptimal(seq []int, p layout.Placement, ports []int, tapeLen int) (
 	if err := p.Validate(tapeLen); err != nil {
 		return 0, err
 	}
+	if err := checkPorts(ports, tapeLen); err != nil {
+		return 0, err
+	}
 	k := len(ports)
-	if k == 0 {
-		return 0, fmt.Errorf("cost: no ports")
-	}
-	for i, q := range ports {
-		if q < 0 || q >= tapeLen {
-			return 0, fmt.Errorf("cost: port %d at %d outside [0,%d)", i, q, tapeLen)
-		}
-	}
 	if len(seq) == 0 {
 		return 0, nil
 	}
