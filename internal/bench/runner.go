@@ -18,15 +18,16 @@ import (
 
 // Runner instrumentation (see internal/obs): queue wait is the time an
 // experiment spent submitted but not yet picked up by a worker, wall is
-// the execution time of the Run call itself.
+// the execution time of the Run call itself, both millisecond
+// histograms.
 var (
-	obsQueueWait = obs.GetTimer("bench.runner.queue_wait")
-	obsExpWall   = obs.GetTimer("bench.runner.experiment_wall")
-	obsExpOK     = obs.GetCounter("bench.runner.experiments_ok")
-	obsExpFailed = obs.GetCounter("bench.runner.experiments_failed")
-	obsPanics    = obs.GetCounter("bench.runner.panics_recovered")
-	obsTimeouts  = obs.GetCounter("bench.runner.timeouts")
-	obsCanceled  = obs.GetCounter("bench.runner.canceled")
+	obsQueueWaitMS = obs.GetHistogram("bench.runner.queue_wait_ms", obs.LatencyBoundsMS)
+	obsExpWallMS   = obs.GetHistogram("bench.runner.experiment_wall_ms", obs.LatencyBoundsMS)
+	obsExpOK       = obs.GetCounter("bench.runner.experiments_ok")
+	obsExpFailed   = obs.GetCounter("bench.runner.experiments_failed")
+	obsPanics      = obs.GetCounter("bench.runner.panics_recovered")
+	obsTimeouts    = obs.GetCounter("bench.runner.timeouts")
+	obsCanceled    = obs.GetCounter("bench.runner.canceled")
 )
 
 // RunResult is one executed experiment with its wall time, the unit the
@@ -187,7 +188,7 @@ func RunContext(ctx context.Context, cfg Config, exps ...Experiment) ([]RunResul
 		workers = len(exps)
 	}
 	runAt := func(i int) {
-		obsQueueWait.Observe(time.Since(submitted))
+		obsQueueWaitMS.Observe(time.Since(submitted).Milliseconds())
 		results[i] = runOne(ctx, cfg, exps[i])
 	}
 	if workers <= 1 {
@@ -238,7 +239,7 @@ func RunContext(ctx context.Context, cfg Config, exps ...Experiment) ([]RunResul
 }
 
 // runOne executes a single experiment with panic recovery and the
-// per-experiment timeout, charging its wall time to the runner timer.
+// per-experiment timeout, charging its wall time to the runner histogram.
 // The timeout is also threaded into the experiment's Config.Context, so
 // cancellation-aware stages (core.AnnealContext) unwind promptly; the
 // select below stays as the backstop for stages that never look at the
@@ -306,7 +307,7 @@ func runOne(ctx context.Context, cfg Config, e Experiment) RunResult {
 		res.CacheHits = cc.hits.Load()
 		res.CacheMisses = cc.misses.Load()
 	}
-	obsExpWall.Observe(res.Elapsed)
+	obsExpWallMS.Observe(res.Elapsed.Milliseconds())
 	if res.Err != nil {
 		res.Table = nil
 		obsExpFailed.Inc()

@@ -43,6 +43,12 @@ type Exemplar struct {
 	Value int64 `json:"value"`
 }
 
+// LatencyBoundsMS are the bucket bounds of every millisecond latency
+// histogram (the serving layer's queue wait, job wall, append and
+// per-tenant latencies, the experiment runner's queue wait and wall):
+// 1 ms to one minute in roughly half-decade steps.
+var LatencyBoundsMS = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
+
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: histogram needs at least one bucket bound")

@@ -1,5 +1,5 @@
 // Package obs is a minimal in-process metrics layer: named counters,
-// gauges, and timers with a consistent snapshot API and no external
+// gauges, and histograms with a consistent snapshot API and no external
 // dependencies. The hot layers of the reproduction (the simulator, the
 // annealer, the CSR cache, the experiment runner) register instruments
 // once at package init and update them with single atomic operations, so
@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing count.
@@ -50,67 +49,12 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Timer accumulates durations: observation count, total, and maximum.
-type Timer struct {
-	count   atomic.Int64
-	totalNS atomic.Int64
-	maxNS   atomic.Int64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	t.count.Add(1)
-	t.totalNS.Add(ns)
-	for {
-		cur := t.maxNS.Load()
-		if ns <= cur || t.maxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// Start returns a stop function that observes the elapsed time when
-// called: defer obs.Timer("x").Start()().
-func (t *Timer) Start() func() {
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Stats returns the timer's current aggregates.
-func (t *Timer) Stats() TimerStats {
-	return TimerStats{
-		Count:   t.count.Load(),
-		TotalNS: t.totalNS.Load(),
-		MaxNS:   t.maxNS.Load(),
-	}
-}
-
-// TimerStats is the snapshot form of a Timer.
-type TimerStats struct {
-	Count   int64 `json:"count"`
-	TotalNS int64 `json:"total_ns"`
-	MaxNS   int64 `json:"max_ns"`
-}
-
-// MeanNS returns the mean observation in nanoseconds (0 when empty).
-func (s TimerStats) MeanNS() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.TotalNS / s.Count
-}
-
 // Registry holds named instruments. The zero value is ready to use; most
 // code uses the package-level default registry instead.
 type Registry struct {
 	mu          sync.Mutex
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
-	timers      map[string]*Timer
 	hists       map[string]*Histogram
 	counterVecs map[string]*CounterVec
 	histVecs    map[string]*HistogramVec
@@ -148,21 +92,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the timer with the given name, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.timers == nil {
-		r.timers = map[string]*Timer{}
-	}
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the fixed-bucket histogram with the given name,
@@ -222,10 +151,9 @@ func (r *Registry) HistogramVec(name string, keys []string, bounds []float64) *H
 // Snapshot is a point-in-time copy of every instrument in a registry,
 // the unit the -json report embeds.
 type Snapshot struct {
-	Counters   map[string]int64      `json:"counters,omitempty"`
-	Gauges     map[string]int64      `json:"gauges,omitempty"`
-	Timers     map[string]TimerStats `json:"timers,omitempty"`
-	Histograms map[string]HistStats  `json:"histograms,omitempty"`
+	Counters   map[string]int64     `json:"counters,omitempty"`
+	Gauges     map[string]int64     `json:"gauges,omitempty"`
+	Histograms map[string]HistStats `json:"histograms,omitempty"`
 	// LabeledCounters / LabeledHistograms hold the vec families; each
 	// family's series are sorted by label values (see labels.go).
 	LabeledCounters   map[string]LabeledCounterStats `json:"labeled_counters,omitempty"`
@@ -247,12 +175,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
 			s.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.timers) > 0 {
-		s.Timers = make(map[string]TimerStats, len(r.timers))
-		for name, t := range r.timers {
-			s.Timers[name] = t.Stats()
 		}
 	}
 	if len(r.hists) > 0 {
@@ -287,11 +209,6 @@ func (r *Registry) Reset() {
 	for _, g := range r.gauges {
 		g.v.Store(0)
 	}
-	for _, t := range r.timers {
-		t.count.Store(0)
-		t.totalNS.Store(0)
-		t.maxNS.Store(0)
-	}
 	for _, h := range r.hists {
 		resetHistogram(h)
 	}
@@ -323,19 +240,6 @@ func (s Snapshot) Format() string {
 	}
 	writeSorted("counter", s.Counters)
 	writeSorted("gauge  ", s.Gauges)
-	if len(s.Timers) > 0 {
-		names := make([]string, 0, len(s.Timers))
-		for name := range s.Timers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			st := s.Timers[name]
-			fmt.Fprintf(&b, "timer   %-36s count=%d total=%s mean=%s max=%s\n",
-				name, st.Count,
-				time.Duration(st.TotalNS), time.Duration(st.MeanNS()), time.Duration(st.MaxNS))
-		}
-	}
 	if len(s.Histograms) > 0 {
 		names := make([]string, 0, len(s.Histograms))
 		for name := range s.Histograms {
@@ -402,9 +306,6 @@ func GetCounter(name string) *Counter { return defaultRegistry.Counter(name) }
 // GetGauge returns a gauge from the default registry.
 func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
 
-// GetTimer returns a timer from the default registry.
-func GetTimer(name string) *Timer { return defaultRegistry.Timer(name) }
-
 // GetHistogram returns a histogram from the default registry, creating
 // it with the given bucket bounds on first use (see Registry.Histogram).
 func GetHistogram(name string, bounds []float64) *Histogram {
@@ -425,6 +326,3 @@ func GetHistogramVec(name string, keys []string, bounds []float64) *HistogramVec
 
 // Take returns a snapshot of the default registry.
 func Take() Snapshot { return defaultRegistry.Snapshot() }
-
-// ResetDefault zeroes the default registry (tests and benchmark setup).
-func ResetDefault() { defaultRegistry.Reset() }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -28,38 +27,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestTimerStats(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("t")
-	tm.Observe(10 * time.Millisecond)
-	tm.Observe(30 * time.Millisecond)
-	st := tm.Stats()
-	if st.Count != 2 {
-		t.Fatalf("count = %d, want 2", st.Count)
-	}
-	if st.TotalNS != int64(40*time.Millisecond) {
-		t.Fatalf("total = %d, want 40ms", st.TotalNS)
-	}
-	if st.MaxNS != int64(30*time.Millisecond) {
-		t.Fatalf("max = %d, want 30ms", st.MaxNS)
-	}
-	if st.MeanNS() != int64(20*time.Millisecond) {
-		t.Fatalf("mean = %d, want 20ms", st.MeanNS())
-	}
-	stop := tm.Start()
-	stop()
-	if tm.Stats().Count != 3 {
-		t.Fatal("Start/stop did not observe")
-	}
-}
-
 func TestSnapshotAndReset(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(3)
 	r.Gauge("b").Set(9)
-	r.Timer("c").Observe(time.Millisecond)
+	r.Histogram("c", LatencyBoundsMS).Observe(1)
 	s := r.Snapshot()
-	if s.Counters["a"] != 3 || s.Gauges["b"] != 9 || s.Timers["c"].Count != 1 {
+	if s.Counters["a"] != 3 || s.Gauges["b"] != 9 || s.Histograms["c"].Count != 1 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	// Snapshot is a copy: later writes must not show up in it.
@@ -68,7 +42,7 @@ func TestSnapshotAndReset(t *testing.T) {
 		t.Fatal("snapshot aliases live counter")
 	}
 	r.Reset()
-	if r.Counter("a").Value() != 0 || r.Gauge("b").Value() != 0 || r.Timer("c").Stats().Count != 0 {
+	if r.Counter("a").Value() != 0 || r.Gauge("b").Value() != 0 || r.Histogram("c", nil).Stats().Count != 0 {
 		t.Fatal("Reset did not zero instruments")
 	}
 	// Handles obtained before Reset stay wired to the registry.
@@ -83,13 +57,13 @@ func TestSnapshotFormat(t *testing.T) {
 	r.Counter("z.second").Add(2)
 	r.Counter("a.first").Add(1)
 	r.Gauge("g").Set(5)
-	r.Timer("t").Observe(time.Millisecond)
+	r.Histogram("h", LatencyBoundsMS).Observe(1)
 	out := r.Snapshot().Format()
 	ia, iz := strings.Index(out, "a.first"), strings.Index(out, "z.second")
 	if ia < 0 || iz < 0 || ia > iz {
 		t.Fatalf("counters missing or unsorted:\n%s", out)
 	}
-	for _, want := range []string{"gauge", "timer", "count=1"} {
+	for _, want := range []string{"gauge", "hist", "count=1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Format output missing %q:\n%s", want, out)
 		}
@@ -106,7 +80,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.Counter("hits").Inc()
-				r.Timer("lat").Observe(time.Microsecond)
+				r.Histogram("lat", LatencyBoundsMS).Observe(1)
 				r.Gauge("depth").Add(1)
 			}
 		}()
@@ -115,8 +89,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("hits").Value(); got != workers*per {
 		t.Fatalf("hits = %d, want %d", got, workers*per)
 	}
-	if got := r.Timer("lat").Stats().Count; got != workers*per {
-		t.Fatalf("timer count = %d, want %d", got, workers*per)
+	if got := r.Histogram("lat", nil).Stats().Count; got != workers*per {
+		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 	if got := r.Gauge("depth").Value(); got != workers*per {
 		t.Fatalf("gauge = %d, want %d", got, workers*per)
@@ -133,7 +107,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	for _, n := range []string{"z.last", "m.mid", "a.first", "core.anneal.iterations"} {
 		r.Counter(n).Add(int64(len(n)))
 		r.Gauge(n + ".g").Set(int64(-len(n)))
-		r.Timer(n + ".t").Observe(time.Duration(len(n)) * time.Millisecond)
+		r.Histogram(n+".ms", LatencyBoundsMS).Observe(int64(len(n)))
 	}
 	h := r.Histogram("sim.shift_distance", []float64{1, 4, 16})
 	for v := int64(0); v < 20; v++ {
@@ -176,19 +150,19 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestDefaultRegistryHelpers(t *testing.T) {
-	ResetDefault()
+	Default().Reset()
 	GetCounter("x").Inc()
 	GetGauge("y").Set(2)
-	GetTimer("z").Observe(time.Millisecond)
+	GetHistogram("z", LatencyBoundsMS).Observe(1)
 	s := Take()
-	if s.Counters["x"] != 1 || s.Gauges["y"] != 2 || s.Timers["z"].Count != 1 {
+	if s.Counters["x"] != 1 || s.Gauges["y"] != 2 || s.Histograms["z"].Count != 1 {
 		t.Fatalf("default registry snapshot = %+v", s)
 	}
 	if Default() == nil {
 		t.Fatal("Default returned nil")
 	}
-	ResetDefault()
+	Default().Reset()
 	if Take().Counters["x"] != 0 {
-		t.Fatal("ResetDefault did not zero")
+		t.Fatal("Reset did not zero the default registry")
 	}
 }

@@ -15,10 +15,8 @@ import (
 // GET /metrics. Instrument names use dots as namespace separators
 // ("core.anneal.iterations"); the exposition sanitizes them to the
 // Prometheus grammar ("core_anneal_iterations") and prefixes everything
-// with "dwm_" so the scrape namespace is unambiguous. Timers expand to
-// three series: <name>_count and <name>_total_ns (counters) and
-// <name>_max_ns (a gauge, since Reset can move it down). Histograms
-// expand to the standard <name>_bucket{le="..."} cumulative series plus
+// with "dwm_" so the scrape namespace is unambiguous. Histograms expand
+// to the standard <name>_bucket{le="..."} cumulative series plus
 // <name>_sum and <name>_count.
 //
 // Every metric name is validated against the exposition grammar before
@@ -190,19 +188,6 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 			if err := writeHist(base, labelPairs(st.Keys, ls.Values), ls.Hist); err != nil {
 				return err
 			}
-		}
-	}
-	for _, name := range sortedKeys(s.Timers) {
-		st := s.Timers[name]
-		base := promName(name)
-		if err := emit(base+"_count", "counter", st.Count); err != nil {
-			return err
-		}
-		if err := emit(base+"_total_ns", "counter", st.TotalNS); err != nil {
-			return err
-		}
-		if err := emit(base+"_max_ns", "gauge", st.MaxNS); err != nil {
-			return err
 		}
 	}
 	return nil

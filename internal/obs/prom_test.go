@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestPromName(t *testing.T) {
@@ -23,7 +22,7 @@ func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("serve.jobs.accepted").Add(3)
 	r.Gauge("serve.queue.depth").Set(2)
-	r.Timer("serve.job.wall").Observe(5 * time.Millisecond)
+	r.Histogram("serve.job.wall_ms", []float64{10, 100}).Observe(5)
 	var b strings.Builder
 	if err := r.Snapshot().WriteProm(&b); err != nil {
 		t.Fatal(err)
@@ -32,9 +31,8 @@ func TestWriteProm(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dwm_serve_jobs_accepted counter\ndwm_serve_jobs_accepted 3\n",
 		"# TYPE dwm_serve_queue_depth gauge\ndwm_serve_queue_depth 2\n",
-		"# TYPE dwm_serve_job_wall_count counter\ndwm_serve_job_wall_count 1\n",
-		"# TYPE dwm_serve_job_wall_total_ns counter\ndwm_serve_job_wall_total_ns 5000000\n",
-		"# TYPE dwm_serve_job_wall_max_ns gauge\ndwm_serve_job_wall_max_ns 5000000\n",
+		"# TYPE dwm_serve_job_wall_ms histogram\ndwm_serve_job_wall_ms_bucket{le=\"10\"} 1\n",
+		"dwm_serve_job_wall_ms_sum 5\ndwm_serve_job_wall_ms_count 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -104,7 +102,7 @@ func TestWritePromConformance(t *testing.T) {
 	r.Counter("serve.jobs.accepted").Add(3)
 	r.Counter(`weird name"with\junk` + "\nnewline").Inc()
 	r.Gauge("serve.queue.depth").Set(-2)
-	r.Timer("serve.job.wall").Observe(5 * time.Millisecond)
+	r.Histogram("serve.job.wall_ms", LatencyBoundsMS).Observe(5)
 	h := r.Histogram("sim.shift_distance", []float64{1, 8, 64})
 	for _, v := range []int64{0, 3, 9, 70, 1000} {
 		h.Observe(v)

@@ -157,7 +157,7 @@ type job struct {
 	tr       *trace.Trace
 	tc       obs.TraceContext // the job's trace identity, set at acceptance
 	resume   layout.Placement // optional starting placement from a resumed job
-	enqueued time.Time        // set at acceptance, read for the queue-wait timer
+	enqueued time.Time        // set at acceptance, read for the queue-wait histogram
 
 	// Cache integration (see cache.go). plan carries the pre-built graph
 	// and canonical form plus either a warm start or the store key;
