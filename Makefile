@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-bench fmt-check test race bench-smoke bench-report merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos ci
+.PHONY: all build vet lint lint-self lint-bench fmt-check test race race-repeat bench-smoke bench-report merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos ci
 
 all: ci
 
@@ -41,6 +41,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The admission-path tests that race submissions against each other and
+# against shutdown, repeated under the race detector: a lost-update bug
+# in admission shows up in some runs and not others.
+race-repeat:
+	$(GO) test -race -count=10 -timeout 120s -run 'TestConcurrentClientKeyOneJob|TestAdmit' ./internal/serve
 
 # One iteration of the heaviest experiment benchmark and of the Propose
 # layer benchmark: catches regressions (or a panicking benchmark) that
@@ -167,4 +173,4 @@ load-smoke:
 chaos:
 	CHAOS_SEEDS=128 $(GO) test ./internal/faultfs/ -run TestChaosAtomicity -count=1
 
-ci: fmt-check vet lint lint-self build race bench-smoke merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos
+ci: fmt-check vet lint lint-self build race race-repeat bench-smoke merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos
