@@ -14,12 +14,13 @@ vet:
 # dataflow invariants (DESIGN.md §14): no global RNG state, no
 # wall-clock reads outside obs/the runner, no map-order leaks into
 # results, no naked goroutines, no retained caller slices, no frozen-CSR
-# or lock-contract violations, cancellation threaded everywhere. Zero
+# or lock-contract violations, cancellation threaded everywhere, no
+# production code that only tests call (testonly). Zero
 # unsuppressed diagnostics required; exemptions carry //dwmlint:ignore
 # justifications. The golden fixtures run first so a broken analyzer
 # can't silently pass an unsound tree.
 lint:
-	$(GO) test ./internal/analysis/... -run 'TestSeededRand|TestMapOrder|TestWallTime|TestBareGo|TestSliceShare|TestFrozenMut|TestGuardedField|TestCtxFlow'
+	$(GO) test ./internal/analysis/... -run 'TestSeededRand|TestMapOrder|TestWallTime|TestBareGo|TestSliceShare|TestFrozenMut|TestGuardedField|TestCtxFlow|TestTestOnly'
 	$(GO) run ./cmd/dwmlint ./...
 
 # The analyzers must hold themselves to their own rules.

@@ -1,10 +1,11 @@
 // Command dwmlint checks the repository against the determinism and
 // mutation contracts (DESIGN.md §9 and §14): experiment results must be
 // a pure function of (seed, config), and shared state may only change
-// through its sanctioned paths. It runs the internal/analysis suite —
-// seededrand, maporder, walltime, barego, sliceshare, frozenmut,
-// guardedfield, ctxflow — over the named packages and fails on any
-// diagnostic not covered by an inline justification:
+// through its sanctioned paths. It also keeps production code that only
+// tests call out of internal/ and cmd/. It runs the internal/analysis
+// suite — seededrand, maporder, walltime, barego, sliceshare, frozenmut,
+// guardedfield, ctxflow, testonly — over the named packages and fails
+// on any diagnostic not covered by an inline justification:
 //
 //	//dwmlint:ignore <analyzer> <justification>
 //
@@ -17,7 +18,9 @@
 // directly as a -baseline file; -baseline FILE fails only on findings
 // not present in FILE, so a new analyzer can land before its dogfood
 // cleanup is complete; -bench FILE upserts the run's wall time into a
-// dwmbench-style JSON report. Exit status is 1 when unsuppressed (or,
+// dwmbench-style JSON report. testonly's reference index always spans
+// the whole module and the nested benchmark module, whatever packages
+// are named, so code only another package calls is never flagged. Exit status is 1 when unsuppressed (or,
 // with -baseline, new) diagnostics remain, 2 on a loading or internal
 // failure.
 package main
@@ -27,6 +30,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,7 +57,7 @@ func main() {
 
 	//dwmlint:ignore walltime lint wall-clock is tooling telemetry recorded outside any experiment result
 	start := time.Now()
-	findings, npkgs, err := collect(*only, flag.Args())
+	findings, npkgs, nanalyzers, err := collect(*only, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwmlint:", err)
 		os.Exit(2)
@@ -61,7 +66,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	if *benchFile != "" {
-		if err := recordBench(*benchFile, findings, npkgs, elapsed); err != nil {
+		if err := recordBench(*benchFile, findings, npkgs, nanalyzers, elapsed); err != nil {
 			fmt.Fprintln(os.Stderr, "dwmlint: -bench:", err)
 			os.Exit(2)
 		}
@@ -145,13 +150,14 @@ func (f finding) key() string {
 }
 
 // collect loads the packages, runs the analyzers with a module-wide
-// fact store, and returns every diagnostic in position order.
-func collect(only string, patterns []string) ([]finding, int, error) {
+// fact store, and returns every diagnostic in position order, the
+// number of packages linted and the number of analyzers run.
+func collect(only string, patterns []string) ([]finding, int, int, error) {
 	analyzers := analysis.All()
 	if only != "" {
 		var err error
 		if analyzers, err = analysis.ByName(only); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	}
 	if len(patterns) == 0 {
@@ -160,7 +166,7 @@ func collect(only string, patterns []string) ([]finding, int, error) {
 	loader := load.NewLoader(".")
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
 	// The fact store spans the whole module so cross-package
@@ -172,12 +178,17 @@ func collect(only string, patterns []string) ([]finding, int, error) {
 			facts.AddPackage(pkg.Files, pkg.Info)
 		}
 	}
+	if slices.Contains(analyzers, analysis.TestOnly) {
+		if err := addRefs(loader, facts); err != nil {
+			return nil, 0, 0, err
+		}
+	}
 
 	var findings []finding
 	for _, pkg := range pkgs {
 		diags, err := analysis.RunPackage(loader.Fset, pkg.Files, pkg.Path, pkg.Types, pkg.Info, analyzers, facts)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		for _, d := range diags {
 			findings = append(findings, finding{
@@ -191,7 +202,30 @@ func collect(only string, patterns []string) ([]finding, int, error) {
 			})
 		}
 	}
-	return findings, len(pkgs), nil
+	return findings, len(pkgs), len(analyzers), nil
+}
+
+// addRefs builds testonly's reference index over the whole module and
+// the nested benchmark module, which imports repro/internal/... and is
+// a root like the root package and examples/. Every package the loader
+// has type-checked is registered, the standard library included, so
+// interface methods declared there count.
+func addRefs(loader *load.Loader, facts *analysis.Facts) error {
+	module, err := loader.Load("repro/...")
+	if err != nil {
+		return err
+	}
+	for _, pkg := range module {
+		if pkg.Path == "repro" {
+			if _, err := loader.LoadIn(filepath.Join(pkg.Dir, "benchmark"), "./..."); err != nil {
+				return err
+			}
+		}
+	}
+	for _, pkg := range loader.Packages() {
+		facts.AddRefs(pkg.Files, pkg.Info)
+	}
+	return nil
 }
 
 // newFindings returns the unsuppressed findings not covered by the
@@ -228,7 +262,7 @@ func newFindings(path string, findings []finding) ([]finding, error) {
 // recordBench upserts a lint_bench entry into a dwmbench-style JSON
 // report, preserving every other key (the same carry-across-merges
 // contract cmd/dwmbench uses for partial runs).
-func recordBench(path string, findings []finding, npkgs int, elapsed time.Duration) error {
+func recordBench(path string, findings []finding, npkgs, nanalyzers int, elapsed time.Duration) error {
 	report := map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &report); err != nil {
@@ -245,7 +279,7 @@ func recordBench(path string, findings []finding, npkgs int, elapsed time.Durati
 	}
 	report["lint_bench"] = map[string]any{
 		"packages":   npkgs,
-		"analyzers":  len(analysis.All()),
+		"analyzers":  nanalyzers,
 		"findings":   len(findings) - suppressed,
 		"suppressed": suppressed,
 		"wall_ns":    elapsed.Nanoseconds(),

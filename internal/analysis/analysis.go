@@ -43,11 +43,12 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// All returns the dwmlint analyzer suite in stable order. The first four
-// are the syntactic determinism checks from DESIGN.md §9; the last four
-// are the dataflow analyzers from DESIGN.md §14.
+// All returns the dwmlint analyzer suite in stable order: the four
+// syntactic determinism checks from DESIGN.md §9, the four dataflow
+// analyzers from DESIGN.md §14, and testonly, the dead-code check that
+// needs a whole-program reference index (DESIGN.md §9).
 func All() []*Analyzer {
-	return []*Analyzer{SeededRand, MapOrder, WallTime, BareGo, SliceShare, FrozenMut, GuardedField, CtxFlow}
+	return []*Analyzer{SeededRand, MapOrder, WallTime, BareGo, SliceShare, FrozenMut, GuardedField, CtxFlow, TestOnly}
 }
 
 // ByName resolves a comma-separated analyzer list; an unknown name is an

@@ -11,6 +11,8 @@
 // backquoted or double-quoted expectations may follow one want. Lines
 // with a dwmlint:ignore directive exercise suppression: the diagnostic
 // is filtered before matching, so a suppressed site carries no want.
+//
+//dwmlint:ignore testonly test support by design: the analyzer fixture tests in internal/analysis run through it
 package analysistest
 
 import (
@@ -35,32 +37,43 @@ type expectation struct {
 
 // Run loads each fixture package under filepath.Join(testdata, "src"),
 // applies the analyzer, and reports mismatches between diagnostics and
-// want expectations through t.
+// want expectations through t. The packages share one loader and one
+// fact store, so a fixture may import the packages listed before it
+// (name them dependencies first) and cross-package facts and references
+// resolve as they do in a dwmlint run.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
+	loader := load.NewLoader(".")
+	var checked []*load.Package
 	for _, pkg := range pkgs {
-		dir := filepath.Join(testdata, "src", pkg)
-		loader := load.NewLoader(".")
-		files, err := loader.ParseDir(dir)
+		files, err := loader.ParseDir(filepath.Join(testdata, "src", pkg))
 		if err != nil {
 			t.Errorf("%s: %v", pkg, err)
+			return
+		}
+		p, err := loader.Check(pkg, files)
+		if err != nil {
+			t.Errorf("%s: %v", pkg, err)
+			return
+		}
+		checked = append(checked, p)
+	}
+	facts := analysis.NewFacts(loader.Fset)
+	for _, p := range checked {
+		facts.AddPackage(p.Files, p.Info)
+	}
+	for _, p := range loader.Packages() {
+		facts.AddRefs(p.Files, p.Info)
+	}
+	for _, p := range checked {
+		diags, err := analysis.RunPackage(loader.Fset, p.Files, p.Path, p.Types, p.Info, []*analysis.Analyzer{a}, facts)
+		if err != nil {
+			t.Errorf("%s: %v", p.Path, err)
 			continue
 		}
-		checked, err := loader.Check(pkg, files)
+		wants, err := parseWants(loader, p)
 		if err != nil {
-			t.Errorf("%s: %v", pkg, err)
-			continue
-		}
-		facts := analysis.NewFacts(loader.Fset)
-		facts.AddPackage(checked.Files, checked.Info)
-		diags, err := analysis.RunPackage(loader.Fset, checked.Files, pkg, checked.Types, checked.Info, []*analysis.Analyzer{a}, facts)
-		if err != nil {
-			t.Errorf("%s: %v", pkg, err)
-			continue
-		}
-		wants, err := parseWants(loader, checked)
-		if err != nil {
-			t.Errorf("%s: %v", pkg, err)
+			t.Errorf("%s: %v", p.Path, err)
 			continue
 		}
 		for _, d := range diags {
@@ -68,12 +81,12 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 				continue
 			}
 			if !claim(wants, d) {
-				t.Errorf("%s: unexpected diagnostic: %s", pkg, d)
+				t.Errorf("%s: unexpected diagnostic: %s", p.Path, d)
 			}
 		}
 		for _, w := range wants {
 			if !w.matched {
-				t.Errorf("%s: %s:%d: no diagnostic matched want %q", pkg, filepath.Base(w.file), w.line, w.re)
+				t.Errorf("%s: %s:%d: no diagnostic matched want %q", p.Path, filepath.Base(w.file), w.line, w.re)
 			}
 		}
 	}

@@ -57,3 +57,12 @@ func TestByName(t *testing.T) {
 		t.Fatal("ByName accepted an empty selection")
 	}
 }
+
+// The testonly fixture spans three packages: lib (findings, the
+// interface-method and cross-package guards, a doc suppression and a
+// test-only caller), support (test support, reported at its package
+// clause) and app (a root outside internal/).
+func TestTestOnly(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.TestOnly,
+		"testonly/internal/support", "testonly/internal/lib", "testonly/app")
+}

@@ -33,6 +33,9 @@ type Facts struct {
 
 	pure     map[*types.Func]bool
 	pureBusy map[*types.Func]bool
+
+	// refs is the testonly reference index, nil until AddRefs.
+	refs *refIndex
 }
 
 type factPkg struct {

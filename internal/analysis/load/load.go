@@ -23,6 +23,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 )
 
@@ -76,7 +77,16 @@ func NewLoader(dir string) *Loader {
 // (dependencies are type-checked too, but only matches are returned),
 // in the order go list reports them.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	roots, err := l.list(patterns)
+	return l.LoadIn(l.dir, patterns...)
+}
+
+// LoadIn is Load with the patterns resolved from dir instead of the
+// loader's directory — how a nested module that imports this one (its
+// go.mod replaces the outer module with a relative path) joins the same
+// loader. Packages both modules import are type-checked once, so their
+// objects are shared.
+func (l *Loader) LoadIn(dir string, patterns ...string) ([]*Package, error) {
+	roots, err := l.list(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -91,12 +101,23 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// list runs `go list -deps -json`, merges the metadata into the cache,
-// and returns the import paths that matched the patterns directly.
-func (l *Loader) list(patterns []string) ([]string, error) {
+// Packages returns every package type-checked so far, dependencies and
+// the standard library included, sorted by import path.
+func (l *Loader) Packages() []*Package {
+	out := make([]*Package, 0, len(l.pkgs))
+	for _, p := range l.pkgs {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
+// list runs `go list -deps -json` in dir, merges the metadata into the
+// cache, and returns the import paths that matched the patterns directly.
+func (l *Loader) list(dir string, patterns []string) ([]string, error) {
 	args := append([]string{"list", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = l.dir
+	cmd.Dir = dir
 	// Analyze the pure-Go build configuration: with cgo enabled, net
 	// (pulled in by net/http) imports "C", which a source-only type
 	// checker cannot follow. CGO_ENABLED=0 selects the pure-Go variants
@@ -144,7 +165,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	m, ok := l.meta[path]
 	if !ok {
-		if _, err := l.list([]string{path}); err != nil {
+		if _, err := l.list(l.dir, []string{path}); err != nil {
 			return nil, err
 		}
 		if m, ok = l.meta[path]; !ok {
@@ -229,8 +250,9 @@ func (l *Loader) Check(path string, files []*ast.File) (*Package, error) {
 	return p, nil
 }
 
-// ParseDir parses every non-test .go file in dir (lexical order) with
-// comments, for fixture directories `go list` cannot see.
+// ParseDir parses every .go file in dir (lexical order) with comments,
+// for fixture directories `go list` cannot see. _test.go files are
+// included; the analyzers tell them apart by name.
 func (l *Loader) ParseDir(dir string) ([]*ast.File, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {

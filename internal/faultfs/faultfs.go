@@ -14,6 +14,8 @@
 //
 // The probabilities are expressed per mille (0–1000) so schedules stay
 // integer-exact; Options documents each fault class.
+//
+//dwmlint:ignore testonly test support by design: wal's crash and chaos tests drive the journal through it, and production never injects faults
 package faultfs
 
 import (
