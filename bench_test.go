@@ -18,7 +18,7 @@ import (
 
 func benchExperiment(b *testing.B, run func(bench.Config) (*bench.Table, error)) {
 	b.Helper()
-	cfg := bench.DefaultConfig()
+	cfg := bench.Config{Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tbl, err := run(cfg)

@@ -254,7 +254,7 @@ func metricsDiff(before, after string) map[string]int64 {
 // parseExposition reads integer samples out of a Prometheus text
 // exposition, keyed by "name" or "name{labels}". Non-integer values and
 // malformed lines are skipped — this is a diff aid, not a validator
-// (obs.LintExposition is).
+// (obs.LintExpositionOpts is).
 func parseExposition(text string) map[string]int64 {
 	out := map[string]int64{}
 	for _, line := range strings.Split(text, "\n") {

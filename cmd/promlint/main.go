@@ -1,5 +1,5 @@
 // Command promlint checks Prometheus text exposition (version 0.0.4)
-// for the conformance violations internal/obs.LintExposition detects:
+// for the conformance violations internal/obs.LintExpositionOpts detects:
 // malformed metric names, series without TYPE lines, duplicate TYPE or
 // series lines, broken label syntax, malformed exemplar annotations, and
 // incomplete or non-cumulative histograms (missing +Inf, decreasing

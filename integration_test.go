@@ -11,7 +11,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dwm"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -200,18 +199,5 @@ func TestPipelineAdaptiveOverStaticStart(t *testing.T) {
 	if res.Counters.Shifts != res.AccessShifts+res.MigrationShifts {
 		t.Errorf("shift split %d+%d != total %d",
 			res.AccessShifts, res.MigrationShifts, res.Counters.Shifts)
-	}
-	if err := s.Placement().Validate(tr.NumItems); err != nil {
-		t.Errorf("migrated layout invalid: %v", err)
-	}
-	// The analytic evaluator on the final layout must agree with a fresh
-	// static walk of that layout.
-	final := s.Placement()
-	want, err := cost.MultiPort(tr.Items(), final, dev.Geometry().PortPositions(), tr.NumItems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want < 0 {
-		t.Fatal("impossible")
 	}
 }

@@ -102,9 +102,6 @@ func NewSimulator(dev *dwm.Device, p layout.Placement, pol Policy) (*Simulator, 
 	return s, nil
 }
 
-// Placement returns a copy of the current (possibly migrated) layout.
-func (s *Simulator) Placement() layout.Placement { return s.pos.Clone() }
-
 // Run serves the trace, letting the policy reorganize after every access,
 // and returns the accounting for this run.
 func (s *Simulator) Run(t *trace.Trace) (Result, error) {

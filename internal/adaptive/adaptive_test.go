@@ -116,7 +116,7 @@ func TestTransposePullsHotItemToPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Placement()[hot]; got != port {
+	if got := s.pos[hot]; got != port {
 		t.Errorf("hot item at slot %d, want port %d", got, port)
 	}
 	if res.Migrations == 0 || res.MigrationShifts == 0 {
@@ -144,7 +144,7 @@ func TestTransposePlacementStaysPermutation(t *testing.T) {
 		if _, err := s.Run(tr); err != nil {
 			return false
 		}
-		return s.Placement().Validate(n) == nil
+		return s.pos.Validate(n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -175,7 +175,7 @@ func TestEpochRebuildsOrganPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Placement()
+	p := s.pos
 	if p[7] != port {
 		t.Errorf("hottest item at slot %d, want port %d", p[7], port)
 	}
@@ -206,7 +206,7 @@ func TestEpochPlacementStaysPermutation(t *testing.T) {
 		if _, err := s.Run(tr); err != nil {
 			return false
 		}
-		return s.Placement().Validate(n) == nil
+		return s.pos.Validate(n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -8,8 +8,8 @@ import (
 // SeededRand forbids randomness that does not flow from an explicit
 // seed. The package-level math/rand functions draw from the shared
 // global source, so their output depends on every other draw in the
-// process — under RunParallel that means worker count and scheduling
-// would leak into tables. Constructing a *rand.Rand from a wall-clock
+// process — under the runner's worker pool that means worker count and
+// scheduling would leak into tables. Constructing a *rand.Rand from a wall-clock
 // seed breaks reproducibility the same way from the other end.
 var SeededRand = &Analyzer{
 	Name: "seededrand",

@@ -9,7 +9,7 @@ import (
 
 func runExp(t *testing.T, f func(Config) (*Table, error)) *Table {
 	t.Helper()
-	tb, err := f(DefaultConfig())
+	tb, err := f(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

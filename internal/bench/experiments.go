@@ -20,13 +20,13 @@ type Config struct {
 	// Seed drives every randomized component (workload generation,
 	// randomized policies). Equal seeds reproduce identical tables.
 	Seed int64
-	// Workers bounds the concurrency of RunParallel and of the
+	// Workers bounds the concurrency of RunContext and of the
 	// row-parallel experiments; 0 selects runtime.GOMAXPROCS(0). Every
 	// row job is an independent pure function of (Seed, row), so the
 	// produced tables are byte-identical for every worker count.
 	Workers int
 	// Timeout bounds the wall time of each individual experiment under
-	// RunContext/RunParallel; 0 means no limit. An experiment exceeding
+	// RunContext; 0 means no limit. An experiment exceeding
 	// it fails with a timeout error on its own RunResult while its
 	// siblings run to completion. The runner also threads the timeout
 	// into Context, so cancellation-aware stages (core.AnnealContext)
@@ -55,9 +55,6 @@ func (cfg Config) Context() context.Context {
 	}
 	return context.Background()
 }
-
-// DefaultConfig returns the configuration used for EXPERIMENTS.md.
-func DefaultConfig() Config { return Config{Seed: 1} }
 
 // Experiment couples an ID with its runner, for the suite driver.
 type Experiment struct {

@@ -150,19 +150,6 @@ func parMap[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 	return results, nil
 }
 
-// RunParallel executes the experiments on a worker pool of cfg.Workers
-// goroutines (default GOMAXPROCS) and returns the results in the order
-// the experiments were given. Each experiment is a pure function of the
-// Config, and the row-parallel experiments derive any per-row randomness
-// from DeriveSeed, so the returned tables are byte-identical for every
-// worker count — including the sequential Workers=1 run.
-//
-// RunParallel is RunContext with a background context; see RunContext
-// for the failure-isolation and partial-result contract.
-func RunParallel(cfg Config, exps ...Experiment) ([]RunResult, error) {
-	return RunContext(context.Background(), cfg, exps...)
-}
-
 // RunContext executes the experiments on a worker pool of cfg.Workers
 // goroutines and returns one RunResult per experiment, in input order.
 //

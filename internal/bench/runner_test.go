@@ -18,11 +18,11 @@ func TestRunParallelDeterministic(t *testing.T) {
 		{"E2", "main comparison", E2MainComparison},
 		{"E7", "multi-tape partitioning", E7MultiTape},
 	}
-	seq, err := RunParallel(Config{Seed: 1, Workers: 1}, exps...)
+	seq, err := RunContext(context.Background(), Config{Seed: 1, Workers: 1}, exps...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(Config{Seed: 1, Workers: 8}, exps...)
+	par, err := RunContext(context.Background(), Config{Seed: 1, Workers: 8}, exps...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRunContextCancelParallelPool(t *testing.T) {
 
 func TestRunParallelIsRunContextWrapper(t *testing.T) {
 	var ran atomic.Int32
-	results, err := RunParallel(Config{Seed: 1, Workers: 2}, tinyExp("T1", &ran), tinyExp("T2", &ran))
+	results, err := RunContext(context.Background(), Config{Seed: 1, Workers: 2}, tinyExp("T1", &ran), tinyExp("T2", &ran))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -398,15 +398,9 @@ func acceptUphill(u float64, d int64, temp, invTemp float64) bool {
 	return u < math.Exp(-float64(d)/temp)
 }
 
-// GreedyAnneal runs greedy chain construction followed by simulated
-// annealing, the slower but occasionally stronger alternative to
-// GreedyTwoOpt.
-func GreedyAnneal(g *graph.Graph, opts AnnealOptions) (layout.Placement, int64, error) {
-	return GreedyAnnealContext(context.Background(), g, opts)
-}
-
-// GreedyAnnealContext is GreedyAnneal with cooperative cancellation; see
-// AnnealContext for the partial-result contract.
+// GreedyAnnealContext runs greedy chain construction followed by
+// simulated annealing, the slower but occasionally stronger alternative
+// to GreedyTwoOpt. See AnnealContext for the partial-result contract.
 func GreedyAnnealContext(ctx context.Context, g *graph.Graph, opts AnnealOptions) (layout.Placement, int64, error) {
 	p, err := GreedyChain(g, SeedHeaviestEdge)
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 
 // TestExactDPMatchesBruteForce anchors the subset DP against an
 // independent ground truth: full permutation enumeration scored by the
-// plain evaluator. (ExactBB is in turn anchored against ExactDP in
-// exact_test.go, so all three agree transitively.)
+// plain evaluator. (ExactDP is also checked against the branch-and-bound
+// oracle in exact_test.go, so all three agree transitively.)
 func TestExactDPMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

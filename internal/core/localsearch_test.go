@@ -372,13 +372,14 @@ func insertionReference(g *graph.Graph, p layout.Placement, maxPasses int) (layo
 		for item := 0; item < n; item++ {
 			from := cur[item]
 			var cands []int
-			c.Neighbors(item, func(v int, _ int64) {
+			cols, _ := c.Row(item)
+			for _, v := range cols {
 				for _, d := range []int{-1, 0, 1} {
 					if to := cur[v] + d; to >= 0 && to < n && to != from {
 						cands = append(cands, to)
 					}
 				}
-			})
+			}
 			bestTo, bestCost := -1, curCost
 			for _, to := range cands {
 				apply(from, to)

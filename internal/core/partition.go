@@ -196,18 +196,6 @@ func AffinityPartition(g *graph.Graph, tapes, capacity int, refinePasses int) (P
 	return pt, nil
 }
 
-// IntraWeight returns the total transition weight between items that share
-// a tape — the proxy objective AffinityPartition minimizes.
-func (pt Partition) IntraWeight(g *graph.Graph) int64 {
-	var s int64
-	for _, e := range g.Edges() {
-		if pt[e.U] == pt[e.V] {
-			s += e.W
-		}
-	}
-	return s
-}
-
 // ArrangePartition composes a partition with per-tape placement: for each
 // tape it extracts the restricted access subsequence (consecutive
 // same-tape accesses, which is what that tape's head actually serves),
@@ -280,18 +268,4 @@ func ArrangePartition(t *trace.Trace, pt Partition, tapes, tapeLen int, ports []
 	// Items on tapes with no accesses keep their arranged slots; fully
 	// unassigned items cannot occur because the partition covers all.
 	return mp, nil
-}
-
-// PlaceMultiTape is the end-to-end proposed multi-tape pipeline: affinity
-// partition plus per-tape arrangement.
-func PlaceMultiTape(t *trace.Trace, tapes, tapeLen int, ports []int) (layout.MultiPlacement, error) {
-	g, err := traceGraph(t)
-	if err != nil {
-		return layout.MultiPlacement{}, err
-	}
-	pt, err := AffinityPartition(g, tapes, tapeLen, 0)
-	if err != nil {
-		return layout.MultiPlacement{}, err
-	}
-	return ArrangePartition(t, pt, tapes, tapeLen, ports)
 }

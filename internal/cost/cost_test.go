@@ -219,7 +219,11 @@ func TestLinearMirrorInvariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := Linear(g, p.Mirror(n))
+		m := make(layout.Placement, n)
+		for item, s := range p {
+			m[item] = n - 1 - s
+		}
+		b, err := Linear(g, m)
 		if err != nil {
 			return false
 		}

@@ -1,8 +1,6 @@
 package cost
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/layout"
 )
@@ -15,7 +13,7 @@ import (
 // with no sorting or per-vertex allocation.
 type Evaluator struct {
 	csr *graph.CSR
-	g   *graph.Graph // live graph when known, for Verify; nil if CSR-built
+	g   *graph.Graph // live graph when known, for the tests' Verify; nil if CSR-built
 	pos layout.Placement
 	cur int64
 
@@ -105,31 +103,9 @@ func (e *Evaluator) SwapDelta(u, v int) int64 {
 // the caller computed on the current placement, and returns the new cost.
 // It spares a caller that priced the swap before deciding on it (the
 // annealer) a second pair of row scans. A d from any other placement
-// silently corrupts the tracked cost; Verify detects it.
+// silently corrupts the tracked cost; the tests' Verify detects it.
 func (e *Evaluator) SwapKnown(u, v int, d int64) int64 {
 	e.cur += d
 	e.pos.Swap(u, v)
 	return e.cur
-}
-
-// Verify recomputes the cost from scratch and reports whether the
-// incremental bookkeeping agrees; it is used by tests and can guard long
-// optimization runs. When the evaluator was built from a live graph it
-// recomputes against that graph's current state, so it also flags drift
-// caused by graph edits the frozen snapshot cannot observe.
-func (e *Evaluator) Verify() error {
-	var c int64
-	var err error
-	if e.g != nil {
-		c, err = Linear(e.g, e.pos)
-	} else {
-		c, err = LinearCSR(e.csr, e.pos)
-	}
-	if err != nil {
-		return err
-	}
-	if c != e.cur {
-		return fmt.Errorf("cost: evaluator drift: incremental %d, recomputed %d", e.cur, c)
-	}
-	return nil
 }

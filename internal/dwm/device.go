@@ -113,15 +113,6 @@ func (d *Device) Write(a Address, val uint64) (shifts int, err error) {
 	return d.tapes[a.Tape].Write(a.Slot, val)
 }
 
-// ShiftCostTo returns the shifts an access to a would take right now,
-// without performing it.
-func (d *Device) ShiftCostTo(a Address) (int, error) {
-	if err := d.check(a); err != nil {
-		return 0, err
-	}
-	return d.tapes[a.Tape].ShiftCostTo(a.Slot)
-}
-
 // Counters returns the summed operation counters across all tapes.
 func (d *Device) Counters() Counters {
 	var c Counters
@@ -140,14 +131,6 @@ func (d *Device) TapeCounters() []Counters {
 		cs[i] = Counters{t.Shifts(), t.Reads(), t.Writes()}
 	}
 	return cs
-}
-
-// ResetCounters zeroes all tape counters, leaving contents and mechanical
-// positions intact.
-func (d *Device) ResetCounters() {
-	for _, t := range d.tapes {
-		t.ResetCounters()
-	}
 }
 
 // ResetPositions shifts every tape back to offset zero, charging the

@@ -39,9 +39,6 @@ func TestDeviceAddressValidation(t *testing.T) {
 		if _, err := d.Write(a, 1); err == nil {
 			t.Errorf("case %d: Write(%+v) accepted", i, a)
 		}
-		if _, err := d.ShiftCostTo(a); err == nil {
-			t.Errorf("case %d: ShiftCostTo(%+v) accepted", i, a)
-		}
 	}
 	if _, err := d.Tape(5); err == nil {
 		t.Error("Tape(5) accepted")
@@ -131,9 +128,9 @@ func TestDeviceResetPositionsAndCounters(t *testing.T) {
 	if n != 15 { // 8 back on tape0, 7 back on tape1
 		t.Errorf("ResetPositions = %d, want 15", n)
 	}
-	d.ResetCounters()
-	if c := d.Counters(); c != (Counters{}) {
-		t.Errorf("counters not zeroed: %+v", c)
+	// 8 + 7 shifts to serve the reads, 15 more to reset.
+	if c := d.Counters(); c != (Counters{Shifts: 30, Reads: 2}) {
+		t.Errorf("counters after reset = %+v, want 30 shifts, 2 reads", c)
 	}
 }
 

@@ -82,7 +82,7 @@ func (t *Tape) EnableFaults(f FaultModel) error {
 }
 
 // Faults returns the number of individual shift errors injected since
-// construction or the last ResetCounters.
+// construction.
 func (t *Tape) Faults() int64 { return t.faults }
 
 // faultDisplacement perturbs a burst that moved the offset from 'from'

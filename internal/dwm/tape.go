@@ -16,9 +16,8 @@ import (
 // shift count for each access.
 //
 // The offset ranges over [-(L-1), L-1] for an L-domain tape; real devices
-// provide that travel with padding domains at both ends of the wire. The
-// model does not charge for the padding but Tape exposes MaxTravel so
-// capacity studies can account for it.
+// provide that travel with padding domains at both ends of the wire,
+// L-1 on each side. The model does not charge for the padding.
 type Tape struct {
 	words  []uint64
 	ports  []int
@@ -66,18 +65,11 @@ func NewTape(slots int, ports []int) (*Tape, error) {
 // Len returns the number of word slots on the tape.
 func (t *Tape) Len() int { return len(t.words) }
 
-// Ports returns a copy of the tape's port positions.
-func (t *Tape) Ports() []int { return append([]int(nil), t.ports...) }
-
 // Offset returns the tape's current shift offset.
 func (t *Tape) Offset() int { return t.offset }
 
-// MaxTravel returns the number of padding domains required on each side of
-// the data region to realize the full offset range.
-func (t *Tape) MaxTravel() int { return len(t.words) - 1 }
-
 // Shifts, Reads and Writes return the operation counters accumulated since
-// construction or the last ResetCounters.
+// construction.
 func (t *Tape) Shifts() int64 { return t.shifts }
 
 // Reads returns the number of word reads performed.
@@ -86,10 +78,6 @@ func (t *Tape) Reads() int64 { return t.reads }
 // Writes returns the number of word writes performed.
 func (t *Tape) Writes() int64 { return t.writes }
 
-// ResetCounters zeroes the shift/read/write/fault counters without
-// disturbing the tape's contents or mechanical position.
-func (t *Tape) ResetCounters() { t.shifts, t.reads, t.writes, t.faults = 0, 0, 0, 0 }
-
 // ResetPosition shifts the tape back to offset zero, charging the shifts
 // needed to get there, and returns the number of shifts performed.
 func (t *Tape) ResetPosition() int {
@@ -97,13 +85,6 @@ func (t *Tape) ResetPosition() int {
 	t.shifts += int64(n)
 	t.offset = 0
 	return n
-}
-
-// ShiftCostTo returns the number of shifts an access to slot would take
-// from the current position, without performing it.
-func (t *Tape) ShiftCostTo(slot int) (int, error) {
-	_, d, err := t.nearestPort(slot)
-	return d, err
 }
 
 // nearestPort returns the port index minimizing the shift distance to
@@ -179,15 +160,6 @@ func (t *Tape) Write(slot int, val uint64) (shifts int, err error) {
 	t.writes++
 	t.words[slot] = val
 	return shifts, nil
-}
-
-// Peek returns the word in slot without shifting or counting an access.
-// It is a debugging/verification aid, not a modeled device operation.
-func (t *Tape) Peek(slot int) (uint64, error) {
-	if slot < 0 || slot >= len(t.words) {
-		return 0, fmt.Errorf("dwm: slot %d outside [0,%d)", slot, len(t.words))
-	}
-	return t.words[slot], nil
 }
 
 func abs(x int) int {

@@ -113,29 +113,28 @@ func TestTapeOutOfRangeAccess(t *testing.T) {
 	if _, err := tape.Write(9, 1); err == nil {
 		t.Error("Write(9) accepted")
 	}
-	if _, err := tape.Peek(8); err == nil {
-		t.Error("Peek(8) accepted")
-	}
-	if _, err := tape.ShiftCostTo(-2); err == nil {
-		t.Error("ShiftCostTo(-2) accepted")
+	if _, _, err := tape.nearestPort(-2); err == nil {
+		t.Error("nearestPort(-2) accepted")
 	}
 }
 
+// Pricing an access (nearestPort, which Read and Write both use) reports
+// the shift distance from the current offset without moving the tape.
 func TestTapeShiftCostToDoesNotMove(t *testing.T) {
 	tape := mustTape(t, 32, []int{0})
 	if _, _, err := tape.Read(10); err != nil {
 		t.Fatal(err)
 	}
 	before := tape.Offset()
-	d, err := tape.ShiftCostTo(3)
+	_, d, err := tape.nearestPort(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 7 {
-		t.Errorf("ShiftCostTo(3) = %d, want 7", d)
+		t.Errorf("nearestPort(3) distance = %d, want 7", d)
 	}
-	if tape.Offset() != before {
-		t.Errorf("ShiftCostTo moved the tape: offset %d -> %d", before, tape.Offset())
+	if tape.Offset() != before || tape.Shifts() != 10 {
+		t.Errorf("pricing moved the tape: offset %d -> %d, shifts %d", before, tape.Offset(), tape.Shifts())
 	}
 }
 
@@ -156,37 +155,35 @@ func TestTapeResetPosition(t *testing.T) {
 	}
 }
 
+// ResetPosition, the one reset left, moves the tape and charges the
+// shifts but keeps the contents and the other counters.
 func TestTapeResetCountersKeepsState(t *testing.T) {
 	tape := mustTape(t, 16, []int{0})
 	if _, err := tape.Write(5, 99); err != nil {
 		t.Fatal(err)
 	}
-	tape.ResetCounters()
-	if tape.Shifts() != 0 || tape.Reads() != 0 || tape.Writes() != 0 {
-		t.Error("counters not zeroed")
+	tape.ResetPosition()
+	if tape.Shifts() != 10 || tape.Reads() != 0 || tape.Writes() != 1 {
+		t.Errorf("counters after ResetPosition: shifts %d reads %d writes %d, want 10 0 1",
+			tape.Shifts(), tape.Reads(), tape.Writes())
 	}
-	if tape.Offset() != 5 {
-		t.Errorf("offset changed by ResetCounters: %d", tape.Offset())
+	if tape.Offset() != 0 {
+		t.Errorf("offset after ResetPosition: %d", tape.Offset())
 	}
-	v, err := tape.Peek(5)
-	if err != nil || v != 99 {
-		t.Errorf("contents changed by ResetCounters: %d, %v", v, err)
+	if tape.words[5] != 99 {
+		t.Errorf("contents changed by ResetPosition: %d", tape.words[5])
 	}
 }
 
 func TestTapeAccessorCopies(t *testing.T) {
-	tape := mustTape(t, 8, []int{2, 5})
-	ports := tape.Ports()
+	ports := []int{2, 5}
+	tape := mustTape(t, 8, ports)
 	ports[0] = 7 // must not corrupt internal state
-	again := tape.Ports()
-	if again[0] != 2 || again[1] != 5 {
-		t.Errorf("Ports leaked internal slice: %v", again)
+	if tape.ports[0] != 2 || tape.ports[1] != 5 {
+		t.Errorf("NewTape retained the caller's port slice: %v", tape.ports)
 	}
 	if tape.Len() != 8 {
 		t.Errorf("Len = %d, want 8", tape.Len())
-	}
-	if tape.MaxTravel() != 7 {
-		t.Errorf("MaxTravel = %d, want 7", tape.MaxTravel())
 	}
 }
 

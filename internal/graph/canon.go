@@ -2,7 +2,6 @@ package graph
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -269,20 +268,4 @@ func degreeProfile(c *CSR) uint64 {
 		p = foldSeq(p, h)
 	}
 	return foldSeq(p, uint64(c.totalW))
-}
-
-// CheckLabeling validates that a labeling is a permutation of [0, n),
-// the invariant decanonicalization relies on.
-func CheckLabeling(labeling []int32, n int) error {
-	if len(labeling) != n {
-		return fmt.Errorf("graph: labeling covers %d vertices, want %d", len(labeling), n)
-	}
-	seen := make([]bool, n)
-	for u, ci := range labeling {
-		if ci < 0 || int(ci) >= n || seen[ci] {
-			return fmt.Errorf("graph: labeling is not a permutation at vertex %d -> %d", u, ci)
-		}
-		seen[ci] = true
-	}
-	return nil
 }

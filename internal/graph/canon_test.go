@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -61,9 +62,9 @@ func ringGraph(t *testing.T, n int, w int64) *Graph {
 func permuteGraph(t *testing.T, g *Graph, perm []int) *Graph {
 	t.Helper()
 	pg := mustNew(t, g.N())
-	g.EachEdge(func(u, v int, w int64) {
-		pg.AddWeight(perm[u], perm[v], w)
-	})
+	for _, e := range edges(g) {
+		pg.AddWeight(perm[e.U], perm[e.V], e.W)
+	}
 	return pg
 }
 
@@ -102,7 +103,7 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.build(t)
 			ref := g.Freeze().Canon()
-			if err := CheckLabeling(ref.Labeling, g.N()); err != nil {
+			if err := checkLabeling(ref.Labeling, g.N()); err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(42))
@@ -117,7 +118,7 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 				if got.Profile != ref.Profile {
 					t.Fatalf("trial %d: degree profile changed under renumbering", trial)
 				}
-				if err := CheckLabeling(got.Labeling, pg.N()); err != nil {
+				if err := checkLabeling(got.Labeling, pg.N()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -236,13 +237,13 @@ func TestCanonDeterministicAcrossBuilds(t *testing.T) {
 // cannot import internal/cost (cost depends on graph).
 func linearCost(g *Graph, p []int) int64 {
 	var total int64
-	g.EachEdge(func(u, v int, w int64) {
-		d := int64(p[u] - p[v])
+	for _, e := range edges(g) {
+		d := int64(p[e.U] - p[e.V])
 		if d < 0 {
 			d = -d
 		}
-		total += w * d
-	})
+		total += e.W * d
+	}
 	return total
 }
 
@@ -291,4 +292,20 @@ func TestCanonMemoized(t *testing.T) {
 	if a, b := c.Canon(), c.Canon(); a != b {
 		t.Fatal("Canon() rebuilt instead of returning the memo")
 	}
+}
+
+// checkLabeling validates that a labeling is a permutation of [0, n),
+// the invariant decanonicalization relies on.
+func checkLabeling(labeling []int32, n int) error {
+	if len(labeling) != n {
+		return fmt.Errorf("graph: labeling covers %d vertices, want %d", len(labeling), n)
+	}
+	seen := make([]bool, n)
+	for u, ci := range labeling {
+		if ci < 0 || int(ci) >= n || seen[ci] {
+			return fmt.Errorf("graph: labeling is not a permutation at vertex %d -> %d", u, ci)
+		}
+		seen[ci] = true
+	}
+	return nil
 }

@@ -102,9 +102,6 @@ func (c *CSR) N() int { return c.n }
 // NumEdges returns the number of distinct edges.
 func (c *CSR) NumEdges() int { return len(c.colIdx) / 2 }
 
-// TotalWeight returns the sum of all edge weights.
-func (c *CSR) TotalWeight() int64 { return c.totalW }
-
 func (c *CSR) checkVertex(u int) {
 	if u < 0 || u >= c.n {
 		panic(fmt.Sprintf("graph: vertex %d outside [0,%d)", u, c.n))
@@ -126,16 +123,6 @@ func (c *CSR) Row(u int) ([]int32, []int64) {
 // cannot afford a bounds-checked call per row.
 func (c *CSR) Arrays() (rowPtr []int, colIdx []int32, weights []int64) {
 	return c.rowPtr, c.colIdx, c.weights
-}
-
-// Neighbors calls fn for every neighbor of u with the edge weight, in
-// ascending neighbor order, mirroring Graph.Neighbors without the
-// per-call sort and allocation.
-func (c *CSR) Neighbors(u int, fn func(v int, w int64)) {
-	cols, ws := c.Row(u)
-	for i, v := range cols {
-		fn(int(v), ws[i])
-	}
 }
 
 // Degree returns the number of distinct neighbors of u.

@@ -27,25 +27,32 @@ func TestFreezeMatchesGraph(t *testing.T) {
 	if c.N() != g.N() {
 		t.Fatalf("N: csr %d, graph %d", c.N(), g.N())
 	}
-	if c.NumEdges() != g.NumEdges() {
-		t.Errorf("NumEdges: csr %d, graph %d", c.NumEdges(), g.NumEdges())
-	}
-	if c.TotalWeight() != g.TotalWeight() {
-		t.Errorf("TotalWeight: csr %d, graph %d", c.TotalWeight(), g.TotalWeight())
+	if c.NumEdges() != len(edges(g)) {
+		t.Errorf("NumEdges: csr %d, graph %d", c.NumEdges(), len(edges(g)))
 	}
 	for u := 0; u < g.N(); u++ {
-		if c.Degree(u) != g.Degree(u) {
-			t.Errorf("Degree(%d): csr %d, graph %d", u, c.Degree(u), g.Degree(u))
-		}
-		if c.WeightedDegree(u) != g.WeightedDegree(u) {
-			t.Errorf("WeightedDegree(%d): csr %d, graph %d",
-				u, c.WeightedDegree(u), g.WeightedDegree(u))
-		}
+		// The graph side comes straight from the adjacency map, in
+		// ascending neighbor order.
 		var fromG, fromC [][2]int64
-		g.Neighbors(u, func(v int, w int64) { fromG = append(fromG, [2]int64{int64(v), w}) })
-		c.Neighbors(u, func(v int, w int64) { fromC = append(fromC, [2]int64{int64(v), w}) })
+		var wdeg int64
+		for v := 0; v < g.N(); v++ {
+			if w, ok := g.adj[u][v]; ok {
+				fromG = append(fromG, [2]int64{int64(v), w})
+				wdeg += w
+			}
+		}
+		if c.Degree(u) != len(g.adj[u]) {
+			t.Errorf("Degree(%d): csr %d, graph %d", u, c.Degree(u), len(g.adj[u]))
+		}
+		if c.WeightedDegree(u) != wdeg {
+			t.Errorf("WeightedDegree(%d): csr %d, graph %d", u, c.WeightedDegree(u), wdeg)
+		}
+		cols, ws := c.Row(u)
+		for i := range cols {
+			fromC = append(fromC, [2]int64{int64(cols[i]), ws[i]})
+		}
 		if !reflect.DeepEqual(fromG, fromC) {
-			t.Errorf("Neighbors(%d): csr %v, graph %v", u, fromC, fromG)
+			t.Errorf("Row(%d): csr %v, graph %v", u, fromC, fromG)
 		}
 		for v := 0; v < g.N(); v++ {
 			if u == v {
@@ -56,8 +63,8 @@ func TestFreezeMatchesGraph(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(c.Edges(), g.Edges()) {
-		t.Errorf("Edges: csr %v, graph %v", c.Edges(), g.Edges())
+	if !reflect.DeepEqual(c.Edges(), edges(g)) {
+		t.Errorf("Edges: csr %v, graph %v", c.Edges(), edges(g))
 	}
 }
 
@@ -91,7 +98,9 @@ func TestCSREachEdgeCoversAll(t *testing.T) {
 		got[[2]int{u, v}] = w
 	})
 	want := map[[2]int]int64{}
-	g.EachEdge(func(u, v int, w int64) { want[[2]int{u, v}] = w })
+	for _, e := range edges(g) {
+		want[[2]int{e.U, e.V}] = e.W
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("EachEdge: csr %v, graph %v", got, want)
 	}
@@ -149,8 +158,8 @@ func TestFromTraceMatchesIncrementalBuild(t *testing.T) {
 			want.AddWeight(u, v, 1)
 		}
 	}
-	if !reflect.DeepEqual(got.Edges(), want.Edges()) {
-		t.Errorf("FromTrace edges %v, want %v", got.Edges(), want.Edges())
+	if !reflect.DeepEqual(edges(got), edges(want)) {
+		t.Errorf("FromTrace edges %v, want %v", edges(got), edges(want))
 	}
 }
 

@@ -49,9 +49,9 @@ func rebuildReference(t *testing.T, g *Graph) *CSR {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EachEdge(func(u, v int, w int64) {
-		ref.AddWeight(u, v, w)
-	})
+	for _, e := range edges(g) {
+		ref.AddWeight(e.U, e.V, e.W)
+	}
 	return ref.Freeze()
 }
 

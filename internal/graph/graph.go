@@ -13,7 +13,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/trace"
@@ -158,88 +157,6 @@ func (g *Graph) Weight(u, v int) int64 {
 	return g.adj[u][v]
 }
 
-// Neighbors calls fn for every neighbor of u with the edge weight, in
-// ascending neighbor order (deterministic iteration matters for
-// reproducible heuristics).
-func (g *Graph) Neighbors(u int, fn func(v int, w int64)) {
-	if u < 0 || u >= g.n {
-		panic(fmt.Sprintf("graph: vertex %d outside [0,%d)", u, g.n))
-	}
-	vs := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	for _, v := range vs {
-		fn(v, g.adj[u][v])
-	}
-}
-
-// Degree returns the number of distinct neighbors of u.
-func (g *Graph) Degree(u int) int {
-	if u < 0 || u >= g.n {
-		panic(fmt.Sprintf("graph: vertex %d outside [0,%d)", u, g.n))
-	}
-	return len(g.adj[u])
-}
-
-// WeightedDegree returns the sum of edge weights incident to u.
-func (g *Graph) WeightedDegree(u int) int64 {
-	if u < 0 || u >= g.n {
-		panic(fmt.Sprintf("graph: vertex %d outside [0,%d)", u, g.n))
-	}
-	var s int64
-	for _, w := range g.adj[u] {
-		s += w
-	}
-	return s
-}
-
-// Edges returns all edges sorted by descending weight, breaking ties by
-// (U,V) ascending for determinism.
-func (g *Graph) Edges() []Edge {
-	var es []Edge
-	for u := 0; u < g.n; u++ {
-		for v, w := range g.adj[u] {
-			if u < v {
-				es = append(es, Edge{U: u, V: v, W: w})
-			}
-		}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].W != es[j].W {
-			return es[i].W > es[j].W
-		}
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	return es
-}
-
-// EachEdge calls fn for every distinct edge in unspecified order. It is
-// the allocation- and sort-free iteration used by hot evaluation paths;
-// use Edges when deterministic ordering matters.
-func (g *Graph) EachEdge(fn func(u, v int, w int64)) {
-	for u := 0; u < g.n; u++ {
-		for v, w := range g.adj[u] {
-			if u < v {
-				fn(u, v, w)
-			}
-		}
-	}
-}
-
-// NumEdges returns the number of distinct edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for u := 0; u < g.n; u++ {
-		total += len(g.adj[u])
-	}
-	return total / 2
-}
-
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() int64 {
 	var s int64
@@ -251,125 +168,4 @@ func (g *Graph) TotalWeight() int64 {
 		}
 	}
 	return s
-}
-
-// Components returns the connected components as slices of vertex IDs,
-// each sorted ascending, ordered by their smallest vertex. Isolated
-// vertices form singleton components. The DFS visits neighbors in
-// sorted order so the whole traversal — not just the returned slices —
-// is independent of map layout.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	var nbrs []int // per-vertex scratch, reused across pops
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			nbrs = nbrs[:0]
-			for v := range g.adj[u] {
-				nbrs = append(nbrs, v)
-			}
-			sort.Ints(nbrs)
-			for _, v := range nbrs {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// CutWeight returns the total weight of edges with exactly one endpoint in
-// the given set (passed as a membership mask of length N).
-func (g *Graph) CutWeight(inSet []bool) int64 {
-	if len(inSet) != g.n {
-		panic(fmt.Sprintf("graph: mask length %d != N %d", len(inSet), g.n))
-	}
-	var s int64
-	for u := 0; u < g.n; u++ {
-		if !inSet[u] {
-			continue
-		}
-		for v, w := range g.adj[u] {
-			if !inSet[v] {
-				s += w
-			}
-		}
-	}
-	return s
-}
-
-// Subgraph returns the induced subgraph on the given vertices together
-// with the mapping from new IDs (0..len(vs)-1) to original IDs. Vertices
-// must be distinct and valid.
-func (g *Graph) Subgraph(vs []int) (*Graph, []int, error) {
-	if len(vs) == 0 {
-		return nil, nil, fmt.Errorf("graph: empty subgraph")
-	}
-	newID := make(map[int]int, len(vs))
-	for i, v := range vs {
-		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("graph: subgraph vertex %d outside [0,%d)", v, g.n)
-		}
-		if _, dup := newID[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate subgraph vertex %d", v)
-		}
-		newID[v] = i
-	}
-	sub, err := New(len(vs))
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, u := range vs {
-		for v, w := range g.adj[u] {
-			nu, nv := newID[u], 0
-			var ok bool
-			if nv, ok = newID[v]; !ok {
-				continue
-			}
-			if nu < nv {
-				sub.AddWeight(nu, nv, w)
-			}
-		}
-	}
-	return sub, append([]int(nil), vs...), nil
-}
-
-// MaxSpanningForest returns the edges of a maximum-weight spanning forest
-// (Kruskal over descending weights). Heavy edges kept together guide the
-// chain-growing heuristic.
-func (g *Graph) MaxSpanningForest() []Edge {
-	parent := make([]int, g.n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	var forest []Edge
-	for _, e := range g.Edges() {
-		ru, rv := find(e.U), find(e.V)
-		if ru != rv {
-			parent[ru] = rv
-			forest = append(forest, e)
-		}
-	}
-	return forest
 }

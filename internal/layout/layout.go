@@ -86,17 +86,6 @@ func (p Placement) Clone() Placement {
 // Swap exchanges the slots of items u and v.
 func (p Placement) Swap(u, v int) { p[u], p[v] = p[v], p[u] }
 
-// Mirror returns the placement reflected across the tape: slot s becomes
-// slots-1-s. Mirroring preserves single-port-at-center costs and is used
-// by symmetry property tests.
-func (p Placement) Mirror(slots int) Placement {
-	m := make(Placement, len(p))
-	for item, s := range p {
-		m[item] = slots - 1 - s
-	}
-	return m
-}
-
 // MultiPlacement maps each item to a tape and a slot on that tape.
 type MultiPlacement struct {
 	Tape []int

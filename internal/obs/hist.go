@@ -215,14 +215,6 @@ type HistStats struct {
 	Exemplars []*Exemplar `json:"exemplars,omitempty"`
 }
 
-// Mean returns the mean observed value (0 when empty).
-func (s HistStats) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile returns the nearest-rank q-quantile resolved to bucket
 // granularity: the upper bound of the bucket holding the rank-⌈q·n⌉
 // observation, the same rank rule internal/stats.Quantile applies to

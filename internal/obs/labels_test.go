@@ -242,7 +242,7 @@ func TestLintExpositionExemplars(t *testing.T) {
 		`dwm_h_bucket{le="+Inf"} 1` + "\n" +
 		"dwm_h_sum 1\n" +
 		"dwm_h_count 1\n"
-	if err := LintExposition(strings.NewReader(good)); err != nil {
+	if err := LintExpositionOpts(strings.NewReader(good), LintOptions{}); err != nil {
 		t.Fatalf("valid exemplar rejected: %v", err)
 	}
 	for name, bad := range map[string]string{
@@ -253,7 +253,7 @@ func TestLintExpositionExemplars(t *testing.T) {
 	} {
 		payload := "# TYPE dwm_h histogram\n" + bad +
 			`dwm_h_bucket{le="+Inf"} 1` + "\n" + "dwm_h_sum 1\ndwm_h_count 1\n"
-		if err := LintExposition(strings.NewReader(payload)); err == nil {
+		if err := LintExpositionOpts(strings.NewReader(payload), LintOptions{}); err == nil {
 			t.Errorf("%s: malformed exemplar passed", name)
 		}
 	}
@@ -272,7 +272,7 @@ func TestLintExpositionLabeledHistogramSeries(t *testing.T) {
 		`dwm_h_bucket{t="b",le="+Inf"} 1` + "\n" +
 		`dwm_h_sum{t="b"} 1` + "\n" +
 		`dwm_h_count{t="b"} 1` + "\n"
-	if err := LintExposition(strings.NewReader(payload)); err != nil {
+	if err := LintExpositionOpts(strings.NewReader(payload), LintOptions{}); err != nil {
 		t.Fatalf("per-series histogram state broken: %v", err)
 	}
 	// A series missing its +Inf bucket is still caught.
@@ -280,7 +280,7 @@ func TestLintExpositionLabeledHistogramSeries(t *testing.T) {
 		`dwm_h_bucket{t="a",le="1"} 5` + "\n" +
 		`dwm_h_sum{t="a"} 5` + "\n" +
 		`dwm_h_count{t="a"} 5` + "\n"
-	if err := LintExposition(strings.NewReader(broken)); err == nil {
+	if err := LintExpositionOpts(strings.NewReader(broken), LintOptions{}); err == nil {
 		t.Fatal("histogram series without +Inf passed")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // Every metric name is validated against the exposition grammar before
 // it is written and every label value is escaped (backslash, quote,
 // newline), so a hostile or merely unusual instrument name can never
-// corrupt the scrape. LintExposition is the matching conformance
+// corrupt the scrape. LintExpositionOpts is the matching conformance
 // checker, run by cmd/promlint and the obs-smoke CI target.
 
 // promName sanitizes an instrument name to a legal Prometheus metric
@@ -219,7 +219,7 @@ type LintOptions struct {
 	MaxSeriesPerMetric int
 }
 
-// LintExposition is the conformance checker for the text exposition
+// LintExpositionOpts is the conformance checker for the text exposition
 // format the snapshot writer produces: every sample's metric name is
 // valid and preceded by a matching # TYPE line, no metric is declared
 // twice, no series is emitted twice, label sets parse with escaped
@@ -227,13 +227,8 @@ type LintOptions struct {
 // series is complete (a +Inf bucket whose cumulative count equals its
 // _count, with non-decreasing bucket counts and a _sum — tracked per
 // label set, since labeled histograms restart the cumulative sequence
-// for each series). It returns the first violation found, or nil.
-func LintExposition(r io.Reader) error {
-	return LintExpositionOpts(r, LintOptions{})
-}
-
-// LintExpositionOpts is LintExposition with explicit options; see
-// LintOptions for the cardinality bound cmd/promlint exposes.
+// for each series). opts adds the cardinality bound cmd/promlint
+// exposes; see LintOptions. It returns the first violation found, or nil.
 func LintExpositionOpts(r io.Reader, opts LintOptions) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)

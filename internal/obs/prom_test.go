@@ -111,7 +111,7 @@ func TestWritePromConformance(t *testing.T) {
 	if err := r.Snapshot().WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := LintExposition(strings.NewReader(b.String())); err != nil {
+	if err := LintExpositionOpts(strings.NewReader(b.String()), LintOptions{}); err != nil {
 		t.Fatalf("writer output fails its own conformance checker: %v\n%s", err, b.String())
 	}
 	if !strings.Contains(b.String(), "dwm_weird_name_with_junk_newline 1") {
@@ -140,7 +140,7 @@ func TestLintExpositionCatchesViolations(t *testing.T) {
 		"decreasing buckets": "# TYPE dwm_x histogram\n" +
 			`dwm_x_bucket{le="1"} 5` + "\n" + `dwm_x_bucket{le="+Inf"} 3` + "\ndwm_x_sum 1\ndwm_x_count 3\n",
 	} {
-		if err := LintExposition(strings.NewReader(payload)); err == nil {
+		if err := LintExpositionOpts(strings.NewReader(payload), LintOptions{}); err == nil {
 			t.Errorf("%s: lint accepted\n%s", name, payload)
 		}
 	}
@@ -149,7 +149,7 @@ func TestLintExpositionCatchesViolations(t *testing.T) {
 		`dwm_h_bucket{le="0.5"} 1` + "\n" + `dwm_h_bucket{le="+Inf"} 2` + "\n" +
 		"dwm_h_sum 3\ndwm_h_count 2\n" +
 		"# TYPE dwm_g gauge\ndwm_g -7\n"
-	if err := LintExposition(strings.NewReader(ok)); err != nil {
+	if err := LintExpositionOpts(strings.NewReader(ok), LintOptions{}); err != nil {
 		t.Errorf("lint rejected a conforming exposition: %v", err)
 	}
 }

@@ -232,16 +232,6 @@ func (s *Span) End() {
 	s.t.push(rec)
 }
 
-// TraceContext returns the span's cross-process identity — its trace ID
-// with the span itself as parent — for injection into an outbound call.
-// ok is false for a nil span or a span outside any trace.
-func (s *Span) TraceContext() (TraceContext, bool) {
-	if s == nil || s.trace == "" {
-		return TraceContext{}, false
-	}
-	return TraceContext{TraceID: s.trace, SpanID: s.id}, true
-}
-
 // SortSpans orders spans by (trace ID, start sequence): spans of the
 // same trace group together in start order (span IDs are assigned at
 // StartSpan from one counter), with untraced spans — empty trace ID —

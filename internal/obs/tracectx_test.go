@@ -136,9 +136,8 @@ func TestSpanTraceContextAdvances(t *testing.T) {
 	if adv.SpanID == tc.SpanID {
 		t.Fatal("context SpanID did not advance to the new span")
 	}
-	stc, ok := sp.TraceContext()
-	if !ok || stc != adv {
-		t.Fatalf("span TraceContext %+v != context %+v", stc, adv)
+	if adv.TraceID != sp.trace || adv.SpanID != sp.id {
+		t.Fatalf("context %+v does not name span (%s, %016x)", adv, sp.trace, sp.id)
 	}
 }
 

@@ -251,36 +251,10 @@ func (c *Cache) Nearest(profile uint64, n int) (Key, Entry, bool) {
 
 // NoteWarmApplied records that a placement returned by Nearest was
 // actually adopted as a search's starting point. Consumers call it at the
-// point of application, so the warm-hit counter (placecache.warm_hits and
-// Stats.WarmHits) measures warm starts that happened, not candidates that
+// point of application, so the warm-hit counter (placecache.warm_hits)
+// measures warm starts that happened, not candidates that
 // were merely found.
 func (c *Cache) NoteWarmApplied() { obsWarmHits.Inc() }
-
-// Stats is a point-in-time summary of the cache.
-type Stats struct {
-	Entries   int
-	Bytes     int64
-	Hits      int64
-	Misses    int64
-	WarmHits  int64
-	Evictions int64
-}
-
-// Stats returns the current counters. Hit/miss totals are process-wide
-// (shared with any other Cache in the process via the obs registry);
-// Entries/Bytes are this cache's own.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Entries:   c.lru.Len(),
-		Bytes:     c.bytes,
-		Hits:      obsHits.Value(),
-		Misses:    obsMisses.Value(),
-		WarmHits:  obsWarmHits.Value(),
-		Evictions: obsEvictions.Value(),
-	}
-}
 
 // Len returns the number of live entries.
 func (c *Cache) Len() int {

@@ -315,7 +315,10 @@ func TestForAnnealKeySensitivity(t *testing.T) {
 			t.Fatalf("%s change did not produce a fresh entry", name)
 		}
 	}
-	otherStart := layout.Placement(layout.Identity(16)).Mirror(16)
+	otherStart := make(layout.Placement, 16)
+	for i := range otherStart {
+		otherStart[i] = 15 - i
+	}
 	before := c.Len()
 	if _, _, err := core.Anneal(g, otherStart, base); err != nil {
 		t.Fatal(err)

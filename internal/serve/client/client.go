@@ -330,40 +330,14 @@ func (c *Client) Submit(ctx context.Context, req serve.PlaceRequest) (serve.JobS
 // only bounds how long a request sits in proxies and connection pools.
 const waitWindow = 30 * time.Second
 
-// Job fetches a job's current status without blocking.
-func (c *Client) Job(ctx context.Context, id string) (serve.JobStatus, error) {
-	return c.get(ctx, id, "")
-}
-
-// get fetches a job's status with the given query string. Job and Wait
-// share its retry key, so a waited GET retries and carries a traceparent
-// exactly as a plain one does.
-func (c *Client) get(ctx context.Context, id, query string) (serve.JobStatus, error) {
-	var js serve.JobStatus
-	if err := c.roundTrip(ctx, id+"/get", http.MethodGet, "/v1/jobs/"+id+query, nil, &js); err != nil {
-		return serve.JobStatus{}, err
-	}
-	return js, nil
-}
-
-// Cancel requests cancellation; the job completes with its best-so-far
-// placement marked partial.
-func (c *Client) Cancel(ctx context.Context, id string) (serve.JobStatus, error) {
-	var js serve.JobStatus
-	if err := c.roundTrip(ctx, id+"/cancel", http.MethodDelete, "/v1/jobs/"+id, nil, &js); err != nil {
-		return serve.JobStatus{}, err
-	}
-	return js, nil
-}
-
 // Wait blocks until the job reaches a terminal state or ctx expires.
 // Each GET long-polls for up to waitWindow; a non-terminal answer means
 // the window expired, and the call is sent again at once.
 func (c *Client) Wait(ctx context.Context, id string) (serve.JobStatus, error) {
-	query := "?wait=" + waitWindow.String()
+	path := "/v1/jobs/" + id + "?wait=" + waitWindow.String()
 	for {
-		js, err := c.get(ctx, id, query)
-		if err != nil {
+		var js serve.JobStatus
+		if err := c.roundTrip(ctx, id+"/get", http.MethodGet, path, nil, &js); err != nil {
 			return serve.JobStatus{}, err
 		}
 		if js.Status == "done" || js.Status == "failed" {

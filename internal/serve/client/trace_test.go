@@ -165,9 +165,9 @@ func TestOnRetryNotCalledOnPermanentError(t *testing.T) {
 	}
 }
 
-// Wait's GETs keep Job's retry and trace behaviour: the same
-// deterministic traceparent on every attempt, and the same backoff and
-// Retry-After schedule as any other call. Job itself sends no wait.
+// Wait's GETs retry like any other call: the same deterministic
+// traceparent on every attempt, and the same backoff and Retry-After
+// schedule, each attempt asking the server to hold the answer.
 func TestWaitRetriesAndTraceparent(t *testing.T) {
 	ss := &scriptServer{
 		script: []func(http.ResponseWriter){
@@ -195,13 +195,10 @@ func TestWaitRetriesAndTraceparent(t *testing.T) {
 	if _, err := c.Wait(context.Background(), "job-000004"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Job(context.Background(), "job-000004"); err != nil {
-		t.Fatal(err)
-	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(headers) != 4 {
-		t.Fatalf("got %d requests, want 3 Wait attempts + 1 Job", len(headers))
+	if len(headers) != 3 {
+		t.Fatalf("got %d requests, want 3 Wait attempts", len(headers))
 	}
 	want := obs.DeriveTraceContext("client/job-000004/get").TraceParent()
 	for i, h := range headers {
@@ -209,7 +206,7 @@ func TestWaitRetriesAndTraceparent(t *testing.T) {
 			t.Errorf("request %d traceparent = %q, want %q", i+1, h, want)
 		}
 	}
-	if queries[0] != "wait=30s" || queries[2] != "wait=30s" || queries[3] != "" {
+	if queries[0] != "wait=30s" || queries[1] != "wait=30s" || queries[2] != "wait=30s" {
 		t.Errorf("queries = %q", queries)
 	}
 	wantSleeps := []time.Duration{c.backoffFor("job-000004/get", 1), 2 * time.Second}

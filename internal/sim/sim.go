@@ -231,7 +231,3 @@ func (s *Simulator) Run(t *trace.Trace) (Result, error) {
 		SetAttr("shifts", res.Counters.Shifts)
 	return res, nil
 }
-
-// Device exposes the underlying device (for inspection in tests and
-// examples).
-func (s *Simulator) Device() *dwm.Device { return s.dev }

@@ -279,8 +279,8 @@ func TestAddressLookup(t *testing.T) {
 	if _, err := s.Address(5); err == nil {
 		t.Error("bad item accepted")
 	}
-	if s.Device() != d {
-		t.Error("Device() identity lost")
+	if s.dev != d {
+		t.Error("New did not keep the device")
 	}
 }
 
@@ -397,11 +397,7 @@ func TestDataIntegrityThroughPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tape, err := d.Tape(addr.Tape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := tape.Peek(addr.Slot)
+		v, _, err := d.Read(addr)
 		if err != nil {
 			t.Fatal(err)
 		}

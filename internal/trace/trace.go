@@ -59,13 +59,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	c := &Trace{Name: t.Name, NumItems: t.NumItems}
-	c.Accesses = append([]Access(nil), t.Accesses...)
-	return c
-}
-
 // Items returns the sequence of item IDs, dropping the read/write flag.
 // Placement algorithms that only care about adjacency use this view.
 func (t *Trace) Items() []int {
@@ -93,31 +86,6 @@ func (t *Trace) Touched() []int {
 	return out
 }
 
-// Compact renumbers items so that only touched items remain, preserving
-// first-touch order, and returns the compacted trace together with the
-// mapping from new IDs back to original IDs. The receiver is unchanged.
-func (t *Trace) Compact() (*Trace, []int) {
-	newID := make([]int, t.NumItems)
-	for i := range newID {
-		newID[i] = -1
-	}
-	var oldID []int
-	c := &Trace{Name: t.Name}
-	c.Accesses = make([]Access, len(t.Accesses))
-	for i, a := range t.Accesses {
-		if newID[a.Item] < 0 {
-			newID[a.Item] = len(oldID)
-			oldID = append(oldID, a.Item)
-		}
-		c.Accesses[i] = Access{Item: newID[a.Item], Write: a.Write}
-	}
-	c.NumItems = len(oldID)
-	if c.NumItems == 0 {
-		c.NumItems = 1 // keep the invariant NumItems > 0 for empty traces
-	}
-	return c, oldID
-}
-
 // Slice returns a sub-trace covering accesses [lo, hi).
 func (t *Trace) Slice(lo, hi int) (*Trace, error) {
 	if lo < 0 || hi > len(t.Accesses) || lo > hi {
@@ -126,18 +94,6 @@ func (t *Trace) Slice(lo, hi int) (*Trace, error) {
 	}
 	c := &Trace{Name: t.Name, NumItems: t.NumItems}
 	c.Accesses = append([]Access(nil), t.Accesses[lo:hi]...)
-	return c, nil
-}
-
-// Concat appends the accesses of other (which must have the same
-// NumItems) to a copy of t.
-func (t *Trace) Concat(other *Trace) (*Trace, error) {
-	if t.NumItems != other.NumItems {
-		return nil, fmt.Errorf("trace concat: item spaces differ (%d vs %d)",
-			t.NumItems, other.NumItems)
-	}
-	c := t.Clone()
-	c.Accesses = append(c.Accesses, other.Accesses...)
 	return c, nil
 }
 

@@ -1,13 +1,11 @@
-// Package viz renders placements and access statistics as plain-text
-// figures for the CLI tools: a tape map showing where hot items landed
-// relative to the ports, and sparklines/bars for distributions. Pure
-// string formatting — no terminal control sequences — so output is
-// stable, testable, and pipeable.
+// Package viz renders a placement as a plain-text figure for the CLI
+// tools: a tape map showing where hot items landed relative to the
+// ports. Pure string formatting — no terminal control sequences — so
+// output is stable, testable, and pipeable.
 package viz
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/layout"
 )
@@ -73,65 +71,4 @@ func TapeMap(p layout.Placement, freq []int64, tapeLen int, ports []int) (string
 		marks[q] = '^'
 	}
 	return "|" + string(heat) + "|\n " + string(marks), nil
-}
-
-// sparkRamp is the 8-level block ramp used by Sparkline.
-var sparkRamp = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders a numeric series as unicode block characters scaled
-// to the series maximum. An empty series renders as an empty string;
-// non-positive values render as the lowest block.
-func Sparkline(xs []float64) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	max := xs[0]
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	var sb strings.Builder
-	for _, x := range xs {
-		if max <= 0 || x <= 0 {
-			sb.WriteRune(sparkRamp[0])
-			continue
-		}
-		i := int(x / max * float64(len(sparkRamp)-1))
-		sb.WriteRune(sparkRamp[i])
-	}
-	return sb.String()
-}
-
-// Bar renders a labeled horizontal bar chart, one row per entry, with
-// bars scaled to the given width.
-func Bar(labels []string, values []float64, width int) (string, error) {
-	if len(labels) != len(values) {
-		return "", fmt.Errorf("viz: %d labels for %d values", len(labels), len(values))
-	}
-	if width < 1 {
-		width = 40
-	}
-	max := 0.0
-	labelW := 0
-	for i, v := range values {
-		if v < 0 {
-			return "", fmt.Errorf("viz: negative value %g", v)
-		}
-		if v > max {
-			max = v
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	var sb strings.Builder
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v / max * float64(width))
-		}
-		fmt.Fprintf(&sb, "%-*s %s %g\n", labelW, labels[i], strings.Repeat("#", n), v)
-	}
-	return sb.String(), nil
 }

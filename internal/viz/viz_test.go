@@ -3,7 +3,6 @@ package viz
 import (
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"repro/internal/layout"
 )
@@ -57,48 +56,6 @@ func TestTapeMapItemBeyondFreqTable(t *testing.T) {
 	}
 	if strings.Count(strings.Split(out, "\n")[0], " ") != 0 {
 		t.Errorf("slots with unknown-frequency items should not be blank: %q", out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Error("empty series not empty")
-	}
-	s := Sparkline([]float64{0, 1, 2, 4})
-	if utf8.RuneCountInString(s) != 4 {
-		t.Errorf("length %d: %q", utf8.RuneCountInString(s), s)
-	}
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[3] != '█' {
-		t.Errorf("scaling wrong: %q", s)
-	}
-	// All-zero series renders lowest blocks, no panic.
-	z := Sparkline([]float64{0, 0})
-	if z != "▁▁" {
-		t.Errorf("zero series: %q", z)
-	}
-}
-
-func TestBar(t *testing.T) {
-	out, err := Bar([]string{"a", "bb"}, []float64{2, 4}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines: %q", out)
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 8)) {
-		t.Errorf("max bar not full width: %q", lines[1])
-	}
-	if strings.Count(lines[0], "#") != 4 {
-		t.Errorf("half bar wrong: %q", lines[0])
-	}
-	if _, err := Bar([]string{"a"}, []float64{1, 2}, 8); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := Bar([]string{"a"}, []float64{-1}, 8); err == nil {
-		t.Error("negative value accepted")
 	}
 }
 

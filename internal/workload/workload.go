@@ -128,16 +128,6 @@ func ByName(name string) (Generator, error) {
 	return Generator{}, fmt.Errorf("workload: unknown workload %q", name)
 }
 
-// Names lists the workloads in the standard suite.
-func Names() []string {
-	gens := Suite()
-	names := make([]string, len(gens))
-	for i, g := range gens {
-		names[i] = g.Name
-	}
-	return names
-}
-
 // zipfWeights returns normalized cumulative weights for Zipf(s) over n
 // ranks, used by the Zipf-shaped generators. rank 0 is the most popular.
 func zipfCumulative(n int, s float64) []float64 {

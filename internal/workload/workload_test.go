@@ -39,15 +39,18 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// Every suite name is unique and resolves, through ByName, to its own
+// generator.
 func TestNamesMatchesSuite(t *testing.T) {
-	names := Names()
-	suite := Suite()
-	if len(names) != len(suite) {
-		t.Fatalf("Names len %d != Suite len %d", len(names), len(suite))
-	}
-	for i := range names {
-		if names[i] != suite[i].Name {
-			t.Errorf("Names[%d] = %q, want %q", i, names[i], suite[i].Name)
+	seen := map[string]bool{}
+	for _, g := range Suite() {
+		if seen[g.Name] {
+			t.Errorf("duplicate suite name %q", g.Name)
+		}
+		seen[g.Name] = true
+		got, err := ByName(g.Name)
+		if err != nil || got.Name != g.Name || got.Description != g.Description {
+			t.Errorf("ByName(%q) = %+v, %v", g.Name, got, err)
 		}
 	}
 }
