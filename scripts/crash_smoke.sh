@@ -24,9 +24,6 @@ trap cleanup EXIT
 
 $GO build -o "$dir/dwmserved" ./cmd/dwmserved
 $GO run ./cmd/tracegen -workload fir -o "$dir/trace.txt"
-# Enough iterations that the anneal runs for a while — the SIGKILL below
-# must land mid-search, not after completion.
-jq -Rs '{trace: ., seed: 7, iterations: 400000}' <"$dir/trace.txt" >"$dir/req.json"
 
 # boot <journal-dir> <addr-file>: start the daemon, wait for the
 # address, and set $pid/$base. Cache off so every result is a cold
@@ -83,6 +80,25 @@ poll() {
 	return 1
 }
 
+# Sizing: the SIGKILL below must land mid-search, so the job has to run
+# for a while on this machine. Time a probe anneal, then scale the
+# iteration count from the measured proposal rate so the real job runs
+# for about two seconds.
+probe=400000
+jq -Rs --argjson it "$probe" '{trace: ., seed: 7, iterations: $it}' \
+	<"$dir/trace.txt" >"$dir/req.json"
+boot "$dir/journal-probe" "$dir/addr-probe"
+probe_id=$(submit)
+poll "$probe_id" "$dir/probe.json"
+ms=$(curl -fsS "$base/v1/jobs/$probe_id" | jq -r '.elapsed_ms // 0')
+stop
+[ "$ms" -ge 1 ] || ms=1
+iters=$((probe * 2000 / ms))
+[ "$iters" -ge "$probe" ] || iters=$probe
+echo "crash-smoke: probe ran $probe proposals in ${ms} ms; sizing the job at $iters"
+jq -Rs --argjson it "$iters" '{trace: ., seed: 7, iterations: $it}' \
+	<"$dir/trace.txt" >"$dir/req.json"
+
 # Control: an uninterrupted journaled run of the same request.
 boot "$dir/journal-control" "$dir/addr-control"
 cid=$(submit)
@@ -91,6 +107,8 @@ stop
 
 # Crash run: submit, wait until the anneal is actually running, then
 # SIGKILL — no drain, no flush beyond what the journal already fsynced.
+# A job already finished cannot be killed mid-search: that is a sizing
+# failure, reported at once rather than after the poll budget.
 boot "$dir/journal" "$dir/addr1"
 jid=$(submit)
 n=0
@@ -101,7 +119,13 @@ while :; do
 		exit 1
 	fi
 	s=$(curl -fsS "$base/v1/jobs/$jid" | jq -r .status)
-	[ "$s" = "running" ] && break
+	case $s in
+	running) break ;;
+	done | failed)
+		echo "crash-smoke: job $jid was already $s before the SIGKILL; $iters iterations are too few to land mid-search" >&2
+		exit 1
+		;;
+	esac
 	sleep 0.02
 done
 kill -KILL "$pid"
