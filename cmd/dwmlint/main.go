@@ -20,9 +20,9 @@
 // cleanup is complete; -bench FILE upserts the run's wall time into a
 // dwmbench-style JSON report. testonly's reference index always spans
 // the whole module and the nested benchmark module, whatever packages
-// are named, so code only another package calls is never flagged. Exit status is 1 when unsuppressed (or,
-// with -baseline, new) diagnostics remain, 2 on a loading or internal
-// failure.
+// are named, so code only another package calls is never flagged. Exit
+// status is 1 when unsuppressed (or, with -baseline, new) diagnostics
+// remain, 2 on a loading or internal failure.
 package main
 
 import (

@@ -199,7 +199,6 @@ func TestPanics(t *testing.T) {
 		func() { g.AddWeight(-1, 1, 1) },
 		func() { g.AddWeight(0, 3, 1) },
 		func() { g.Weight(0, 0) },
-		func() { cutWeight(g, []bool{true}) },
 		func() {
 			g.AddWeight(0, 1, 1)
 			g.AddWeight(0, 1, -2)
