@@ -44,10 +44,12 @@ race:
 	$(GO) test -race ./...
 
 # The admission-path tests that race submissions against each other and
-# against shutdown, repeated under the race detector: a lost-update bug
-# in admission shows up in some runs and not others.
+# against shutdown, and the job-lifetime tests that race waited GETs and
+# DELETEs against a worker finishing the job (the queue's task and the
+# registered job are read by different goroutines), repeated under the
+# race detector: a lost-update bug shows up in some runs and not others.
 race-repeat:
-	$(GO) test -race -count=10 -timeout 120s -run 'TestConcurrentClientKeyOneJob|TestAdmit' ./internal/serve
+	$(GO) test -race -count=10 -timeout 120s -run 'TestConcurrentClientKeyOneJob|TestAdmit|TestFinishedJobRetention|TestWaitAndCancelRaceFinish' ./internal/serve
 
 # One iteration of the heaviest experiment benchmark and of the Propose
 # layer benchmark: catches regressions (or a panicking benchmark) that

@@ -150,7 +150,7 @@ func TestJobProgress(t *testing.T) {
 }
 
 func TestJobProgressQueuedJobHasNone(t *testing.T) {
-	j := &job{id: "job-000001", tr: mustTrace(t), status: statusQueued}
+	j := &job{id: "job-000001", info: traceInfo(mustTrace(t)), status: statusQueued}
 	st := j.snapshot(time.Now())
 	if st.Progress != nil {
 		t.Errorf("queued job has progress block: %+v", st.Progress)

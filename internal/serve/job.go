@@ -150,20 +150,15 @@ const (
 	statusFailed  = "failed"
 )
 
-// job is one accepted placement request moving through the queue.
+// job is the registered record of one accepted placement request. It
+// keeps only what GET /v1/jobs/{id} and a resume read; the inputs a run
+// consumes travel in its task, so a finished job holds neither the
+// trace nor the cache plan.
 type job struct {
 	id       string
-	req      PlaceRequest
-	tr       *trace.Trace
 	tc       obs.TraceContext // the job's trace identity, set at acceptance
-	resume   layout.Placement // optional starting placement from a resumed job
-	enqueued time.Time        // set at acceptance, read for the queue-wait histogram
-
-	// Cache integration (see cache.go). plan carries the pre-built graph
-	// and canonical form plus either a warm start or the store key;
-	// cacheHit marks a job minted directly from a cache hit.
-	plan     *cachePlan
-	cacheHit bool
+	info     TraceInfo        // the trace summary, set at acceptance
+	cacheHit bool             // born finished from a cache hit (see cache.go)
 
 	// done is closed once the job is terminal (see finish in runJob).
 	// It is set at construction and never reassigned, so waiters read it
@@ -177,10 +172,30 @@ type job struct {
 	elapsedMS int64                       //dwmlint:guard mu
 	canceled  bool                        //dwmlint:guard mu
 	cancel    context.CancelFunc          //dwmlint:guard mu
-	ckpt      layout.Placement            //dwmlint:guard mu
+	ckpt      layout.Placement            //dwmlint:guard mu — dropped once result is set
 	ckptCost  int64                       //dwmlint:guard mu
 	ckptAt    time.Time                   //dwmlint:guard mu
 	prog      map[int]core.AnnealProgress //dwmlint:guard mu
+}
+
+// task is one run of a queued job: the job plus the inputs runJob
+// consumes. Only the queue and the worker running it hold a task, so
+// the request (trace text included), the parsed trace and the cache
+// plan become garbage once the run returns. Cache hits never build one.
+type task struct {
+	j      *job
+	req    PlaceRequest
+	tr     *trace.Trace
+	resume layout.Placement // optional starting placement from a resumed job
+	// plan carries the pre-built graph and canonical form plus either a
+	// warm start or the store key; nil runs cold.
+	plan     *cachePlan
+	enqueued time.Time // set at admission, read for the queue-wait histogram
+}
+
+// traceInfo summarizes a parsed trace for job responses.
+func traceInfo(tr *trace.Trace) TraceInfo {
+	return TraceInfo{Name: tr.Name, Accesses: tr.Len(), Items: tr.NumItems}
 }
 
 // closedCh is the completion channel of jobs that are born terminal:
@@ -247,15 +262,12 @@ func (j *job) snapshot(now time.Time) JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		Status:    j.status,
+		Trace:     j.info,
 		Result:    j.result,
 		Error:     j.errMsg,
 		ElapsedMS: j.elapsedMS,
 		CacheHit:  j.cacheHit,
 		TraceID:   j.tc.TraceID,
-	}
-	// A job whose trace no longer parses at journal replay has none.
-	if j.tr != nil {
-		st.Trace = TraceInfo{Name: j.tr.Name, Accesses: j.tr.Len(), Items: j.tr.NumItems}
 	}
 	if len(j.prog) > 0 {
 		p := &JobProgress{CheckpointAgeMS: -1}

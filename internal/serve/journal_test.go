@@ -118,23 +118,113 @@ func TestRecoveredJobByteIdenticalToUninterruptedRun(t *testing.T) {
 	}
 }
 
-// TestTerminalJobServedFromJournal: a job that finished before the
-// restart is served from its journaled bytes without re-running.
+// getRaw sends GET /v1/jobs/{id}, with ?wait=<wait> when wait is not
+// empty, and returns the 200 body as sent.
+func getRaw(t *testing.T, base, id, wait string) []byte {
+	t.Helper()
+	url := base + "/v1/jobs/" + id
+	if wait != "" {
+		url += "?wait=" + wait
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET job %s: status %d: %s", id, resp.StatusCode, out.Bytes())
+	}
+	return out.Bytes()
+}
+
+// jobBytes re-encodes a GET /v1/jobs/{id} body without the named
+// top-level keys and without progress's checkpoint_age_ms. The age
+// counts up from the last checkpoint to the moment of the read, so it
+// is the one field of a finished job's answer that changes with time.
+// Every other field keeps its bytes as sent.
+func jobBytes(t *testing.T, raw []byte, drop ...string) string {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("job body %q: %v", raw, err)
+	}
+	for _, k := range drop {
+		delete(m, k)
+	}
+	if p, ok := m["progress"]; ok {
+		var pm map[string]json.RawMessage
+		if err := json.Unmarshal(p, &pm); err != nil {
+			t.Fatal(err)
+		}
+		delete(pm, "checkpoint_age_ms")
+		b, err := json.Marshal(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m["progress"] = b
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestTerminalJobServedFromJournal: jobs that were terminal before the
+// restart are served from their journaled bytes without re-running — a
+// cold done job, a cache hit, and a failed job. After the restart each
+// GET must match the pre-restart GET byte for byte in status, trace,
+// result, error, cache_hit and trace_id. elapsed_ms and progress are
+// not journaled (a replayed job reports neither), so they are left out
+// of the comparison.
 func TestTerminalJobServedFromJournal(t *testing.T) {
 	dir := t.TempDir()
 	req := PlaceRequest{Trace: testTrace(t), Seed: 3, Iterations: 4000}
-	_, base, stop := startJournaled(t, dir, Options{Workers: 1, DisableCache: true})
-	_, id := submit(t, base, req)
-	want := waitDone(t, base, id)
+	// A finished job whose journaled placement is not a permutation: a
+	// job that resumes from it fails when the anneal checks its start.
+	corrupt := PlaceRequest{Trace: testTrace(t), Seed: 1, Iterations: 4000}
+	appendRaw(t, dir,
+		journalRecord{T: recJobAccept, ID: "job-000001", Req: &corrupt},
+		journalRecord{T: recJobDone, ID: "job-000001", Result: &Result{Policy: PolicyAnneal, Placement: make([]int, 48)}},
+	)
+	_, base, stop := startJournaled(t, dir, Options{Workers: 1})
+	_, cold := submit(t, base, req)
+	getRaw(t, base, cold, "1m") // its result is cached before it is done
+	_, hit := submit(t, base, req)
+	_, failed := submit(t, base, PlaceRequest{Trace: testTrace(t), Seed: 5, Iterations: 4000, Resume: "job-000001"})
+
+	cases := []struct {
+		name, id, status string
+		cacheHit         bool
+	}{
+		{"cold done", cold, statusDone, false},
+		{"cache hit", hit, statusDone, true},
+		{"failed", failed, statusFailed, false},
+	}
+	want := make(map[string][]byte)
+	for _, c := range cases {
+		raw := getRaw(t, base, c.id, "1m")
+		var js JobStatus
+		if err := json.Unmarshal(raw, &js); err != nil {
+			t.Fatal(err)
+		}
+		if js.Status != c.status || js.CacheHit != c.cacheHit || js.Trace.Items != 48 {
+			t.Fatalf("%s: before restart %s", c.name, raw)
+		}
+		want[c.id] = raw
+	}
 	stop()
 
-	_, base2, _ := startJournaled(t, dir, Options{Workers: 1, DisableCache: true})
-	got := getJob(t, base2, id)
-	if got.Status != statusDone {
-		t.Fatalf("journaled terminal job came back %s", got.Status)
-	}
-	if fmt.Sprint(got.Result.Placement) != fmt.Sprint(want.Result.Placement) {
-		t.Errorf("stored result mutated across restart")
+	_, base2, _ := startJournaled(t, dir, Options{Workers: 1})
+	for _, c := range cases {
+		got := jobBytes(t, getRaw(t, base2, c.id, ""), "elapsed_ms", "progress")
+		if w := jobBytes(t, want[c.id], "elapsed_ms", "progress"); got != w {
+			t.Errorf("%s: GET diverged across restart:\n pre: %s\npost: %s", c.name, w, got)
+		}
 	}
 }
 

@@ -1,0 +1,7 @@
+//go:build !race
+
+package serve
+
+// raceEnabled reports a build under the race detector (see
+// race_on_test.go).
+const raceEnabled = false

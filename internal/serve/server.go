@@ -21,6 +21,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 	"repro/internal/layout"
@@ -88,14 +89,19 @@ const (
 
 // tenantLabel normalizes a request's tenant for the labeled series:
 // empty means "default", and anything longer than 64 bytes is truncated
-// (the vec's cardinality cap bounds the series count either way; this
-// just keeps individual label values scrape-friendly).
+// at the last rune boundary at or below 64 bytes, so the label stays
+// valid UTF-8 (the vec's cardinality cap bounds the series count either
+// way; this just keeps individual label values scrape-friendly).
 func tenantLabel(tenant string) string {
 	if tenant == "" {
 		return "default"
 	}
 	if len(tenant) > 64 {
-		return tenant[:64]
+		cut := 64
+		for cut > 0 && !utf8.RuneStart(tenant[cut]) {
+			cut--
+		}
+		return tenant[:cut]
 	}
 	return tenant
 }
@@ -206,7 +212,7 @@ type Server struct {
 	mu        sync.Mutex
 	jobs      map[string]*job   //dwmlint:guard mu
 	byKey     map[string]string //dwmlint:guard mu — ClientKey → job ID, first wins
-	queue     chan *job         // channel ops self-synchronize; mu only guards replacing it
+	queue     chan *task        // channel ops self-synchronize; mu only guards replacing it
 	accepting bool              //dwmlint:guard mu
 	isReady   bool              //dwmlint:guard mu
 	nextID    int64             //dwmlint:guard mu
@@ -246,7 +252,7 @@ func New(opts Options) (*Server, error) {
 	// channel is sized to hold every unfinished recovered job on top of
 	// the configured capacity, so requeueing can never block or deadlock
 	// against a pool that is not running yet.
-	var requeue []*job
+	var requeue []*task
 	if opts.Journal != nil {
 		var err error
 		requeue, err = s.recover()
@@ -258,13 +264,13 @@ func New(opts Options) (*Server, error) {
 	if len(requeue) > qcap {
 		qcap = len(requeue)
 	}
-	s.queue = make(chan *job, qcap)
-	for _, j := range requeue {
+	s.queue = make(chan *task, qcap)
+	for _, t := range requeue {
 		// Depth accounting is symmetric with handlePlace: increment
 		// strictly before the send, decrement at the dequeue in runJob, so
 		// the gauge can never go transiently negative.
 		obsQueueDepth.Add(1)
-		s.queue <- j
+		s.queue <- t
 		obsRequeuedJobs.Inc()
 	}
 	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
@@ -312,14 +318,15 @@ func New(opts Options) (*Server, error) {
 // mutations to keep the lock discipline uniform (uncontended here).
 //
 // Terminal jobs come back exactly as journaled: their results were
-// derived once and the stored bytes are served as-is. Unfinished jobs
-// are re-run from the request — cold, with no cache plan — because a
-// job's result is a pure function of its request; re-deriving is what
-// makes the recovered placement byte-identical to an uninterrupted
-// run. Journaled checkpoints only pre-seed the recovered job's
-// best-so-far, so cancelling right after recovery still returns the
-// pre-crash best.
-func (s *Server) recover() ([]*job, error) {
+// derived once and the stored bytes are served as-is. Their trace is
+// parsed only to fill the job's TraceInfo; neither the trace nor the
+// request text is kept. Unfinished jobs are re-run from the request —
+// cold, with no cache plan — because a job's result is a pure function
+// of its request; re-deriving is what makes the recovered placement
+// byte-identical to an uninterrupted run. Journaled checkpoints only
+// pre-seed the recovered job's best-so-far, so cancelling right after
+// recovery still returns the pre-crash best.
+func (s *Server) recover() ([]*task, error) {
 	st, err := replayJournal(s.opts.Journal)
 	if err != nil {
 		return nil, err
@@ -327,11 +334,14 @@ func (s *Server) recover() ([]*job, error) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var requeue []*job
+	var requeue []*task
 	for _, id := range st.jobOrder {
 		rec := st.jobs[id]
+		j := &job{id: id, tc: rec.traceContext(), done: closedCh}
 		tr, terr := parseTrace(rec.req)
-		j := &job{id: id, req: rec.req, tr: tr, tc: rec.traceContext(), done: closedCh}
+		if terr == nil {
+			j.info = traceInfo(tr)
+		}
 		switch {
 		case terr != nil:
 			// The trace was valid when accepted (acceptance journals after
@@ -348,13 +358,12 @@ func (s *Server) recover() ([]*job, error) {
 			j.cacheHit = rec.cacheHit
 		default:
 			j.status = statusQueued
-			j.enqueued = now
 			j.done = make(chan struct{})
 			if rec.ckpt != nil {
 				j.ckpt = layout.Placement(rec.ckpt)
 				j.ckptCost = rec.ckptCost
 			}
-			requeue = append(requeue, j)
+			requeue = append(requeue, &task{j: j, req: rec.req, tr: tr, enqueued: now})
 		}
 		s.jobs[id] = j
 		if k := rec.req.ClientKey; k != "" {
@@ -595,16 +604,18 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if plan != nil {
 		hit = plan.hit
 	}
-	j := &job{req: req, tr: tr, tc: tc}
+	j := &job{tc: tc, info: traceInfo(tr)}
+	var t *task
 	if hit != nil {
 		// Exact hit: the job is born finished and never touches the
 		// worker pool. It is still registered and journaled, so GET
 		// /v1/jobs/{id} and a restart treat it like any finished job.
 		j.status, j.result, j.cacheHit, j.done = statusDone, hit, true, closedCh
 	} else {
-		j.status, j.resume, j.plan, j.done = statusQueued, resume, plan, make(chan struct{})
+		j.status, j.done = statusQueued, make(chan struct{})
+		t = &task{j: j, req: req, tr: tr, resume: resume, plan: plan}
 	}
-	owner, outcome, err := s.admit(rctx, j, hit)
+	owner, outcome, err := s.admit(rctx, &req, j, t, hit)
 	// A miss is counted here; a warm start is NOT — a near-match found by
 	// the planner only becomes a warm start if execute adopts it over the
 	// policy's own start, and the accounting lives at that point of
@@ -640,7 +651,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, JobStatus{
 			ID:      j.id,
 			Status:  statusQueued,
-			Trace:   TraceInfo{Name: tr.Name, Accesses: tr.Len(), Items: tr.NumItems},
+			Trace:   j.info,
 			TraceID: tc.TraceID,
 		})
 	}
@@ -658,16 +669,17 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 //  5. journals the acceptance — and, for a job born finished from a
 //     cache hit, its completion — so the job is durable before the 202
 //     leaves the server;
-//  6. enqueues a queued job;
+//  6. enqueues a queued job's task;
 //  7. registers the job and its ClientKey.
 //
-// hit is the result of a job born finished from a cache hit, nil for a
-// job that goes to the queue. admit returns the job that answers the
-// request (j, or the owner of j's ClientKey), the outcome label, and the
-// refusal as an error. A refused submission leaves no state behind; a
-// journal refusal skips the minted ID.
-func (s *Server) admit(ctx context.Context, j *job, hit *Result) (*job, string, error) {
-	key := j.req.ClientKey
+// req is the validated request and j the job minted for it. Exactly one
+// of t and hit is set: t is the run of a job that goes to the queue,
+// hit the result of a job born finished from a cache hit. admit returns
+// the job that answers the request (j, or the owner of req's ClientKey),
+// the outcome label, and the refusal as an error. A refused submission
+// leaves no state behind; a journal refusal skips the minted ID.
+func (s *Server) admit(ctx context.Context, req *PlaceRequest, j *job, t *task, hit *Result) (*job, string, error) {
+	key := req.ClientKey
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if key != "" {
@@ -688,12 +700,12 @@ func (s *Server) admit(ctx context.Context, j *job, hit *Result) (*job, string, 
 		return nil, outcomeRejected, fmt.Errorf("queue full (%d jobs); retry later", s.opts.queueCap())
 	}
 	s.nextID++
-	j.id, j.enqueued = fmt.Sprintf("job-%06d", s.nextID), time.Now()
+	j.id = fmt.Sprintf("job-%06d", s.nextID)
 	// Journaling under s.mu keeps journal order consistent with ID
 	// order, so replay rebuilds the same sequence. If the journal is
 	// unavailable the job is not accepted — durability was the promise
 	// the 202 would have made.
-	recs := []journalRecord{{T: recJobAccept, ID: j.id, Req: &j.req, Trace: j.tc.TraceParent()}}
+	recs := []journalRecord{{T: recJobAccept, ID: j.id, Req: req, Trace: j.tc.TraceParent()}}
 	if hit != nil {
 		recs = append(recs, journalRecord{T: recJobDone, ID: j.id, Result: hit, CacheHit: true})
 	}
@@ -711,7 +723,8 @@ func (s *Server) admit(ctx context.Context, j *job, hit *Result) (*job, string, 
 		// pops the job the instant it lands can never observe (or
 		// produce) a negative depth.
 		obsQueueDepth.Add(1)
-		s.queue <- j
+		t.enqueued = time.Now()
+		s.queue <- t
 	}
 	s.jobs[j.id] = j
 	if key != "" {
@@ -940,16 +953,18 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 // whatever was accepted.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.runJob(j)
+	for t := range s.queue {
+		s.runJob(t)
 	}
 }
 
-// runJob executes one job with panic isolation: a panic inside the
-// placement pipeline fails that job (with its stack) and the worker
+// runJob executes one job's task with panic isolation: a panic inside
+// the placement pipeline fails that job (with its stack) and the worker
 // survives to serve the next one — the bench.RunContext recovery
-// pattern.
-func (s *Server) runJob(j *job) {
+// pattern. The task's inputs are read here and nowhere else, so they
+// are garbage once runJob returns.
+func (s *Server) runJob(t *task) {
+	j := t.j
 	obsQueueDepth.Add(-1)
 	start := time.Now()
 
@@ -960,7 +975,7 @@ func (s *Server) runJob(j *job) {
 	// trace, journal replay included (j.tc survives recovery).
 	base := obs.ContextWithTrace(context.Background(), j.tc)
 	var cancels []context.CancelFunc
-	if d := s.opts.deadlineFor(j.req); d > 0 {
+	if d := s.opts.deadlineFor(t.req); d > 0 {
 		ctx, cancel := context.WithTimeout(base, d)
 		base, cancels = ctx, append(cancels, cancel)
 	}
@@ -972,10 +987,10 @@ func (s *Server) runJob(j *job) {
 		}
 	}()
 
-	obsQueueWaitMS.Observe(start.Sub(j.enqueued).Milliseconds())
+	obsQueueWaitMS.Observe(start.Sub(t.enqueued).Milliseconds())
 	ctx, span := obs.StartSpan(ctx, "serve.job.run")
 	defer span.End()
-	span.SetAttr("id", j.id).SetAttr("trace", j.tr.Name)
+	span.SetAttr("id", j.id).SetAttr("trace", j.info.Name)
 	j.mu.Lock()
 	j.status = statusRunning
 	j.cancel = cancel
@@ -992,7 +1007,7 @@ func (s *Server) runJob(j *job) {
 		// The per-tenant latency series records the job's trace ID as a
 		// bucket exemplar: the /metrics scrape links a slow bucket to a
 		// concrete drainable trace.
-		obsTenantWallMS.With(tenantLabel(j.req.Tenant)).ObserveTrace(elapsed.Milliseconds(), j.tc.TraceID)
+		obsTenantWallMS.With(tenantLabel(t.req.Tenant)).ObserveTrace(elapsed.Milliseconds(), j.tc.TraceID)
 		span.SetAttr("failed", errMsg != "")
 		j.mu.Lock()
 		j.elapsedMS = elapsed.Milliseconds()
@@ -1002,8 +1017,8 @@ func (s *Server) runJob(j *job) {
 			j.errMsg = errMsg
 			obsFailed.Inc()
 		} else {
-			j.status = statusDone
-			j.result = res
+			// The result supersedes the checkpoint (best reads it first).
+			j.status, j.result, j.ckpt = statusDone, res, nil
 			obsDone.Inc()
 			if res.Partial {
 				obsPartial.Inc()
@@ -1048,9 +1063,9 @@ func (s *Server) runJob(j *job) {
 	}
 	var prebuiltGraph *graph.Graph
 	var warm layout.Placement
-	if j.plan != nil {
-		prebuiltGraph = j.plan.g
-		warm = j.plan.warm
+	if t.plan != nil {
+		prebuiltGraph = t.plan.g
+		warm = t.plan.warm
 	}
 	// Warm-start accounting fires only when execute actually adopts the
 	// cached near-match (it must beat the policy's own start): both the
@@ -1062,7 +1077,7 @@ func (s *Server) runJob(j *job) {
 			s.cache.NoteWarmApplied()
 		}
 	}
-	res, err := execute(ctx, j.req, j.tr, prebuiltGraph, j.resume, warm, warmApplied, checkpoint, j.recordProgress)
+	res, err := execute(ctx, t.req, t.tr, prebuiltGraph, t.resume, warm, warmApplied, checkpoint, j.recordProgress)
 	if err != nil {
 		finish(nil, err.Error())
 		return
@@ -1072,8 +1087,8 @@ func (s *Server) runJob(j *job) {
 	// caller woken by the job's completion may resubmit at once, and that
 	// resubmission must hit. Put is first-wins, so concurrent duplicates
 	// cannot flap the stored bytes.
-	if j.plan != nil && !res.Partial && s.cache != nil {
-		s.cache.Put(j.plan.key, storeEntry(j.plan.canon, res))
+	if t.plan != nil && !res.Partial && s.cache != nil {
+		s.cache.Put(t.plan.key, storeEntry(t.plan.canon, res))
 	}
 	finish(res, "")
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -238,5 +239,32 @@ func TestTenantExcludedFromIdentity(t *testing.T) {
 	}
 	if RequestTrace(a) != RequestTrace(b) {
 		t.Fatal("tenant changed the derived trace")
+	}
+}
+
+// TestTenantLabel pins tenant normalization: empty is "default", and a
+// tenant longer than 64 bytes is cut at the last rune boundary at or
+// below 64 bytes, so a multi-byte character straddling the cut is
+// dropped whole instead of leaving an invalid UTF-8 label.
+func TestTenantLabel(t *testing.T) {
+	a := func(n int) string { return strings.Repeat("a", n) }
+	for _, c := range []struct {
+		name, tenant, want string
+	}{
+		{"empty", "", "default"},
+		{"ascii", "acme", "acme"},
+		{"exactly 64 bytes", a(64), a(64)},
+		{"ascii over 64 bytes", a(70), a(64)},
+		{"2-byte rune straddles the cut", a(63) + "é" + "z", a(63)},
+		{"4-byte rune straddles the cut", a(62) + "😀" + "z", a(62)},
+		{"2-byte rune ends at the cut", a(62) + "é" + "z", a(62) + "é"},
+	} {
+		got := tenantLabel(c.tenant)
+		if got != c.want {
+			t.Errorf("%s: tenantLabel = %q, want %q", c.name, got, c.want)
+		}
+		if !utf8.ValidString(got) || len(got) > 64 {
+			t.Errorf("%s: label %q is not valid UTF-8 of at most 64 bytes", c.name, got)
+		}
 	}
 }
