@@ -18,7 +18,8 @@
 // them, and the process exits nonzero.
 //
 // -cache DIR memoizes the anneal stages of the suite in a persistent
-// placement cache at DIR/placecache.jsonl (see internal/placecache):
+// placement cache, a segment log under DIR/placecache/ (see
+// internal/placecache and internal/wal):
 // re-running a sweep replays cached anneal results byte-exactly instead
 // of re-searching. Each -json report row records whether its experiment
 // ran against the cache ("hit"/"miss"/"off") so repeated runs stay
@@ -51,7 +52,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -258,18 +258,13 @@ func run(ctx context.Context, opts options) error {
 
 	cfg := bench.Config{Seed: opts.seed, Workers: opts.workers, Timeout: opts.timeout}
 	if opts.cacheDir != "" {
-		if err := os.MkdirAll(opts.cacheDir, 0o755); err != nil {
-			return err
-		}
-		pc, err := placecache.New(placecache.Options{
-			Path: filepath.Join(opts.cacheDir, "placecache.jsonl"),
-		})
+		pc, err := placecache.New(placecache.Options{Dir: opts.cacheDir})
 		if err != nil {
 			return err
 		}
 		defer pc.Close()
-		fmt.Fprintf(os.Stderr, "dwmbench: placement cache at %s (%d entries loaded)\n",
-			filepath.Join(opts.cacheDir, "placecache.jsonl"), pc.Len())
+		fmt.Fprintf(os.Stderr, "dwmbench: placement cache in %s (%d entries loaded)\n",
+			opts.cacheDir, pc.Len())
 		cfg.Cache = pc.ForAnneal("linear")
 	}
 	results, runErr := bench.RunContext(ctx, cfg, selected...)

@@ -12,8 +12,9 @@
 //
 // The placement cache (on by default, in memory) serves duplicate and
 // renumber-equivalent anneal requests without re-running the search;
-// -cache DIR persists it to DIR/placecache.jsonl across restarts and
-// -cache-entries 0 disables caching entirely.
+// -cache DIR persists it across restarts in a checksummed segment log
+// under DIR/placecache/ (internal/wal; -cache and -journal may name the
+// same DIR) and -cache-entries 0 disables caching entirely.
 //
 // -journal DIR turns on the write-ahead journal (DESIGN.md §15): every
 // accepted job, checkpoint, terminal result, and stream batch is
@@ -48,7 +49,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -87,22 +87,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	var cache *placecache.Cache
 	if *cacheEntries > 0 {
-		copts := placecache.Options{MaxEntries: *cacheEntries}
-		if *cacheDir != "" {
-			if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-				return err
-			}
-			copts.Path = filepath.Join(*cacheDir, "placecache.jsonl")
-		}
-		c, err := placecache.New(copts)
+		c, err := placecache.New(placecache.Options{MaxEntries: *cacheEntries, Dir: *cacheDir})
 		if err != nil {
 			return err
 		}
 		cache = c
 		defer cache.Close()
-		if copts.Path != "" {
-			fmt.Fprintf(out, "dwmserved: placement cache at %s (%d entries loaded)\n",
-				copts.Path, cache.Len())
+		if *cacheDir != "" {
+			fmt.Fprintf(out, "dwmserved: placement cache in %s (%d entries loaded)\n",
+				*cacheDir, cache.Len())
 		}
 	}
 

@@ -218,3 +218,106 @@ func TestRunImmediateShutdown(t *testing.T) {
 		t.Fatalf("idle shutdown: %v", err)
 	}
 }
+
+// startDaemon runs the daemon with args on a kernel-chosen port and
+// returns its base URL and a stop function that cancels it and returns
+// run's error.
+func startDaemon(t *testing.T, out *bytes.Buffer, args ...string) (string, func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-addrfile", addrFile}, args...), out)
+	}()
+	base := "http://" + waitAddrFile(t, addrFile)
+	return base, func() error {
+		cancel()
+		return <-runErr
+	}
+}
+
+// request sends one HTTP request and returns the status code and body.
+func request(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, buf.Bytes()
+}
+
+// TestCacheAndJournalShareDir points -cache and -journal at one
+// directory. The cache's log lives in its own subdirectory, so after a
+// restart both replay intact: the journal serves the finished job by
+// ID, and the cache answers a resubmission as a hit with the same
+// result bytes.
+func TestCacheAndJournalShareDir(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-workers", "1", "-cache", dir, "-journal", dir}
+
+	var enc bytes.Buffer
+	if err := trace.Encode(&enc, workload.Zipf(24, 2000, 1.2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(serve.PlaceRequest{Trace: enc.String(), Seed: 3, Iterations: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	base, stop := startDaemon(t, &out, args...)
+	code, raw := request(t, http.MethodPost, base+"/v1/place", body)
+	var first serve.JobStatus
+	if err := json.Unmarshal(raw, &first); err != nil || code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, body %s", code, raw)
+	}
+	_, raw = request(t, http.MethodGet, base+"/v1/jobs/"+first.ID+"?wait=30s", nil)
+	if err := json.Unmarshal(raw, &first); err != nil || first.Status != "done" {
+		t.Fatalf("job did not finish: %s", raw)
+	}
+	want, err := json.Marshal(first.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("first daemon: %v", err)
+	}
+
+	out.Reset()
+	base, stop = startDaemon(t, &out, args...)
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("second daemon: %v", err)
+		}
+	}()
+	if !strings.Contains(out.String(), "(1 entries loaded)") {
+		t.Fatalf("cache did not replay its entry:\n%s", out.String())
+	}
+	var replayed, hit serve.JobStatus
+	_, raw = request(t, http.MethodGet, base+"/v1/jobs/"+first.ID, nil)
+	if err := json.Unmarshal(raw, &replayed); err != nil || replayed.Status != "done" {
+		t.Fatalf("journal did not replay job %s: %s", first.ID, raw)
+	}
+	_, raw = request(t, http.MethodPost, base+"/v1/place", body)
+	if err := json.Unmarshal(raw, &hit); err != nil || !hit.CacheHit {
+		t.Fatalf("resubmission after restart was not a cache hit: %s", raw)
+	}
+	for name, st := range map[string]serve.JobStatus{"replayed job": replayed, "cache hit": hit} {
+		got, err := json.Marshal(st.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s result differs from the original:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}

@@ -91,12 +91,6 @@ type AnnealOptions struct {
 	// Restarts > 1 it is called concurrently from every chain; keep
 	// per-chain state keyed on Chain.
 	Progress func(AnnealProgress)
-	// Warmstart, when non-nil, replaces the input placement as the
-	// chain's starting point. The serving layer uses it to seed the
-	// search from a cached near-match instead of the caller's heuristic
-	// start. Determinism is unaffected: the result is still a pure
-	// function of (graph, effective start, options).
-	Warmstart layout.Placement
 	// Cache, when non-nil, is consulted before annealing and updated
 	// with the result afterwards. A hit returns the memoized placement
 	// without running any chain.
@@ -139,13 +133,6 @@ func Anneal(g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Plac
 // error: placement != nil with errors.Is(err, ctx.Err()) means
 // "interrupted but usable".
 func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
-	if opts.Warmstart != nil {
-		// Clone: the warm start often comes from a cache or another
-		// session, and nothing downstream may ever write through to the
-		// caller's slice.
-		p = opts.Warmstart.Clone()
-		opts.Warmstart = nil
-	}
 	c := g.Freeze()
 	cache := opts.Cache
 	opts.Cache = nil // chains must not re-consult the cache
@@ -164,7 +151,7 @@ func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts
 }
 
 // annealCSR runs the chain (or concurrent restart chains) over a frozen
-// graph; AnnealContext handles warm-start substitution and the cache.
+// graph; AnnealContext handles the cache.
 func annealCSR(ctx context.Context, c *graph.CSR, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
 	if opts.Restarts <= 1 {
 		return annealChain(ctx, c, p, opts)

@@ -49,7 +49,7 @@ func TestTwoOptReachesLocalOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No single swap can improve further.
-	ev, err := cost.NewEvaluator(g, p)
+	ev, err := cost.NewEvaluatorCSR(g.Freeze(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTwoOptDoesNotMutateInput(t *testing.T) {
 // reproduce exactly: every slot pair in the window is priced in full with
 // the evaluator's SwapDelta, and each improving swap is applied at once.
 func twoOptReference(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Placement, int64, error) {
-	ev, err := cost.NewEvaluator(g, p)
+	ev, err := cost.NewEvaluatorCSR(g.Freeze(), p)
 	if err != nil {
 		return nil, 0, err
 	}

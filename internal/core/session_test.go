@@ -87,28 +87,44 @@ func TestSessionChunkInvarianceWithRestarts(t *testing.T) {
 }
 
 // TestSessionCostMatchesColdRecompute checks the incremental cost
-// bookkeeping end to end: the snapshot cost must equal a cold
-// FromTrace + Freeze + LinearCSR recompute over exactly the ingested
-// accesses.
+// bookkeeping end to end: after every Append of a chunked stream, the
+// snapshot cost must equal a cold FromTrace + Freeze + LinearCSR
+// recompute over exactly the accesses ingested so far — across flushes
+// of partial tails and the rounds that replace the placement.
 func TestSessionCostMatchesColdRecompute(t *testing.T) {
 	opts := SessionOptions{Items: 40, Seed: 3, RoundEvery: 300, RoundIterations: 1200}
 	accesses := sessionAccesses(9, opts.Items, 1700) // deliberately not a multiple of RoundEvery
-	snap := runSession(t, opts, accesses, func(i int) int { return 1 + i%7 })
-
+	s, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := trace.New("session-recompute", opts.Items)
-	for _, a := range accesses {
-		tr.Read(a)
+	for i := 0; i < len(accesses); {
+		k := min(1+i%7, len(accesses)-i)
+		if err := s.Append(context.Background(), accesses[i:i+k]); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range accesses[i : i+k] {
+			tr.Read(a)
+		}
+		i += k
+
+		snap := s.Snapshot()
+		g, err := graph.FromTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := cost.LinearCSR(g.Freeze(), snap.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold != snap.Cost {
+			t.Fatalf("after %d accesses: snapshot cost %d != cold recompute %d", i, snap.Cost, cold)
+		}
 	}
-	g, err := graph.FromTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := cost.LinearCSR(g.Freeze(), snap.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold != snap.Cost {
-		t.Fatalf("snapshot cost %d != cold recompute %d", snap.Cost, cold)
+	snap := s.Snapshot()
+	if snap.Rounds == 0 {
+		t.Fatal("test exercised no improvement rounds")
 	}
 	if err := snap.Placement.Validate(opts.Items); err != nil {
 		t.Fatalf("snapshot placement invalid: %v", err)

@@ -20,29 +20,6 @@ func reversed(n int) layout.Placement {
 	return p
 }
 
-// TestAnnealWarmstartEquivalentToDirectStart pins the Warmstart
-// semantics: passing a start through opts.Warmstart is byte-identical to
-// passing it as the placement argument. This is the determinism property
-// the serving layer relies on when it substitutes a cached near-match.
-func TestAnnealWarmstartEquivalentToDirectStart(t *testing.T) {
-	g := annealTestGraph(t)
-	warm := reversed(g.N())
-	opts := AnnealOptions{Seed: 9, Iterations: 6000}
-
-	direct, directCost, err := Anneal(g, warm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Warmstart = warm
-	viaOpt, viaCost, err := Anneal(g, layout.Identity(g.N()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if directCost != viaCost || !reflect.DeepEqual(direct, viaOpt) {
-		t.Fatalf("Warmstart diverged from direct start: cost %d vs %d", directCost, viaCost)
-	}
-}
-
 // TestAnnealWarmstartNeverWorseThanItsSeed checks the monotonicity that
 // makes warm-starting safe: re-annealing from a previous best at the
 // same budget cannot end above that best's cost (best-so-far starts
@@ -54,9 +31,7 @@ func TestAnnealWarmstartNeverWorseThanItsSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reOpts := opts
-	reOpts.Warmstart = cold
-	_, warmCost, err := Anneal(g, layout.Identity(g.N()), reOpts)
+	_, warmCost, err := Anneal(g, cold, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,27 +41,27 @@ func TestAnnealWarmstartNeverWorseThanItsSeed(t *testing.T) {
 }
 
 // TestAnnealWarmstartInputNotMutated is the regression test for the
-// adopt-without-clone bug: the annealer took opts.Warmstart by reference,
-// so a future write through the adopted slice would have corrupted the
-// caller's (possibly cached and shared) placement. The input must be
-// byte-identical after a full run, including one with restarts.
+// adopt-without-clone bug: a warm start often comes from a cache or a
+// streaming session and is shared, so a write through it would corrupt
+// the caller's placement. The start must be byte-identical after a full
+// run, including one with restarts.
 func TestAnnealWarmstartInputNotMutated(t *testing.T) {
 	g := annealTestGraph(t)
 	warm := reversed(g.N())
 	orig := warm.Clone()
-	opts := AnnealOptions{Seed: 13, Iterations: 6000, Warmstart: warm}
-	if _, _, err := Anneal(g, layout.Identity(g.N()), opts); err != nil {
+	opts := AnnealOptions{Seed: 13, Iterations: 6000}
+	if _, _, err := Anneal(g, warm, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(warm, orig) {
-		t.Fatal("Anneal mutated the caller's Warmstart slice")
+		t.Fatal("Anneal mutated the caller's start placement")
 	}
-	opts = AnnealOptions{Seed: 13, Iterations: 4000, Restarts: 3, Warmstart: warm}
-	if _, _, err := Anneal(g, layout.Identity(g.N()), opts); err != nil {
+	opts = AnnealOptions{Seed: 13, Iterations: 4000, Restarts: 3}
+	if _, _, err := Anneal(g, warm, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(warm, orig) {
-		t.Fatal("Anneal with restarts mutated the caller's Warmstart slice")
+		t.Fatal("Anneal with restarts mutated the caller's start placement")
 	}
 }
 
@@ -233,10 +208,8 @@ func BenchmarkAnnealWarmstart(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		wOpts := opts
-		wOpts.Warmstart = warm
 		for i := 0; i < b.N; i++ {
-			if _, _, err := Anneal(g, start, wOpts); err != nil {
+			if _, _, err := Anneal(g, warm, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,7 +28,7 @@ func benchGraph(b *testing.B, n, edges int) *graph.Graph {
 
 func BenchmarkSwapDelta(b *testing.B) {
 	g := benchGraph(b, 1024, 1<<15)
-	ev, err := NewEvaluator(g, layout.Identity(g.N()))
+	ev, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(g.N()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkNewEvaluator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewEvaluator(g, p); err != nil {
+		if _, err := NewEvaluatorCSR(g.Freeze(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

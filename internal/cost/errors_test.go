@@ -43,19 +43,20 @@ func TestEvaluatorVerifyDetectsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.AddWeight(0, 1, 2)
-	e, err := NewEvaluator(g, layout.Identity(3))
+	g.AddWeight(1, 2, 5)
+	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Verify(); err != nil {
 		t.Fatalf("fresh evaluator fails verify: %v", err)
 	}
-	// The adjacency snapshot means later graph edits are not observed:
-	// Verify must flag the divergence between the snapshot-based cost
-	// and a fresh recomputation.
-	g.AddWeight(1, 2, 5)
+	// A swap applied with a delta priced on another placement corrupts
+	// the tracked cost: Verify must flag the divergence between it and
+	// a fresh recomputation.
+	e.SwapKnown(0, 2, e.SwapDelta(0, 2)+1)
 	if err := e.Verify(); err == nil {
-		t.Error("Verify missed a cost drift after graph mutation")
+		t.Error("Verify missed a cost drift after a mispriced swap")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 // with no sorting or per-vertex allocation.
 type Evaluator struct {
 	csr *graph.CSR
-	g   *graph.Graph // live graph when known, for the tests' Verify; nil if CSR-built
 	pos layout.Placement
 	cur int64
 
@@ -24,21 +23,9 @@ type Evaluator struct {
 	weights []int64
 }
 
-// NewEvaluator builds an evaluator for a placement that must be a
-// permutation of [0, g.N()). The graph is frozen at construction (reusing
-// the graph's cached CSR when available); edits to the graph afterwards
-// are not observed.
-func NewEvaluator(g *graph.Graph, p layout.Placement) (*Evaluator, error) {
-	e, err := NewEvaluatorCSR(g.Freeze(), p)
-	if err != nil {
-		return nil, err
-	}
-	e.g = g
-	return e, nil
-}
-
-// NewEvaluatorCSR builds an evaluator directly on a frozen CSR view,
-// sharing it with any other consumers (the CSR is immutable).
+// NewEvaluatorCSR builds an evaluator on a frozen CSR view for a
+// placement that must be a permutation of [0, c.N()), sharing the view
+// with any other consumers (the CSR is immutable).
 func NewEvaluatorCSR(c *graph.CSR, p layout.Placement) (*Evaluator, error) {
 	if err := p.Validate(c.N()); err != nil {
 		return nil, err

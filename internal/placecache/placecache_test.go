@@ -1,16 +1,18 @@
 package placecache
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 func testKey(i int) Key {
@@ -106,9 +108,62 @@ func TestCanonizeDecanonizeRoundtrip(t *testing.T) {
 	}
 }
 
+// segPath is the cache's first (and, in these tests, only) log segment.
+func segPath(dir string) string {
+	return filepath.Join(dir, "placecache", "wal-00000001.seg")
+}
+
+// recordEnds returns the byte offset just past each framed record in a
+// segment: [4-byte length][4-byte CRC][payload], per internal/wal.
+func recordEnds(t *testing.T, raw []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(raw); {
+		off += 8 + int(binary.LittleEndian.Uint32(raw[off:off+4]))
+		if off > len(raw) {
+			t.Fatalf("segment ends inside a record (%d > %d bytes)", off, len(raw))
+		}
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// putAndClose stores testEntry records under keys ks in a cache on dir.
+func putAndClose(t *testing.T, dir string, ks ...int) {
+	t.Helper()
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range ks {
+		c.Put(testKey(i), testEntry(4+i, uint64(i)))
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reopen loads the cache on dir and checks it holds exactly keys ks.
+func reopen(t *testing.T, dir string, ks ...int) *Cache {
+	t.Helper()
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != len(ks) {
+		t.Fatalf("reloaded %d entries, want %d (keys %v)", c.Len(), len(ks), ks)
+	}
+	for _, i := range ks {
+		if _, ok := c.Get(testKey(i)); !ok {
+			t.Fatalf("key %d missing after reload", i)
+		}
+	}
+	return c
+}
+
 func TestPersistenceRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := New(Options{MaxEntries: 8, Path: path})
+	dir := t.TempDir()
+	c, err := New(Options{MaxEntries: 8, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +177,7 @@ func TestPersistenceRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := New(Options{MaxEntries: 8, Path: path})
+	re, err := New(Options{MaxEntries: 8, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,101 +201,111 @@ func TestPersistenceRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPersistenceSkipsCorruptLines pins what a flipped byte costs: the
+// cache keeps the longest valid prefix of the log and loses every
+// record from the damaged one to the end of its segment, which the wal
+// copies to a .quarantine file. Losing entries is allowed; serving the
+// damaged one, or a record after it, is not. Appends continue after the
+// prefix and survive the next reload.
 func TestPersistenceSkipsCorruptLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := New(Options{Path: path})
+	dir := t.TempDir()
+	putAndClose(t, dir, 1, 2, 3)
+
+	raw, err := os.ReadFile(segPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(testKey(1), testEntry(4, 7))
-	c.Put(testKey(2), testEntry(5, 8))
-	if err := c.Close(); err != nil {
+	ends := recordEnds(t, raw)
+	if len(ends) != 3 {
+		t.Fatalf("log holds %d records, want 3", len(ends))
+	}
+	raw[ends[0]+8+5] ^= 0x20 // a payload byte of record 2
+	if err := os.WriteFile(segPath(dir), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	re := reopen(t, dir, 1)
+	if _, err := os.Stat(segPath(dir) + ".quarantine"); err != nil {
+		t.Fatalf("damaged records not quarantined: %v", err)
+	}
+	if fi, err := os.Stat(segPath(dir)); err != nil || fi.Size() != int64(ends[0]) {
+		t.Fatalf("segment not cut to its valid prefix: %v, want %d bytes", fi, ends[0])
+	}
+	re.Put(testKey(4), testEntry(8, 4))
+	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("log has %d lines, want 2", len(lines))
-	}
-	// Corrupt line 2's checksum, add garbage and a truncated line.
-	lines[1] = strings.Replace(lines[1], `"sum":"`, `"sum":"0`, 1)
-	lines = append(lines, "not json at all", lines[0][:len(lines[0])/2])
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := New(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 1 {
-		t.Fatalf("reloaded %d entries, want 1 (corrupt lines skipped)", re.Len())
-	}
-	if _, ok := re.Get(testKey(1)); !ok {
-		t.Fatal("the intact record was not loaded")
-	}
+	reopen(t, dir, 1, 4).Close()
 }
 
 // TestPersistenceTornTailTruncateAndContinue is the crash-recovery
-// regression: a record torn mid-line (no trailing newline — what a
-// crash mid-append leaves) must be truncated away, and the NEXT record
-// appended must survive the following reload. Before truncation was
-// added, the new line was glued onto the torn fragment at the physical
-// end of the file, corrupting both.
+// regression: a record torn mid-write (what a crash mid-append leaves)
+// must be truncated away, and the NEXT record appended must survive the
+// following reload rather than be glued onto the torn fragment.
 func TestPersistenceTornTailTruncateAndContinue(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := New(Options{Path: path})
+	dir := t.TempDir()
+	putAndClose(t, dir, 1, 2)
+
+	raw, err := os.ReadFile(segPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(testKey(1), testEntry(4, 7))
-	c.Put(testKey(2), testEntry(5, 8))
-	if err := c.Close(); err != nil {
+	ends := recordEnds(t, raw)
+	cut := ends[0] + (ends[1]-ends[0])/2
+	if err := os.WriteFile(segPath(dir), raw[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Tear the tail: cut the file in the middle of record 2's line.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	re := reopen(t, dir, 1)
+	if fi, err := os.Stat(segPath(dir)); err != nil || fi.Size() != int64(ends[0]) {
+		t.Fatalf("torn tail not truncated: %v, want %d bytes", fi, ends[0])
 	}
-	firstLineEnd := strings.IndexByte(string(raw), '\n') + 1
-	cut := firstLineEnd + (len(raw)-firstLineEnd)/2
-	if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := New(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 1 {
-		t.Fatalf("reloaded %d entries after torn tail, want 1", re.Len())
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(firstLineEnd) {
-		t.Fatalf("torn tail not truncated: size %d, want %d", fi.Size(), firstLineEnd)
-	}
-	// The regression proper: continue appending after recovery, then
-	// reload once more — both the surviving and the new record must load.
 	re.Put(testKey(3), testEntry(6, 9))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := New(Options{Path: path})
+	reopen(t, dir, 1, 3).Close()
+}
+
+// TestPersistenceSkipsInvalidRecords feeds the loader records that pass
+// the wal's CRC but not the cache's own checks: the log is input from
+// outside the program, so a record that is not JSON, names a malformed
+// fingerprint or stores a non-permutation is skipped and counted, and
+// the valid records around it still load.
+func TestPersistenceSkipsInvalidRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "placecache"), Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re2.Close()
-	if re2.Len() != 2 {
-		t.Fatalf("reloaded %d entries after post-recovery append, want 2", re2.Len())
+	good := func(i int) []byte {
+		raw, err := json.Marshal(record{FP: testKey(i).FP.String(), Policy: "core.anneal",
+			Device: "linear", Seed: int64(i), Placement: []int{2, 0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	if _, ok := re2.Get(testKey(3)); !ok {
-		t.Fatal("the record appended after torn-tail recovery was lost")
+	for _, payload := range [][]byte{
+		good(1),
+		[]byte("not json"),
+		[]byte(`{"fp":"xyz","placement":[0,1]}`),
+		[]byte(`{"fp":"` + testKey(5).FP.String() + `","placement":[0,0,1]}`),
+		good(2),
+	} {
+		if err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	skipped := obsPersistSkipped.Value()
+	re := reopen(t, dir, 1, 2)
+	defer re.Close()
+	if got := obsPersistSkipped.Value() - skipped; got != 3 {
+		t.Fatalf("placecache.persist.skipped rose by %d, want 3", got)
 	}
 }
 

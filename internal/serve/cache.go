@@ -15,10 +15,10 @@ package serve
 //     solution transported onto the request's numbering — a valid
 //     placement with the same objective value, served at cache speed.
 //   - Near hit: no exact entry, but one with the same degree-profile
-//     signature and item count exists. Its placement seeds the anneal
-//     as a warm start (AnnealOptions.Warmstart) when it beats the
-//     proposed start, shrinking time-to-good-cost without changing the
-//     result's contract.
+//     signature and item count exists. Its placement replaces the
+//     proposed start as the anneal's start placement when it beats it,
+//     shrinking time-to-good-cost without changing the result's
+//     contract.
 //
 // Resume requests bypass the cache entirely (their start placement is
 // job-local state, not a function of the request), and partial results
