@@ -106,14 +106,10 @@ type Report struct {
 	SLO *SLOResult `json:"slo,omitempty"`
 }
 
-// quantile wraps stats.Quantile over a copy (it sorts in place) and
-// maps the empty-input error to 0.
+// quantile is stats.Quantile (which sorts a copy, leaving xs as it
+// was) with the empty-input error mapped to 0.
 func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	v, err := stats.Quantile(cp, q)
+	v, err := stats.Quantile(xs, q)
 	if err != nil {
 		return 0
 	}

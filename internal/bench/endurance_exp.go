@@ -52,8 +52,7 @@ func E17Variation(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		balMP, _, _, err := core.WearBalancedMultiTape(tr, tapes, tapeLen, ports,
-			core.WearBalanceOptions{})
+		balMP, _, _, err := core.WearBalancedMultiTape(tr, tapes, tapeLen, ports)
 		if err != nil {
 			return nil, err
 		}

@@ -515,7 +515,7 @@ func E7MultiTape(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			aff, err := core.AffinityPartition(gr, tapes, tapeLen, 0)
+			aff, err := core.AffinityPartition(gr, tapes, tapeLen)
 			if err != nil {
 				return nil, err
 			}
@@ -590,7 +590,7 @@ func E8Runtime(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, []string{"anneal(100n)", itoa(int64(n)), f2(float64(at.Microseconds()) / 1e3), itoa(ac)})
 
 		start = time.Now()
-		_, bc, err := core.Barycentric(g, layout.Identity(n), 0)
+		_, bc, err := core.Barycentric(g, layout.Identity(n))
 		if err != nil {
 			return nil, err
 		}

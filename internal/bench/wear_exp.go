@@ -55,8 +55,7 @@ func E13WearLeveling(cfg Config) (*Table, error) {
 			}
 		}
 
-		_, balTotal, balMax, err := core.WearBalancedMultiTape(tr, tapes, tapeLen, ports,
-			core.WearBalanceOptions{})
+		_, balTotal, balMax, err := core.WearBalancedMultiTape(tr, tapes, tapeLen, ports)
 		if err != nil {
 			return nil, err
 		}

@@ -50,6 +50,10 @@ type PlacementCache interface {
 // check is cheap, but batching it keeps it out of the per-swap path.
 const cancelCheckEvery = 1024
 
+// checkpointEvery is how many proposals a chain runs between
+// Checkpoint and Progress calls.
+const checkpointEvery = 4096
+
 // AnnealOptions tunes simulated annealing.
 type AnnealOptions struct {
 	// Seed drives the move and acceptance randomness. With Restarts > 1
@@ -74,22 +78,19 @@ type AnnealOptions struct {
 	// Checkpoint, when non-nil, periodically receives a copy of the
 	// best placement found so far and its cost, so a caller can persist
 	// partial progress (the serving layer's crash/resume story). It is
-	// invoked at most once per CheckpointEvery proposals per chain, and
-	// only when the best improved since the last call. With Restarts > 1
-	// the chains run concurrently, so the callback must be safe for
-	// concurrent use and tolerate out-of-order costs (keep the min).
+	// invoked at most once per 4096 proposals per chain (the fixed
+	// checkpointEvery cadence), and only when the best improved since
+	// the last call. With Restarts > 1 the chains run concurrently, so
+	// the callback must be safe for concurrent use and tolerate
+	// out-of-order costs (keep the min).
 	Checkpoint func(p layout.Placement, cost int64)
-	// CheckpointEvery is the proposal interval between Checkpoint calls;
-	// 0 selects 4096.
-	CheckpointEvery int
 	// Progress, when non-nil, receives cumulative search statistics on
-	// the checkpoint cadence (every CheckpointEvery proposals,
-	// improvement or not) and once more when the chain finishes. Unlike
-	// Checkpoint it never copies the placement, so it is cheap enough
-	// for live job introspection. It observes the search without
-	// influencing it — no RNG draw, no control flow depends on it. With
-	// Restarts > 1 it is called concurrently from every chain; keep
-	// per-chain state keyed on Chain.
+	// the same 4096-proposal cadence, improvement or not, and once more
+	// when the chain finishes. Unlike Checkpoint it never copies the
+	// placement, so it is cheap enough for live job introspection. It
+	// observes the search without influencing it — no RNG draw, no
+	// control flow depends on it. With Restarts > 1 it is called
+	// concurrently from every chain; keep per-chain state keyed on Chain.
 	Progress func(AnnealProgress)
 	// Cache, when non-nil, is consulted before annealing and updated
 	// with the result afterwards. A hit returns the memoized placement
@@ -261,11 +262,6 @@ func annealChain(ctx context.Context, c *graph.CSR, p layout.Placement, opts Ann
 		}
 		temp = sum/float64(samples) + 1
 	}
-	ckptEvery := opts.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = 4096
-	}
-
 	best := ev.Placement()
 	bestCost := ev.Cost()
 	ckptCost := bestCost
@@ -309,7 +305,7 @@ func annealChain(ctx context.Context, c *graph.CSR, p layout.Placement, opts Ann
 				return finish(i, err)
 			}
 		}
-		if i%ckptEvery == ckptEvery-1 {
+		if i%checkpointEvery == checkpointEvery-1 {
 			if opts.Checkpoint != nil && bestCost < ckptCost {
 				ckptCost = bestCost
 				opts.Checkpoint(best.Clone(), bestCost)

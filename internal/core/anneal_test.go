@@ -91,9 +91,8 @@ func TestAnnealContextCancelReturnsPartial(t *testing.T) {
 	defer cancel()
 	var checkpoints int
 	partial, pc, err := AnnealContext(ctx, g, p, AnnealOptions{
-		Seed:            3,
-		Iterations:      10_000_000, // far more than the test ever runs
-		CheckpointEvery: 512,
+		Seed:       3,
+		Iterations: 10_000_000, // far more than the test ever runs
 		Checkpoint: func(layout.Placement, int64) {
 			checkpoints++
 			cancel()
@@ -153,10 +152,9 @@ func TestAnnealContextCancelWithRestarts(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	partial, pc, err := AnnealContext(ctx, g, p, AnnealOptions{
-		Seed:            5,
-		Iterations:      10_000_000,
-		Restarts:        4,
-		CheckpointEvery: 512,
+		Seed:       5,
+		Iterations: 10_000_000,
+		Restarts:   4,
 		Checkpoint: func(layout.Placement, int64) {
 			once.Do(cancel)
 		},

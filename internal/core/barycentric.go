@@ -9,6 +9,10 @@ import (
 	"repro/internal/layout"
 )
 
+// barycentricIterations is Barycentric's round count, past convergence
+// on the evaluation workloads.
+const barycentricIterations = 20
+
 // Barycentric refines a placement by iterated barycenter projection, a
 // classical linear-arrangement heuristic: each item's coordinate is moved
 // to the weighted average of its neighbors' slots, items are re-ranked by
@@ -17,17 +21,13 @@ import (
 // shape that local search can then polish.
 //
 // It returns the best placement visited and its Linear cost; the input
-// placement is not mutated. Zero iterations selects 20, which is past
-// convergence on the evaluation workloads.
-func Barycentric(g *graph.Graph, p layout.Placement, iterations int) (layout.Placement, int64, error) {
+// placement is not mutated. It runs barycentricIterations rounds.
+func Barycentric(g *graph.Graph, p layout.Placement) (layout.Placement, int64, error) {
 	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, fmt.Errorf("core: Barycentric: %w", err)
 	}
 	c := g.Freeze()
 	n := c.N()
-	if iterations <= 0 {
-		iterations = 20
-	}
 	cur := p.Clone()
 	best := cur.Clone()
 	bestCost, err := cost.LinearCSR(c, cur)
@@ -37,7 +37,7 @@ func Barycentric(g *graph.Graph, p layout.Placement, iterations int) (layout.Pla
 
 	coord := make([]float64, n)
 	rank := make([]int, n)
-	for it := 0; it < iterations; it++ {
+	for it := 0; it < barycentricIterations; it++ {
 		for v := 0; v < n; v++ {
 			var sum float64
 			cols, ws := c.Row(v)

@@ -10,31 +10,27 @@ type MultilevelOptions struct {
 	// BaseSize is the instance size at which recursion stops and the
 	// greedy+2-opt pipeline solves directly; 0 selects 32.
 	BaseSize int
-	// RefineWindow is the 2-opt window used during uncoarsening; 0
-	// selects 8.
-	RefineWindow int
 }
+
+// refineWindow is the 2-opt window used during uncoarsening.
+const refineWindow = 8
 
 // Multilevel computes a placement with a coarsen–solve–uncoarsen V-cycle,
 // the scalable configuration for large item counts: heaviest-edge
 // matching contracts strongly connected item pairs, the coarse problem is
 // solved recursively, and each uncoarsening step expands pairs into
 // adjacent slots and re-refines with windowed 2-opt. One V-cycle costs
-// O(E log E + n·window·deg) and preserves global structure that flat
+// O(E log E + n·refineWindow·deg) and preserves global structure that flat
 // windowed local search cannot see.
 func Multilevel(g *graph.Graph, opts MultilevelOptions) (layout.Placement, int64, error) {
 	base := opts.BaseSize
 	if base < 4 {
 		base = 32
 	}
-	window := opts.RefineWindow
-	if window <= 0 {
-		window = 8
-	}
-	return multilevel(g, base, window)
+	return multilevel(g, base)
 }
 
-func multilevel(g *graph.Graph, base, window int) (layout.Placement, int64, error) {
+func multilevel(g *graph.Graph, base int) (layout.Placement, int64, error) {
 	n := g.N()
 	if n <= base {
 		return GreedyTwoOpt(g, TwoOptOptions{})
@@ -89,7 +85,7 @@ func multilevel(g *graph.Graph, base, window int) (layout.Placement, int64, erro
 		}
 	})
 
-	coarseP, _, err := multilevel(cg, base, window)
+	coarseP, _, err := multilevel(cg, base)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -121,5 +117,5 @@ func multilevel(g *graph.Graph, base, window int) (layout.Placement, int64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	return TwoOpt(g, p, TwoOptOptions{Window: window, MaxPasses: 2})
+	return TwoOpt(g, p, TwoOptOptions{Window: refineWindow, MaxPasses: 2})
 }

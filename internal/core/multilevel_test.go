@@ -24,7 +24,7 @@ func TestBarycentricValidAndNeverWorse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, c, err := Barycentric(g, start, 0)
+		p, c, err := Barycentric(g, start)
 		if err != nil {
 			return false
 		}
@@ -55,7 +55,7 @@ func TestBarycentricPullsCliquesTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, after, err := Barycentric(g, start, 0)
+	_, after, err := Barycentric(g, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBarycentricPullsCliquesTogether(t *testing.T) {
 func TestBarycentricRejectsBadPlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randGraph(rng, 5, 10)
-	if _, _, err := Barycentric(g, layout.Placement{0, 0, 1, 2, 3}, 5); err == nil {
+	if _, _, err := Barycentric(g, layout.Placement{0, 0, 1, 2, 3}); err == nil {
 		t.Error("invalid placement accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestMultilevelBeatsWindowedTwoOptAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flat, err := TwoOpt(g, gp, TwoOptOptions{Window: 8, MaxPasses: 2})
+	_, flat, err := TwoOpt(g, gp, TwoOptOptions{Window: refineWindow, MaxPasses: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,11 @@ import (
 type PortAwareOptions struct {
 	// Seed drives the proposal randomness.
 	Seed int64
-	// Proposals is the hill-climbing budget (each proposal re-evaluates
-	// the exact sequence cost, O(trace length)); 0 selects 2000.
-	Proposals int
 }
+
+// portAwareProposals is PortAware's hill-climbing budget. Each proposal
+// re-evaluates the exact sequence cost, O(trace length).
+const portAwareProposals = 2000
 
 // PortAware computes a placement for a single tape with multiple ports by
 // refining graph-driven starts against the exact sequence cost.
@@ -80,10 +81,6 @@ func PortAware(t *trace.Trace, tapeLen int, ports []int, opts PortAwareOptions) 
 
 	// Hill-climb with the exact objective.
 	rng := rand.New(rand.NewSource(opts.Seed))
-	proposals := opts.Proposals
-	if proposals <= 0 {
-		proposals = 2000
-	}
 	cur := best.Clone()
 	curCost := bestCost
 	occupied := make([]int, tapeLen) // slot -> item, -1 if free
@@ -93,7 +90,7 @@ func PortAware(t *trace.Trace, tapeLen int, ports []int, opts PortAwareOptions) 
 	for item, s := range cur {
 		occupied[s] = item
 	}
-	for i := 0; i < proposals; i++ {
+	for i := 0; i < portAwareProposals; i++ {
 		u := rng.Intn(n)
 		s := rng.Intn(tapeLen)
 		su := cur[u]

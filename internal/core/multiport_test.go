@@ -13,7 +13,7 @@ func TestPortAwareValidAndCompetitive(t *testing.T) {
 	tr := firTrace()
 	tapeLen := 64
 	ports := dwm.SpreadPorts(tapeLen, 2)
-	p, c, err := PortAware(tr, tapeLen, ports, PortAwareOptions{Seed: 1, Proposals: 500})
+	p, c, err := PortAware(tr, tapeLen, ports, PortAwareOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPortAwareValidAndCompetitive(t *testing.T) {
 func TestPortAwareSinglePortReduces(t *testing.T) {
 	tr := chaseTrace()
 	tapeLen := tr.NumItems
-	p, c, err := PortAware(tr, tapeLen, []int{tapeLen / 2}, PortAwareOptions{Seed: 2, Proposals: 200})
+	p, c, err := PortAware(tr, tapeLen, []int{tapeLen / 2}, PortAwareOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestPortAwareSinglePortReduces(t *testing.T) {
 func TestPortAwareMorePortsNoWorse(t *testing.T) {
 	tr := zigzagTrace()
 	tapeLen := 64
-	_, c1, err := PortAware(tr, tapeLen, dwm.SpreadPorts(tapeLen, 1), PortAwareOptions{Seed: 3, Proposals: 300})
+	_, c1, err := PortAware(tr, tapeLen, dwm.SpreadPorts(tapeLen, 1), PortAwareOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c4, err := PortAware(tr, tapeLen, dwm.SpreadPorts(tapeLen, 4), PortAwareOptions{Seed: 3, Proposals: 300})
+	_, c4, err := PortAware(tr, tapeLen, dwm.SpreadPorts(tapeLen, 4), PortAwareOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

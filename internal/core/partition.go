@@ -88,6 +88,9 @@ func ContiguousPartition(t *trace.Trace, tapes, capacity int) (Partition, error)
 	return pt, nil
 }
 
+// partitionRefinePasses bounds AffinityPartition's refinement passes.
+const partitionRefinePasses = 4
+
 // AffinityPartition is the proposed multi-tape partitioner. Cross-tape
 // transitions cost no shifts (each tape keeps its own head), so the
 // partition wants frequently alternating items on *different* tapes:
@@ -95,8 +98,9 @@ func ContiguousPartition(t *trace.Trace, tapes, capacity int) (Partition, error)
 // capacity. Greedy construction assigns items in descending weighted
 // degree to the tape where they have the least affinity; Kernighan–Lin
 // style refinement then applies improving single-item moves and pairwise
-// swaps until a pass yields nothing.
-func AffinityPartition(g *graph.Graph, tapes, capacity int, refinePasses int) (Partition, error) {
+// swaps until a pass yields nothing, for at most partitionRefinePasses
+// passes.
+func AffinityPartition(g *graph.Graph, tapes, capacity int) (Partition, error) {
 	n := g.N()
 	if tapes <= 0 {
 		return nil, fmt.Errorf("core: need at least one tape, got %d", tapes)
@@ -153,10 +157,7 @@ func AffinityPartition(g *graph.Graph, tapes, capacity int, refinePasses int) (P
 		load[best]++
 	}
 
-	if refinePasses <= 0 {
-		refinePasses = 4
-	}
-	for pass := 0; pass < refinePasses; pass++ {
+	for pass := 0; pass < partitionRefinePasses; pass++ {
 		improved := false
 		// Single-item moves.
 		for v := 0; v < n; v++ {

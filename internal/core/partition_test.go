@@ -83,7 +83,7 @@ func TestAffinityPartitionSeparatesAlternators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := AffinityPartition(g, 2, 2, 0)
+	pt, err := AffinityPartition(g, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestAffinityPartitionCapacityAndValidity(t *testing.T) {
 		tapes := rng.Intn(4) + 1
 		capacity := (n+tapes-1)/tapes + rng.Intn(3)
 		g := randGraph(rng, n, 3*n)
-		pt, err := AffinityPartition(g, tapes, capacity, 2)
+		pt, err := AffinityPartition(g, tapes, capacity)
 		if err != nil {
 			return false
 		}
@@ -109,10 +109,10 @@ func TestAffinityPartitionCapacityAndValidity(t *testing.T) {
 		t.Error(err)
 	}
 	g := randGraph(rand.New(rand.NewSource(1)), 10, 20)
-	if _, err := AffinityPartition(g, 2, 4, 0); err == nil {
+	if _, err := AffinityPartition(g, 2, 4); err == nil {
 		t.Error("overfull accepted")
 	}
-	if _, err := AffinityPartition(g, 0, 4, 0); err == nil {
+	if _, err := AffinityPartition(g, 0, 4); err == nil {
 		t.Error("zero tapes accepted")
 	}
 }
@@ -132,7 +132,7 @@ func intraWeight(pt Partition, g *graph.Graph) int64 {
 func TestAffinityBeatsRoundRobinOnIntraWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := randGraph(rng, 32, 120)
-	aff, err := AffinityPartition(g, 4, 8, 4)
+	aff, err := AffinityPartition(g, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestArrangePartitionProducesValidMultiPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := AffinityPartition(g, tapes, tapeLen, 0)
+	pt, err := AffinityPartition(g, tapes, tapeLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPlaceMultiTapeBeatsNaivePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := AffinityPartition(g, tapes, tapeLen, 0)
+	pt, err := AffinityPartition(g, tapes, tapeLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func ProposeMultiTape(t *trace.Trace, tapes, tapeLen int, ports []int) (layout.M
 	} else {
 		return layout.MultiPlacement{}, 0, err
 	}
-	if pt, err := AffinityPartition(g, tapes, tapeLen, 0); err == nil {
+	if pt, err := AffinityPartition(g, tapes, tapeLen); err == nil {
 		parts = append(parts, pt)
 	} else {
 		return layout.MultiPlacement{}, 0, err

@@ -8,13 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// WearBalanceOptions tunes the wear-balancing refinement.
-type WearBalanceOptions struct {
-	// MaxMoves bounds the refinement iterations; 0 selects 4x the item
-	// count.
-	MaxMoves int
-}
-
 // WearBalancedMultiTape extends the multi-tape pipeline with shift-wear
 // leveling: every shift stresses all domain walls on its wire, so a
 // placement that funnels traffic onto one tape wears that wire out first
@@ -22,11 +15,12 @@ type WearBalanceOptions struct {
 // result, the refinement repeatedly moves an item off the currently
 // hottest tape (by exact per-tape shift counts) into the free slot nearest
 // the port of a cooler tape, accepting moves that reduce the maximum
-// per-tape wear, with ties broken by total shifts.
+// per-tape wear, with ties broken by total shifts. The refinement runs
+// at most 4 moves per item.
 //
 // It returns the placement together with its total and maximum per-tape
 // shift counts.
-func WearBalancedMultiTape(t *trace.Trace, tapes, tapeLen int, ports []int, opts WearBalanceOptions) (layout.MultiPlacement, int64, int64, error) {
+func WearBalancedMultiTape(t *trace.Trace, tapes, tapeLen int, ports []int) (layout.MultiPlacement, int64, int64, error) {
 	if tapes*tapeLen <= t.NumItems {
 		// No free slots anywhere: moves are impossible (the pipeline
 		// needs at least one spare slot to migrate into).
@@ -81,11 +75,7 @@ func WearBalancedMultiTape(t *trace.Trace, tapes, tapeLen int, ports []int, opts
 		return -1
 	}
 
-	maxMoves := opts.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = 4 * t.NumItems
-	}
-	for move := 0; move < maxMoves; move++ {
+	for move := 0; move < 4*t.NumItems; move++ {
 		per, err := cost.MultiTapeBreakdown(seq, mp, tapes, tapeLen, ports)
 		if err != nil {
 			return layout.MultiPlacement{}, 0, 0, err

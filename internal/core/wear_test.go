@@ -57,7 +57,7 @@ func TestWearBalancedReducesMaxTapeWear(t *testing.T) {
 		}
 	}
 
-	mp, total, maxTape, err := WearBalancedMultiTape(tr, tapes, tapeLen, ports, WearBalanceOptions{})
+	mp, total, maxTape, err := WearBalancedMultiTape(tr, tapes, tapeLen, ports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWearBalancedReducesMaxTapeWear(t *testing.T) {
 
 func TestWearBalancedRejectsOverfull(t *testing.T) {
 	tr := workload.FIR(8, 8) // 16 items
-	if _, _, _, err := WearBalancedMultiTape(tr, 2, 4, []int{0}, WearBalanceOptions{}); err == nil {
+	if _, _, _, err := WearBalancedMultiTape(tr, 2, 4, []int{0}); err == nil {
 		t.Error("overfull device accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestWearBalancedExactFitStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, total, maxTape, err := WearBalancedMultiTape(tr, tapes, tapeLen, ports, WearBalanceOptions{})
+	_, total, maxTape, err := WearBalancedMultiTape(tr, tapes, tapeLen, ports)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package faultfs is a fault-injecting filesystem layer for crash and
 // chaos testing. It wraps any wal.FS and perturbs the write path with a
 // seeded, deterministic fault schedule: short writes, write errors
-// (ENOSPC), fsync errors, latency spikes, and a panic at the Nth
-// operation (the in-process stand-in for SIGKILL).
+// (ENOSPC), fsync errors, and a panic at the Nth operation (the
+// in-process stand-in for SIGKILL).
 //
 // Determinism is the point. Whether operation number N faults — and
 // how — is a pure function of (seed, N): the decision comes from a
@@ -24,7 +24,6 @@ import (
 	"io/fs"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/wal"
 )
@@ -57,24 +56,14 @@ type Options struct {
 	WriteErrPerMille int
 	// SyncErrPerMille: probability a Sync fails with ErrInjectedSync.
 	SyncErrPerMille int
-	// LatencyPerMille and Latency: probability an operation stalls for
-	// Latency before proceeding normally (a latency spike, not an
-	// error). The stall is injected with time.Sleep; the decision to
-	// stall is schedule-deterministic even though its duration is wall
-	// time.
-	LatencyPerMille int
-	Latency         time.Duration
 	// PanicAtOp, when positive, panics on exactly the Nth counted
 	// operation (1-based) — the in-process crash for tests that cannot
-	// afford a real SIGKILL. The panic value is PanicValue (or the
-	// package default), so harnesses can recover selectively.
+	// afford a real SIGKILL. The panic value is ErrCrash, so harnesses
+	// can recover selectively.
 	PanicAtOp int
-	// PanicValue overrides the value passed to panic; nil selects
-	// ErrCrash.
-	PanicValue any
 }
 
-// ErrCrash is the default panic value for PanicAtOp.
+// ErrCrash is the panic value for PanicAtOp.
 var ErrCrash = errors.New("faultfs: injected crash")
 
 // Event is one entry in the injected-fault log.
@@ -84,7 +73,7 @@ type Event struct {
 	// Kind is the operation class: "write" or "sync".
 	Kind string
 	// Fault names what was injected: "short", "enospc", "eio",
-	// "latency", "panic".
+	// "panic".
 	Fault string
 }
 
@@ -158,20 +147,13 @@ func (f *FS) step(kind string) (int64, string) {
 				fault = "eio"
 			}
 		}
-		if fault == "" && f.draw(op, 4) < f.opts.LatencyPerMille {
-			fault = "latency"
-		}
 	}
 	if fault != "" {
 		f.events = append(f.events, Event{Op: op, Kind: kind, Fault: fault})
 	}
 	f.mu.Unlock()
 	if fault == "panic" {
-		v := f.opts.PanicValue
-		if v == nil {
-			v = ErrCrash
-		}
-		panic(v)
+		panic(ErrCrash)
 	}
 	return op, fault
 }
@@ -250,19 +232,13 @@ func (w *file) Write(p []byte) (int, error) {
 			}
 		}
 		return n, ErrInjectedShortWrite
-	case "latency":
-		time.Sleep(w.fs.opts.Latency)
 	}
 	return w.inner.Write(p)
 }
 
 func (w *file) Sync() error {
-	_, fault := w.fs.step("sync")
-	switch fault {
-	case "eio":
+	if _, fault := w.fs.step("sync"); fault == "eio" {
 		return ErrInjectedSync
-	case "latency":
-		time.Sleep(w.fs.opts.Latency)
 	}
 	return w.inner.Sync()
 }

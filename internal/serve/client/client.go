@@ -53,12 +53,6 @@ type Options struct {
 	BaseURL string
 	// HTTP is the transport; nil selects http.DefaultClient.
 	HTTP *http.Client
-	// MaxAttempts bounds tries per call (first try included); 0 selects 5.
-	MaxAttempts int
-	// BaseBackoff is the first retry's nominal delay; 0 selects 200ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth; 0 selects 5s.
-	MaxBackoff time.Duration
 	// DisableIdempotency stops Submit from stamping ClientKey, restoring
 	// fire-and-duplicate semantics for callers that want N runs of the
 	// same request to be N jobs.
@@ -88,26 +82,14 @@ type RetryInfo struct {
 	Wait time.Duration
 }
 
-func (o Options) maxAttempts() int {
-	if o.MaxAttempts > 0 {
-		return o.MaxAttempts
-	}
-	return 5
-}
-
-func (o Options) baseBackoff() time.Duration {
-	if o.BaseBackoff > 0 {
-		return o.BaseBackoff
-	}
-	return 200 * time.Millisecond
-}
-
-func (o Options) maxBackoff() time.Duration {
-	if o.MaxBackoff > 0 {
-		return o.MaxBackoff
-	}
-	return 5 * time.Second
-}
+// The retry schedule: at most maxAttempts tries per call (first try
+// included), the first retry nominally baseBackoff after the failure,
+// doubling per retry up to maxBackoff.
+const (
+	maxAttempts = 5
+	baseBackoff = 200 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
 
 // Client talks to one dwmserved instance. It is safe for concurrent use
 // when the underlying http.Client is (the default is).
@@ -166,14 +148,14 @@ func mix64(z uint64) uint64 {
 }
 
 // backoffFor computes attempt's retry delay (attempt is 1-based over
-// completed tries): exponential growth capped at MaxBackoff, with
+// completed tries): exponential growth capped at maxBackoff, with
 // full jitter drawn deterministically from (key, attempt). The
 // schedule is a pure function of the request identity, so a flaky run
 // is reproducible, while distinct requests spread out.
-func (c *Client) backoffFor(key string, attempt int) time.Duration {
-	ceil := c.opts.baseBackoff() << (attempt - 1)
-	if max := c.opts.maxBackoff(); ceil > max || ceil <= 0 {
-		ceil = max
+func backoffFor(key string, attempt int) time.Duration {
+	ceil := baseBackoff << (attempt - 1)
+	if ceil > maxBackoff || ceil <= 0 {
+		ceil = maxBackoff
 	}
 	var h uint64 = 0x9E3779B97F4A7C15
 	for _, b := range []byte(key) {
@@ -249,7 +231,6 @@ func (c *Client) roundTrip(ctx context.Context, key, method, path string, body [
 	if !ok {
 		tc = obs.DeriveTraceContext("client/" + key)
 	}
-	maxAttempts := c.opts.maxAttempts()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		resp, payload, err := c.do(ctx, tc, method, path, body)
@@ -263,7 +244,7 @@ func (c *Client) roundTrip(ctx context.Context, key, method, path string, body [
 				return ctx.Err()
 			}
 			lastErr = err
-			wait = c.backoffFor(key, attempt)
+			wait = backoffFor(key, attempt)
 		case resp.StatusCode == http.StatusTooManyRequests:
 			status = resp.StatusCode
 			lastErr = &APIError{Status: resp.StatusCode, Message: apiMessage(payload)}
@@ -272,12 +253,12 @@ func (c *Client) roundTrip(ctx context.Context, key, method, path string, body [
 			if d, ok := retryAfter(resp); ok {
 				wait = d
 			} else {
-				wait = c.backoffFor(key, attempt)
+				wait = backoffFor(key, attempt)
 			}
 		case resp.StatusCode >= 500:
 			status = resp.StatusCode
 			lastErr = &APIError{Status: resp.StatusCode, Message: apiMessage(payload)}
-			wait = c.backoffFor(key, attempt)
+			wait = backoffFor(key, attempt)
 		case resp.StatusCode >= 400:
 			return &APIError{Status: resp.StatusCode, Message: apiMessage(payload)}
 		default:

@@ -147,13 +147,13 @@ func TestPermanent4xxNotRetried(t *testing.T) {
 func TestAttemptsExhausted(t *testing.T) {
 	down := func(w http.ResponseWriter) { w.WriteHeader(http.StatusServiceUnavailable) }
 	s := &scriptServer{script: []func(http.ResponseWriter){down, down, down, down, down, down}}
-	c, _ := newTestClient(t, s, Options{MaxAttempts: 3})
+	c, _ := newTestClient(t, s, Options{})
 	_, err := c.Submit(context.Background(), serve.PlaceRequest{Trace: "t"})
-	if err == nil || !strings.Contains(err.Error(), "3 attempts exhausted") {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d attempts exhausted", maxAttempts)) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.count() != 3 {
-		t.Fatalf("server saw %d calls, want 3", s.count())
+	if s.count() != maxAttempts {
+		t.Fatalf("server saw %d calls, want %d", s.count(), maxAttempts)
 	}
 }
 
@@ -202,29 +202,34 @@ func TestConnectionErrorRetried(t *testing.T) {
 
 // TestBackoffScheduleDeterministic: the jittered backoff is a pure
 // function of (key, attempt) — same request, same schedule, every run —
-// and stays within [ceil/2, ceil] of the exponential envelope.
+// and stays within [ceil/2, ceil] of the exponential envelope, which
+// reaches maxBackoff by attempt 6.
 func TestBackoffScheduleDeterministic(t *testing.T) {
-	c := New(Options{BaseURL: "http://unused", BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second})
 	var first []time.Duration
+	capped := false
 	for attempt := 1; attempt <= 6; attempt++ {
-		d := c.backoffFor("key-a/submit", attempt)
+		d := backoffFor("key-a/submit", attempt)
 		first = append(first, d)
-		ceil := 100 * time.Millisecond << (attempt - 1)
-		if ceil > 2*time.Second {
-			ceil = 2 * time.Second
+		ceil := baseBackoff << (attempt - 1)
+		if ceil > maxBackoff {
+			ceil = maxBackoff
+			capped = true
 		}
 		if d < ceil/2 || d > ceil {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, d, ceil/2, ceil)
 		}
 	}
+	if !capped {
+		t.Error("six attempts never reached maxBackoff; the cap is untested")
+	}
 	for attempt := 1; attempt <= 6; attempt++ {
-		if d := c.backoffFor("key-a/submit", attempt); d != first[attempt-1] {
+		if d := backoffFor("key-a/submit", attempt); d != first[attempt-1] {
 			t.Fatalf("attempt %d: schedule not deterministic: %v vs %v", attempt, d, first[attempt-1])
 		}
 	}
 	diff := false
 	for attempt := 1; attempt <= 6; attempt++ {
-		if c.backoffFor("key-b/submit", attempt) != first[attempt-1] {
+		if backoffFor("key-b/submit", attempt) != first[attempt-1] {
 			diff = true
 		}
 	}

@@ -209,7 +209,7 @@ func TestWaitRetriesAndTraceparent(t *testing.T) {
 	if queries[0] != "wait=30s" || queries[1] != "wait=30s" || queries[2] != "wait=30s" {
 		t.Errorf("queries = %q", queries)
 	}
-	wantSleeps := []time.Duration{c.backoffFor("job-000004/get", 1), 2 * time.Second}
+	wantSleeps := []time.Duration{backoffFor("job-000004/get", 1), 2 * time.Second}
 	if d := fs.all(); fmt.Sprint(d) != fmt.Sprint(wantSleeps) {
 		t.Errorf("retry schedule = %v, want %v", d, wantSleeps)
 	}

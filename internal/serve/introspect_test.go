@@ -100,8 +100,8 @@ func TestPprofEndpoints(t *testing.T) {
 
 func TestJobProgress(t *testing.T) {
 	_, base := startServer(t, Options{Workers: 1})
-	// Enough iterations for several checkpoint-cadence reports
-	// (CheckpointEvery defaults to 4096), two restart chains.
+	// Enough iterations for several checkpoint-cadence reports (the
+	// anneal reports every 4096 proposals), two restart chains.
 	const iters = 50_000
 	_, id := submit(t, base, PlaceRequest{Trace: testTrace(t), Seed: 11, Iterations: iters, Restarts: 2})
 	js := waitDone(t, base, id)

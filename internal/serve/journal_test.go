@@ -387,12 +387,13 @@ func TestClientKeyIdempotentAcrossRestart(t *testing.T) {
 }
 
 // TestRetryAfterJitterDeterministic pins the jittered Retry-After for a
-// fixed request: base 2s, identity-hash jitter in [0, 2].
+// fixed request: base retryAfterSeconds, identity-hash jitter in
+// [0, retryAfterSeconds].
 func TestRetryAfterJitterDeterministic(t *testing.T) {
 	req := PlaceRequest{Trace: testTrace(t), Seed: 1, Iterations: 3_000_000}
-	want := 2 + int(requestDigest(req)%3)
-	if want < 2 || want > 4 {
-		t.Fatalf("jittered hint %d outside [2, 4]", want)
+	want := retryAfterSeconds + int(requestDigest(req)%(retryAfterSeconds+1))
+	if want < retryAfterSeconds || want > 2*retryAfterSeconds {
+		t.Fatalf("jittered hint %d outside [%d, %d]", want, retryAfterSeconds, 2*retryAfterSeconds)
 	}
 	// The same request always derives the same hint, and the hint is a
 	// pure function of the identity fields — ClientKey must not perturb it.

@@ -198,7 +198,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // Saturating the queue must shed load with 429 + Retry-After and never
 // drop a job that was accepted.
 func TestBackpressureNeverDropsAccepted(t *testing.T) {
-	_, base := startServer(t, Options{Workers: 1, QueueCap: 1, RetryAfter: 2 * time.Second})
+	_, base := startServer(t, Options{Workers: 1, QueueCap: 1})
 	slow := PlaceRequest{Trace: testTrace(t), Seed: 1, Iterations: 3_000_000}
 	var accepted []string
 	rejected := 0
@@ -223,10 +223,11 @@ func TestBackpressureNeverDropsAccepted(t *testing.T) {
 			accepted = append(accepted, js.ID)
 		case http.StatusTooManyRequests:
 			rejected++
-			// Retry-After is the configured base plus deterministic jitter
-			// in [0, base] derived from the request's identity hash — fixed
-			// request, fixed value (see TestRetryAfterJitterDeterministic).
-			want := fmt.Sprintf("%d", 2+int(requestDigest(slow)%3))
+			// Retry-After is retryAfterSeconds plus deterministic jitter
+			// in [0, retryAfterSeconds] derived from the request's identity
+			// hash — fixed request, fixed value (see
+			// TestRetryAfterJitterDeterministic).
+			want := fmt.Sprintf("%d", retryAfterSeconds+int(requestDigest(slow)%(retryAfterSeconds+1)))
 			if ra := resp.Header.Get("Retry-After"); ra != want {
 				t.Errorf("Retry-After = %q, want %q", ra, want)
 			}

@@ -125,6 +125,10 @@ func countRequest(req PlaceRequest, outcome string) {
 	obsTenantRequests.With(tenantLabel(req.Tenant), policyLabel(req.Policy), outcome).Inc()
 }
 
+// retryAfterSeconds is the base of the Retry-After hint on a 429; the
+// response adds identity-hash jitter in [0, retryAfterSeconds].
+const retryAfterSeconds = 1
+
 // Options configures a Server. The zero value selects the defaults.
 type Options struct {
 	// QueueCap bounds the number of accepted-but-not-yet-running jobs;
@@ -138,8 +142,6 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps the per-request deadline; 0 means no cap.
 	MaxDeadline time.Duration
-	// RetryAfter is the hint returned with 429 responses; 0 selects 1s.
-	RetryAfter time.Duration
 	// EventBuffer, when positive, enables the process-wide span tracer
 	// with a ring of that many spans, drained over GET /debug/events.
 	// Zero leaves tracing in whatever state the process already has
@@ -174,18 +176,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return 2
-}
-
-func (o Options) retryAfterSeconds() int {
-	ra := o.RetryAfter
-	if ra <= 0 {
-		ra = time.Second
-	}
-	secs := int((ra + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // deadlineFor resolves a request's effective execution deadline.
@@ -637,8 +627,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		// request's identity hash: a thundering herd of distinct retriers
 		// spreads out, while any given request always hears the same
 		// hint (pinned by TestRetryAfterJitterDeterministic).
-		base := s.opts.retryAfterSeconds()
-		retry := base + int(requestDigest(req)%uint64(base+1))
+		retry := retryAfterSeconds + int(requestDigest(req)%(retryAfterSeconds+1))
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
 		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
 	case outcomeCacheHit:

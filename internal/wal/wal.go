@@ -14,9 +14,8 @@
 // refuses to open because of damage past that prefix.
 //
 // Durability is governed by a sync policy: SyncAlways (fsync after
-// every append — the default, and the only policy under which an
-// acknowledged append is guaranteed to survive a crash), SyncInterval
-// (fsync every SyncEvery appends), or SyncNever (fsync only on rotation
+// every append — the default, under which an acknowledged append is
+// guaranteed to survive a crash) or SyncNever (fsync only on rotation
 // and close). Appends are atomic at the record level: a failed write is
 // rolled back by truncating the segment to its pre-append size, so a
 // record is either fully committed or entirely absent — the invariant
@@ -47,10 +46,6 @@ const (
 	// SyncAlways fsyncs after every append. An acknowledged append is
 	// durable. This is the zero value.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs every Options.SyncEvery appends (and on
-	// rotation and close). A crash can lose up to SyncEvery-1
-	// acknowledged appends.
-	SyncInterval
 	// SyncNever fsyncs only on rotation and close.
 	SyncNever
 )
@@ -64,10 +59,6 @@ const MaxRecordBytes = 64 << 20
 // is zero.
 const DefaultSegmentBytes = 4 << 20
 
-// DefaultSyncEvery is the SyncInterval cadence when Options.SyncEvery is
-// zero.
-const DefaultSyncEvery = 64
-
 // Options configures a journal.
 type Options struct {
 	// Dir is the journal directory; it is created if missing.
@@ -78,8 +69,6 @@ type Options struct {
 	SegmentBytes int64
 	// Policy selects the fsync cadence; the zero value is SyncAlways.
 	Policy SyncPolicy
-	// SyncEvery is the SyncInterval cadence; 0 selects DefaultSyncEvery.
-	SyncEvery int
 	// FS is the storage layer; nil selects the real filesystem.
 	FS FS
 	// MetricsPrefix namespaces the journal's obs series; empty selects
@@ -95,13 +84,6 @@ func (o Options) segmentBytes() int64 {
 		return o.SegmentBytes
 	}
 	return DefaultSegmentBytes
-}
-
-func (o Options) syncEvery() int {
-	if o.SyncEvery > 0 {
-		return o.SyncEvery
-	}
-	return DefaultSyncEvery
 }
 
 // ErrBroken is wrapped by every operation on a log whose storage failed
@@ -146,7 +128,6 @@ type Log struct {
 	cur       File      //dwmlint:guard mu
 	curSeq    int       //dwmlint:guard mu
 	curSize   int64     //dwmlint:guard mu
-	sinceSync int       //dwmlint:guard mu
 	replaying bool      //dwmlint:guard mu
 	broken    error     //dwmlint:guard mu
 	stats     Stats     //dwmlint:guard mu
@@ -246,8 +227,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // framed, written, and — under SyncAlways — fsynced; a non-nil error
 // means the record was rolled back and is absent from the log (or, if
 // the rollback itself failed, the log is broken and says so on every
-// subsequent call).
-func (l *Log) Append(payload []byte) error {
+// subsequent call). Every non-nil return counts once in
+// <prefix>.append_errors.
+func (l *Log) Append(payload []byte) (err error) {
+	defer func() {
+		if err != nil {
+			l.mAppendErrs.Inc()
+		}
+	}()
 	if len(payload) == 0 {
 		return fmt.Errorf("wal: empty record")
 	}
@@ -262,7 +249,6 @@ func (l *Log) Append(payload []byte) error {
 	buf := frame(payload)
 	if l.curSize > 0 && l.curSize+int64(len(buf)) > l.opts.segmentBytes() {
 		if err := l.rotate(); err != nil {
-			l.mAppendErrs.Inc()
 			return err
 		}
 	}
@@ -271,7 +257,6 @@ func (l *Log) Append(payload []byte) error {
 		if err == nil {
 			err = fmt.Errorf("wal: short write (%d of %d bytes)", n, len(buf))
 		}
-		l.mAppendErrs.Inc()
 		// Roll the partial record back so the on-disk prefix stays valid.
 		// If the rollback fails too, the committed prefix is unknowable
 		// from here — brick the log rather than risk interleaving new
@@ -290,14 +275,8 @@ func (l *Log) Append(payload []byte) error {
 	l.segs[len(l.segs)-1].size = l.curSize
 	l.stats.Appends++
 	l.mAppends.Inc()
-	switch l.opts.Policy {
-	case SyncAlways:
+	if l.opts.Policy == SyncAlways {
 		return l.syncLocked()
-	case SyncInterval:
-		l.sinceSync++
-		if l.sinceSync >= l.opts.syncEvery() {
-			return l.syncLocked()
-		}
 	}
 	return nil
 }
@@ -325,7 +304,6 @@ func (l *Log) syncLocked() error {
 		l.broken = fmt.Errorf("fsync: %v", err)
 		return fmt.Errorf("%w: %v", ErrBroken, l.broken)
 	}
-	l.sinceSync = 0
 	l.stats.Syncs++
 	l.mSyncs.Inc()
 	return nil

@@ -2,11 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // collect replays a log into a slice of payload copies.
@@ -300,5 +304,60 @@ func TestRandomizedRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: record %d mismatch", seed, i)
 			}
 		}
+	}
+}
+
+// syncFailFS is the real filesystem with every fsync failing.
+type syncFailFS struct{ FS }
+
+func (s syncFailFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncFailFile{f}, nil
+}
+
+type syncFailFile struct{ File }
+
+func (syncFailFile) Sync() error { return errors.New("injected fsync failure") }
+
+// TestAppendErrorsCountsEveryFailure: <prefix>.append_errors rises by
+// exactly one for every Append that returns an error — the fsync that
+// breaks the log (on rotation under SyncNever, on the append itself
+// under SyncAlways) and every append refused afterwards because the log
+// is broken.
+func TestAppendErrorsCountsEveryFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy SyncPolicy
+		failed int
+	}{
+		// The first 48-byte frame fits the 64-byte segment; the second
+		// rotates, the rotation's fsync fails, and the log is broken.
+		{"SyncNever", SyncNever, 9},
+		// The first append's own fsync fails.
+		{"SyncAlways", SyncAlways, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prefix := "wal_test.append_errors." + tc.name
+			errs := obs.GetCounter(prefix + ".append_errors")
+			before := errs.Value()
+			l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 64, Policy: tc.policy,
+				FS: syncFailFS{OS()}, MetricsPrefix: prefix})
+			defer l.Close()
+			failed := 0
+			for i := 0; i < 10; i++ {
+				if err := l.Append(bytes.Repeat([]byte{'r'}, 40)); err != nil {
+					failed++
+				}
+			}
+			if failed != tc.failed {
+				t.Fatalf("%d appends failed, want %d", failed, tc.failed)
+			}
+			if got := errs.Value() - before; got != int64(failed) {
+				t.Errorf("append_errors rose by %d, want %d (one per failed Append)", got, failed)
+			}
+		})
 	}
 }
