@@ -141,10 +141,12 @@ type benchReport struct {
 	TotalNS     int64       `json:"total_ns"`
 	Experiments []expReport `json:"experiments"`
 	// Metrics is the process-wide observability snapshot at report time
-	// (simulator, annealer, CSR cache, runner; see internal/obs).
+	// (simulator, annealer, graph deltas, runner; see internal/obs).
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 	// DeltaBench records the graph.ApplyDeltas-vs-rebuild microbenchmark
-	// (BenchmarkApplyDeltas* in internal/graph). dwmbench does not
+	// (BenchmarkApplyDeltas* in internal/graph): the patch and splice
+	// paths against building the same graph from scratch with
+	// graph.FromEdges. dwmbench does not
 	// measure it — the numbers come from `go test -bench ApplyDeltas
 	// ./internal/graph` — but the report carries them across merges so a
 	// partial -only run never drops the record.

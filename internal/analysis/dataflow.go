@@ -352,7 +352,7 @@ func structFieldByName(st *types.Struct, name string) *types.Var {
 // localAllocs returns the objects in fn's body that provably hold
 // locally-allocated memory: assigned from a composite literal (possibly
 // behind &), new, or make. Writes through such values are construction,
-// not mutation of shared state — the buildCSR / spliceRows pattern.
+// not mutation of shared state — the buildRows / spliceRows pattern.
 func localAllocs(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	if body == nil {

@@ -276,7 +276,7 @@ func (f *Facts) FieldElementWritten(field *types.Var) bool {
 // fieldWrittenIn scans one function for element writes through the
 // field. Writes through locally-allocated values are construction of a
 // fresh instance, not mutation of shared state, and do not count — the
-// buildCSR / spliceRows pattern.
+// buildRows / spliceRows pattern.
 func (f *Facts) fieldWrittenIn(info *types.Info, fd *ast.FuncDecl, field *types.Var) bool {
 	local := localAllocs(info, fd.Body)
 	written := false

@@ -9,13 +9,13 @@ import (
 // FrozenMut pins the validate-then-mutate contract from DESIGN.md §13:
 // a struct field annotated
 //
-//	rowPtr []int //dwmlint:frozen Freeze ApplyDeltas
+//	rowPtr []int //dwmlint:frozen FromEdges FromTrace ApplyDeltas
 //
 // may only be written through (element assignment, copy destination,
 // passed to a writing callee, or wholesale reassignment) inside the
 // named sanctioned functions, inside unexported helpers reachable only
 // from them, or through a locally-allocated value (construction of a
-// fresh instance is not mutation — the buildCSR / spliceRows pattern).
+// fresh instance is not mutation — the buildRows / spliceRows pattern).
 var FrozenMut = &Analyzer{
 	Name: "frozenmut",
 	Doc: "flags writes to //dwmlint:frozen struct fields outside their " +

@@ -64,7 +64,7 @@ func TestExactDPOnCycle(t *testing.T) {
 }
 
 func TestExactDPRejectsLarge(t *testing.T) {
-	g, err := graph.New(MaxExactN + 1)
+	g, err := graph.FromEdges(MaxExactN+1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

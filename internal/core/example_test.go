@@ -49,12 +49,13 @@ func ExamplePropose() {
 // ExampleGreedyChain shows the constructive heuristic putting the
 // heaviest transition pair at adjacent slots.
 func ExampleGreedyChain() {
-	g, err := graph.New(4)
+	g, err := graph.FromEdges(4, []graph.Edge{
+		{U: 0, V: 3, W: 100}, // hot pair
+		{U: 1, V: 2, W: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g.AddWeight(0, 3, 100) // hot pair
-	g.AddWeight(1, 2, 1)
 	p, err := core.GreedyChain(g, core.SeedHeaviestEdge)
 	if err != nil {
 		log.Fatal(err)
@@ -70,15 +71,13 @@ func ExampleGreedyChain() {
 
 // ExampleExactDP solves a small instance optimally.
 func ExampleExactDP() {
-	g, err := graph.New(4)
+	// Unit 4-cycle: one edge must stretch across the line.
+	g, err := graph.FromEdges(4, []graph.Edge{
+		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 3, V: 0, W: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Unit 4-cycle: one edge must stretch across the line.
-	g.AddWeight(0, 1, 1)
-	g.AddWeight(1, 2, 1)
-	g.AddWeight(2, 3, 1)
-	g.AddWeight(3, 0, 1)
 	_, opt, err := core.ExactDP(g)
 	if err != nil {
 		log.Fatal(err)

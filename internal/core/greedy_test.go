@@ -12,26 +12,28 @@ import (
 
 func mustGraph(t *testing.T, n int, edges ...[3]int) *graph.Graph {
 	t.Helper()
-	g, err := graph.New(n)
+	es := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		es[i] = graph.Edge{U: e[0], V: e[1], W: int64(e[2])}
+	}
+	g, err := graph.FromEdges(n, es)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range edges {
-		g.AddWeight(e[0], e[1], int64(e[2]))
 	}
 	return g
 }
 
 func randGraph(rng *rand.Rand, n, edges int) *graph.Graph {
-	g, err := graph.New(n)
-	if err != nil {
-		panic(err)
-	}
+	var es []graph.Edge
 	for i := 0; i < edges; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.AddWeight(u, v, int64(rng.Intn(20)+1))
+			es = append(es, graph.Edge{U: u, V: v, W: int64(rng.Intn(20) + 1)})
 		}
+	}
+	g, err := graph.FromEdges(n, es)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }

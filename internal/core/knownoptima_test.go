@@ -10,49 +10,50 @@ import (
 // exact solver (and measure the pipeline) against mathematics rather
 // than against other code.
 
-func path(t *testing.T, n int) *graph.Graph {
+// unitGraph builds an n-vertex graph with a unit-weight edge per pair.
+func unitGraph(t *testing.T, n int, pairs [][2]int) *graph.Graph {
 	t.Helper()
-	g, err := graph.New(n)
+	es := make([]graph.Edge, len(pairs))
+	for i, p := range pairs {
+		es[i] = graph.Edge{U: p[0], V: p[1], W: 1}
+	}
+	g, err := graph.FromEdges(n, es)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i+1 < n; i++ {
-		g.AddWeight(i, i+1, 1)
 	}
 	return g
 }
 
+func pathPairs(n int) [][2]int {
+	var ps [][2]int
+	for i := 0; i+1 < n; i++ {
+		ps = append(ps, [2]int{i, i + 1})
+	}
+	return ps
+}
+
+func path(t *testing.T, n int) *graph.Graph { return unitGraph(t, n, pathPairs(n)) }
+
 func cycle(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	g := path(t, n)
-	g.AddWeight(n-1, 0, 1)
-	return g
+	return unitGraph(t, n, append(pathPairs(n), [2]int{n - 1, 0}))
 }
 
 func star(t *testing.T, leaves int) *graph.Graph {
-	t.Helper()
-	g, err := graph.New(leaves + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var ps [][2]int
 	for i := 1; i <= leaves; i++ {
-		g.AddWeight(0, i, 1)
+		ps = append(ps, [2]int{0, i})
 	}
-	return g
+	return unitGraph(t, leaves+1, ps)
 }
 
 func complete(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	g, err := graph.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var ps [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddWeight(i, j, 1)
+			ps = append(ps, [2]int{i, j})
 		}
 	}
-	return g
+	return unitGraph(t, n, ps)
 }
 
 // starOptimum is the MinLA of K_{1,l}: center in the middle, leaves

@@ -211,17 +211,18 @@ func TestTwoOptMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(39) + 2
-		g, err := graph.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Edges only among the first k items leave the rest isolated.
 		k := n - rng.Intn(n/2+1)
 		maxW := []int{1, 3, 20}[rng.Intn(3)]
+		var es []graph.Edge
 		for i, edges := 0, rng.Intn(4*n+1); i < edges; i++ {
 			if u, v := rng.Intn(k), rng.Intn(k); u != v {
-				g.AddWeight(u, v, int64(rng.Intn(maxW)+1))
+				es = append(es, graph.Edge{U: u, V: v, W: int64(rng.Intn(maxW) + 1)})
 			}
+		}
+		g, err := graph.FromEdges(n, es)
+		if err != nil {
+			t.Fatal(err)
 		}
 		start, err := layout.FromOrder(rng.Perm(n))
 		if err != nil {
@@ -437,16 +438,17 @@ func TestInsertionMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(39) + 2
-		g, err := graph.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Edges only among the first k items leave the rest isolated.
 		k := n - rng.Intn(n/2+1)
+		var es []graph.Edge
 		for i, edges := 0, rng.Intn(4*n+1); i < edges; i++ {
 			if u, v := rng.Intn(k), rng.Intn(k); u != v {
-				g.AddWeight(u, v, int64(rng.Intn(20)+1))
+				es = append(es, graph.Edge{U: u, V: v, W: int64(rng.Intn(20) + 1)})
 			}
+		}
+		g, err := graph.FromEdges(n, es)
+		if err != nil {
+			t.Fatal(err)
 		}
 		start, err := layout.FromOrder(rng.Perm(n))
 		if err != nil {

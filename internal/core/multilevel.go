@@ -74,16 +74,16 @@ func multilevel(g *graph.Graph, base int) (layout.Placement, int64, error) {
 		}
 		members = append(members, m)
 	}
-	cg, err := graph.New(len(members))
+	var coarse []graph.Edge
+	c.EachEdge(func(u, v int, w int64) {
+		if cu, cv := coarseID[u], coarseID[v]; cu != cv {
+			coarse = append(coarse, graph.Edge{U: cu, V: cv, W: w})
+		}
+	})
+	cg, err := graph.FromEdges(len(members), coarse)
 	if err != nil {
 		return nil, 0, err
 	}
-	c.EachEdge(func(u, v int, w int64) {
-		cu, cv := coarseID[u], coarseID[v]
-		if cu != cv {
-			cg.AddWeight(cu, cv, w)
-		}
-	})
 
 	coarseP, _, err := multilevel(cg, base)
 	if err != nil {

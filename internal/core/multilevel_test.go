@@ -42,14 +42,15 @@ func TestBarycentricValidAndNeverWorse(t *testing.T) {
 func TestBarycentricPullsCliquesTogether(t *testing.T) {
 	// Two heavy cliques placed interleaved; barycentric iteration must
 	// separate them (cost well below the interleaved start).
-	g := mustGraph(t, 8)
+	var es [][3]int
 	for _, clique := range [][]int{{0, 2, 4, 6}, {1, 3, 5, 7}} {
 		for i := 0; i < len(clique); i++ {
 			for j := i + 1; j < len(clique); j++ {
-				g.AddWeight(clique[i], clique[j], 10)
+				es = append(es, [3]int{clique[i], clique[j], 10})
 			}
 		}
 	}
+	g := mustGraph(t, 8, es...)
 	start := layout.Identity(8) // interleaves the cliques
 	before, err := cost.Linear(g, start)
 	if err != nil {

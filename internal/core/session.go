@@ -104,14 +104,10 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	if opts.RoundIterations <= 0 {
 		opts.RoundIterations = 2000
 	}
-	g, err := graph.New(opts.Items)
+	g, err := graph.FromEdges(opts.Items, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Freeze once so the graph holds a cached CSR from the start: every
-	// flush's ApplyDeltas then patches it forward and never takes its
-	// cold path.
-	g.Freeze()
 	s := &Session{
 		opts:    opts,
 		g:       g,

@@ -12,12 +12,13 @@ import (
 
 func lineGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g, err := graph.New(n)
+	var es []graph.Edge
+	for i := 0; i+1 < n; i++ {
+		es = append(es, graph.Edge{U: i, V: i + 1, W: 1})
+	}
+	g, err := graph.FromEdges(n, es)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i+1 < n; i++ {
-		g.AddWeight(i, i+1, 1)
 	}
 	return g
 }
@@ -201,15 +202,16 @@ func TestLinearMirrorInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(15) + 2
-		g, err := graph.New(n)
-		if err != nil {
-			return false
-		}
+		var es []graph.Edge
 		for i := 0; i < 3*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				g.AddWeight(u, v, int64(rng.Intn(5)+1))
+				es = append(es, graph.Edge{U: u, V: v, W: int64(rng.Intn(5) + 1)})
 			}
+		}
+		g, err := graph.FromEdges(n, es)
+		if err != nil {
+			return false
 		}
 		p, err := layout.FromOrder(rng.Perm(n))
 		if err != nil {

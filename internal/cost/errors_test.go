@@ -38,12 +38,10 @@ func TestMultiTapeBreakdownErrorPaths(t *testing.T) {
 }
 
 func TestEvaluatorVerifyDetectsDrift(t *testing.T) {
-	g, err := graph.New(3)
+	g, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddWeight(0, 1, 2)
-	g.AddWeight(1, 2, 5)
 	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(3))
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +59,7 @@ func TestEvaluatorVerifyDetectsDrift(t *testing.T) {
 }
 
 func TestLinearEmptyGraph(t *testing.T) {
-	g, err := graph.New(3)
+	g, err := graph.FromEdges(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,16 @@ import (
 )
 
 func randomGraph(rng *rand.Rand, n int) *graph.Graph {
-	g, err := graph.New(n)
-	if err != nil {
-		panic(err)
-	}
+	var es []graph.Edge
 	for i := 0; i < 4*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.AddWeight(u, v, int64(rng.Intn(9)+1))
+			es = append(es, graph.Edge{U: u, V: v, W: int64(rng.Intn(9) + 1)})
 		}
+	}
+	g, err := graph.FromEdges(n, es)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }
@@ -94,11 +95,10 @@ func TestEvaluatorPlacementIsCopy(t *testing.T) {
 func TestEvaluatorSwapAdjacentItems(t *testing.T) {
 	// Edge case: swapping two items connected by an edge must keep that
 	// edge's contribution unchanged.
-	g, err := graph.New(2)
+	g, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, W: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddWeight(0, 1, 7)
 	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(2))
 	if err != nil {
 		t.Fatal(err)

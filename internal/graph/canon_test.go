@@ -51,21 +51,21 @@ func randomTrace(seed int64, items, length int) *trace.Trace {
 // exercises the individualization loop.
 func ringGraph(t *testing.T, n int, w int64) *Graph {
 	t.Helper()
-	g := mustNew(t, n)
-	for i := 0; i < n; i++ {
-		g.AddWeight(i, (i+1)%n, w)
+	es := make([]Edge, n)
+	for i := range es {
+		es[i] = Edge{U: i, V: (i + 1) % n, W: w}
 	}
-	return g
+	return mustFromEdges(t, n, es...)
 }
 
 // permuteGraph rebuilds g with every vertex u renamed to perm[u].
 func permuteGraph(t *testing.T, g *Graph, perm []int) *Graph {
 	t.Helper()
-	pg := mustNew(t, g.N())
-	for _, e := range edges(g) {
-		pg.AddWeight(perm[e.U], perm[e.V], e.W)
+	var es []Edge
+	for _, e := range g.Freeze().Edges() {
+		es = append(es, Edge{U: perm[e.U], V: perm[e.V], W: e.W})
 	}
-	return pg
+	return mustFromEdges(t, g.N(), es...)
 }
 
 func TestFingerprintPermutationInvariance(t *testing.T) {
@@ -82,21 +82,18 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 		}},
 		{"ring-64", func(t *testing.T) *Graph { return ringGraph(t, 64, 3) }},
 		{"star", func(t *testing.T) *Graph {
-			g := mustNew(t, 17)
+			var es []Edge
 			for i := 1; i < 17; i++ {
-				g.AddWeight(0, i, int64(1+i%3))
+				es = append(es, Edge{U: 0, V: i, W: int64(1 + i%3)})
 			}
-			return g
+			return mustFromEdges(t, 17, es...)
 		}},
 		{"two-components", func(t *testing.T) *Graph {
-			g := mustNew(t, 10)
+			es := []Edge{{5, 6, 7}, {6, 7, 7}, {8, 9, 1}}
 			for i := 0; i < 4; i++ {
-				g.AddWeight(i, (i+1)%5, 2)
+				es = append(es, Edge{U: i, V: (i + 1) % 5, W: 2})
 			}
-			g.AddWeight(5, 6, 7)
-			g.AddWeight(6, 7, 7)
-			g.AddWeight(8, 9, 1)
-			return g
+			return mustFromEdges(t, 10, es...)
 		}},
 	}
 	for _, tc := range cases {
@@ -152,28 +149,16 @@ func TestFingerprintPermutationInvarianceOnTraces(t *testing.T) {
 func TestFingerprintDistinguishesStructure(t *testing.T) {
 	builds := map[string]func(t *testing.T) *Graph{
 		"path-4": func(t *testing.T) *Graph {
-			g := mustNew(t, 4)
-			g.AddWeight(0, 1, 1)
-			g.AddWeight(1, 2, 1)
-			g.AddWeight(2, 3, 1)
-			return g
+			return mustFromEdges(t, 4, Edge{0, 1, 1}, Edge{1, 2, 1}, Edge{2, 3, 1})
 		},
 		"ring-4":       func(t *testing.T) *Graph { return ringGraph(t, 4, 1) },
 		"ring-4-heavy": func(t *testing.T) *Graph { return ringGraph(t, 4, 2) },
 		"ring-5":       func(t *testing.T) *Graph { return ringGraph(t, 5, 1) },
 		"path-4-weighted": func(t *testing.T) *Graph {
-			g := mustNew(t, 4)
-			g.AddWeight(0, 1, 2)
-			g.AddWeight(1, 2, 1)
-			g.AddWeight(2, 3, 1)
-			return g
+			return mustFromEdges(t, 4, Edge{0, 1, 2}, Edge{1, 2, 1}, Edge{2, 3, 1})
 		},
 		"star-4": func(t *testing.T) *Graph {
-			g := mustNew(t, 4)
-			g.AddWeight(0, 1, 1)
-			g.AddWeight(0, 2, 1)
-			g.AddWeight(0, 3, 1)
-			return g
+			return mustFromEdges(t, 4, Edge{0, 1, 1}, Edge{0, 2, 1}, Edge{0, 3, 1})
 		},
 		"rand-a": func(t *testing.T) *Graph {
 			g, err := FromTrace(randomTrace(1, 24, 1500))
@@ -204,20 +189,16 @@ func TestCanonDeterministicAcrossBuilds(t *testing.T) {
 	// Two independently constructed copies of the same graph — including
 	// a different edge insertion order — must agree on everything.
 	mk := func(reverse bool) *Canonical {
-		g := mustNew(t, 12)
-		edges := [][3]int{{0, 1, 5}, {1, 2, 3}, {2, 3, 5}, {3, 4, 1}, {4, 5, 9},
+		es := []Edge{{0, 1, 5}, {1, 2, 3}, {2, 3, 5}, {3, 4, 1}, {4, 5, 9},
 			{0, 6, 2}, {6, 7, 2}, {8, 9, 4}, {10, 11, 4}, {9, 10, 1}}
 		if reverse {
-			for i := len(edges) - 1; i >= 0; i-- {
-				e := edges[i]
-				g.AddWeight(e[1], e[0], int64(e[2]))
+			rev := make([]Edge, len(es))
+			for i, e := range es {
+				rev[len(es)-1-i] = Edge{U: e.V, V: e.U, W: e.W}
 			}
-		} else {
-			for _, e := range edges {
-				g.AddWeight(e[0], e[1], int64(e[2]))
-			}
+			es = rev
 		}
-		return g.Freeze().Canon()
+		return mustFromEdges(t, 12, es...).Freeze().Canon()
 	}
 	a, b := mk(false), mk(true)
 	if a.FP != b.FP {
@@ -237,7 +218,7 @@ func TestCanonDeterministicAcrossBuilds(t *testing.T) {
 // cannot import internal/cost (cost depends on graph).
 func linearCost(g *Graph, p []int) int64 {
 	var total int64
-	for _, e := range edges(g) {
+	for _, e := range g.Freeze().Edges() {
 		d := int64(p[e.U] - p[e.V])
 		if d < 0 {
 			d = -d

@@ -1,33 +1,23 @@
 package graph
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
-
-	"repro/internal/obs"
-)
-
-// Freeze instrumentation (see internal/obs): hits return the cached CSR,
-// misses pay for a rebuild (first freeze or freeze after a mutation).
-var (
-	obsFreezeHits   = obs.GetCounter("graph.freeze.hits")
-	obsFreezeMisses = obs.GetCounter("graph.freeze.misses")
 )
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph. The
 // adjacency of vertex u occupies colIdx/weights[rowPtr[u]:rowPtr[u+1]],
 // with neighbors in ascending ID order, so the optimizer hot loops
 // (SwapDelta, barycenter averaging, affinity scans) iterate flat,
-// cache-friendly slices instead of Go maps. Obtain one with
-// Graph.Freeze; the zero value is unusable.
+// cache-friendly slices. Obtain one with Graph.Freeze; the zero value is
+// unusable.
 type CSR struct {
 	n       int
-	rowPtr  []int   //dwmlint:frozen Freeze ApplyDeltas
-	colIdx  []int32 //dwmlint:frozen Freeze ApplyDeltas
-	weights []int64 //dwmlint:frozen Freeze ApplyDeltas
-	wdeg    []int64 //dwmlint:frozen Freeze ApplyDeltas
+	rowPtr  []int   //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	colIdx  []int32 //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	weights []int64 //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	wdeg    []int64 //dwmlint:frozen FromEdges FromTrace ApplyDeltas
 	totalW  int64
 
 	edgesOnce sync.Once
@@ -41,59 +31,64 @@ type CSR struct {
 // neighbor IDs.
 const maxCSRVertices = 1 << 31
 
-// Freeze returns the CSR view of the graph, building it on first use and
-// caching it until the next mutation (AddWeight invalidates the cache).
-// The returned CSR is immutable and safe for concurrent readers; freezing
-// concurrently with mutation is not.
-func (g *Graph) Freeze() *CSR {
-	if c := g.frozen.Load(); c != nil {
-		obsFreezeHits.Inc()
-		return c
-	}
-	obsFreezeMisses.Inc()
-	_, span := obs.StartSpan(context.Background(), "graph.freeze.build")
-	c := buildCSR(g)
-	span.SetAttr("n", c.n).SetAttr("edges", c.NumEdges())
-	span.End()
-	g.frozen.Store(c)
-	return c
-}
+// Freeze returns the graph's current CSR snapshot. It builds nothing:
+// the constructors build the first snapshot and ApplyDeltas replaces it
+// with a patched successor. A snapshot is immutable and safe for
+// concurrent readers, and stays valid after ApplyDeltas moves on.
+func (g *Graph) Freeze() *CSR { return g.csr.Load() }
 
-func buildCSR(g *Graph) *CSR {
-	if g.n >= maxCSRVertices {
-		panic(fmt.Sprintf("graph: %d vertices exceed the CSR limit %d", g.n, maxCSRVertices))
-	}
+// buildRows turns netted per-edge weights (packed u<v keys, see pairKey;
+// every weight positive) into the CSR on n vertices: count degrees,
+// scatter both arcs of every edge, sort each row ascending, then sum wdeg
+// and totalW.
+func buildRows(n int, sums map[uint64]int64) *CSR {
 	c := &CSR{
-		n:      g.n,
-		rowPtr: make([]int, g.n+1),
-		wdeg:   make([]int64, g.n),
+		n:      n,
+		rowPtr: make([]int, n+1),
+		wdeg:   make([]int64, n),
 	}
-	arcs := 0
-	for u := 0; u < g.n; u++ {
-		arcs += len(g.adj[u])
+	for k := range sums {
+		c.rowPtr[k>>32+1]++
+		c.rowPtr[uint32(k)+1]++
 	}
-	c.colIdx = make([]int32, 0, arcs)
-	c.weights = make([]int64, 0, arcs)
-	var row []int
-	for u := 0; u < g.n; u++ {
-		row = row[:0]
-		for v := range g.adj[u] {
-			row = append(row, v)
+	for u := 0; u < n; u++ {
+		c.rowPtr[u+1] += c.rowPtr[u]
+	}
+	c.colIdx = make([]int32, c.rowPtr[n])
+	c.weights = make([]int64, c.rowPtr[n])
+	at := append([]int(nil), c.rowPtr[:n]...)
+	for k, w := range sums {
+		u, v := int(k>>32), int(uint32(k))
+		c.colIdx[at[u]], c.weights[at[u]] = int32(v), w
+		c.colIdx[at[v]], c.weights[at[v]] = int32(u), w
+		at[u]++
+		at[v]++
+	}
+	rs := &rowSorter{}
+	for u := 0; u < n; u++ {
+		lo, hi := c.rowPtr[u], c.rowPtr[u+1]
+		rs.cols, rs.ws = c.colIdx[lo:hi], c.weights[lo:hi]
+		sort.Sort(rs)
+		for _, w := range rs.ws {
+			c.wdeg[u] += w
 		}
-		sort.Ints(row)
-		var wd int64
-		for _, v := range row {
-			w := g.adj[u][v]
-			c.colIdx = append(c.colIdx, int32(v))
-			c.weights = append(c.weights, w)
-			wd += w
-		}
-		c.wdeg[u] = wd
-		c.rowPtr[u+1] = len(c.colIdx)
-		c.totalW += wd
+		c.totalW += c.wdeg[u]
 	}
 	c.totalW /= 2 // every edge contributes to two rows
 	return c
+}
+
+// rowSorter sorts one CSR row by neighbor ID, carrying the weights along.
+type rowSorter struct {
+	cols []int32
+	ws   []int64
+}
+
+func (r *rowSorter) Len() int           { return len(r.cols) }
+func (r *rowSorter) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
+func (r *rowSorter) Swap(i, j int) {
+	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
+	r.ws[i], r.ws[j] = r.ws[j], r.ws[i]
 }
 
 // N returns the number of vertices.
@@ -167,9 +162,8 @@ func (c *CSR) EachEdge(fn func(u, v int, w int64)) {
 }
 
 // Edges returns all edges sorted by descending weight, ties broken by
-// (U,V) ascending — the same deterministic order as Graph.Edges. The
-// slice is built once per CSR and shared between callers; treat it as
-// read-only.
+// (U,V) ascending. The slice is built once per CSR and shared between
+// callers; treat it as read-only.
 func (c *CSR) Edges() []Edge {
 	c.edgesOnce.Do(func() {
 		es := make([]Edge, 0, c.NumEdges())

@@ -11,15 +11,13 @@ import (
 // Delta instrumentation (see internal/obs): batches applied, distinct
 // edges edited, and which CSR path each batch took — "patched" batches
 // only changed weights of existing edges (arrays copied, rows untouched),
-// "spliced" batches inserted or removed edges (touched rows rebuilt,
-// untouched rows block-copied), and "cold" batches found no cached CSR to
-// patch at all.
+// "spliced" batches inserted or removed edges (touched rows merged with
+// their edits, untouched rows block-copied).
 var (
 	obsDeltaBatches = obs.GetCounter("graph.delta.batches")
 	obsDeltaEdges   = obs.GetCounter("graph.delta.edges")
 	obsDeltaPatched = obs.GetCounter("graph.delta.patched")
 	obsDeltaSpliced = obs.GetCounter("graph.delta.spliced")
-	obsDeltaCold    = obs.GetCounter("graph.delta.cold")
 )
 
 // Delta is one edge-weight increment: add W (which may be negative) to
@@ -32,29 +30,35 @@ type Delta struct {
 	W    int64
 }
 
-// ApplyDeltas applies a batch of edge-weight increments in one step.
-// Unlike a sequence of AddWeight calls — each of which discards the
-// cached CSR view and forces the next Freeze to pay a full O(V+E)
-// rebuild — ApplyDeltas patches the cached view forward: a batch that
-// only changes weights of existing edges copies the weight/degree arrays
-// and edits the touched entries in place, and a batch that inserts or
-// removes edges rebuilds only the touched rows, block-copying the rest.
-// Either way the previous CSR snapshot stays immutable and valid for
-// readers that still hold it; the graph's cache simply advances to the
-// patched successor, whose fingerprint/edges/canon memos are rebuilt
-// lazily only if someone asks for them.
+// edit is one edge whose weight a batch changes, old to new.
+type edit struct {
+	u, v     int
+	old, new int64
+}
+
+// ApplyDeltas applies a batch of edge-weight increments in one step,
+// deriving the graph's next CSR snapshot from the current one: a batch
+// that only changes weights of existing edges copies the weight/degree
+// arrays and edits the touched entries in place, and a batch that
+// inserts or removes edges merges each touched row with its edits,
+// block-copying the rest. Either way the previous snapshot stays
+// immutable and valid for readers that still hold it; the graph simply
+// advances to the successor, whose fingerprint/edges/canon memos are
+// rebuilt lazily only if someone asks for them.
 //
-// The whole batch is validated before anything mutates: an out-of-range
+// The whole batch is validated before anything changes: an out-of-range
 // vertex, a self loop, or a net weight that would go negative fails the
 // call with the graph unchanged. The final graph (and its CSR bytes) is
 // a pure function of the net per-edge increments — the order of deltas
-// within a batch, and the batching itself, never shows through.
+// within a batch, and the batching itself, never shows through. Calls
+// must not run concurrently with each other.
 func (g *Graph) ApplyDeltas(ds []Delta) error {
 	if len(ds) == 0 {
 		return nil
 	}
 	// Net the batch per edge and validate against the current weights.
-	net := make(map[uint64]int64, len(ds))
+	old := g.Freeze()
+	net := make(map[uint64]edit, len(ds))
 	for i, d := range ds {
 		u, v := d.U, d.V
 		if u < 0 || u >= g.n || v < 0 || v >= g.n {
@@ -66,29 +70,27 @@ func (g *Graph) ApplyDeltas(ds []Delta) error {
 		if u > v {
 			u, v = v, u
 		}
-		k := uint64(u)<<32 | uint64(v)
-		w, seen := net[k]
+		k := pairKey(u, v)
+		e, seen := net[k]
 		if !seen {
-			w = g.adj[u][v]
+			w := old.Weight(u, v)
+			e = edit{u: u, v: v, old: w, new: w}
 		}
-		w += d.W
-		if w < 0 {
+		e.new += d.W
+		if e.new < 0 {
 			return fmt.Errorf("graph: delta %d: edge {%d,%d} weight would go negative", i, u, v)
 		}
-		net[k] = w
+		net[k] = e
 	}
 
 	// Flatten to a sorted edit list (map order must not leak anywhere)
 	// and drop no-ops so an inert batch leaves every memo untouched.
-	type edit struct {
-		u, v     int
-		old, new int64
-	}
 	edits := make([]edit, 0, len(net))
-	for k, w := range net {
-		u, v := int(k>>32), int(uint32(k))
-		if old := g.adj[u][v]; old != w {
-			edits = append(edits, edit{u: u, v: v, old: old, new: w})
+	structural := false
+	for _, e := range net {
+		if e.old != e.new {
+			edits = append(edits, e)
+			structural = structural || e.old == 0 || e.new == 0
 		}
 	}
 	if len(edits) == 0 {
@@ -105,62 +107,27 @@ func (g *Graph) ApplyDeltas(ds []Delta) error {
 	defer span.End()
 	obsDeltaBatches.Inc()
 	obsDeltaEdges.Add(int64(len(edits)))
-
-	// Apply to the adjacency maps.
-	structural := false
-	for _, e := range edits {
-		if (e.old == 0) != (e.new == 0) {
-			structural = true
-		}
-		set := func(a, b int) {
-			if e.new == 0 {
-				delete(g.adj[a], b)
-				return
-			}
-			if g.adj[a] == nil {
-				g.adj[a] = make(map[int]int64)
-			}
-			g.adj[a][b] = e.new
-		}
-		set(e.u, e.v)
-		set(e.v, e.u)
-	}
-
-	old := g.frozen.Load()
 	span.SetAttr("edges", len(edits)).SetAttr("structural", structural)
-	if old == nil {
-		// Nothing cached to patch: the next Freeze rebuilds from the maps.
-		obsDeltaCold.Inc()
-		span.SetAttr("path", "cold")
-		return nil
-	}
 
 	var next *CSR
 	if !structural {
-		next = patchWeights(old, len(edits), func(i int) (int, int, int64) {
-			return edits[i].u, edits[i].v, edits[i].new - edits[i].old
-		})
+		next = patchWeights(old, edits)
 		obsDeltaPatched.Inc()
 		span.SetAttr("path", "patched")
 	} else {
-		touched := make([]bool, g.n)
-		for _, e := range edits {
-			touched[e.u] = true
-			touched[e.v] = true
-		}
-		next = spliceRows(g, old, touched)
+		next = spliceRows(old, edits)
 		obsDeltaSpliced.Inc()
 		span.SetAttr("path", "spliced")
 	}
-	g.frozen.Store(next)
+	g.csr.Store(next)
 	return nil
 }
 
 // patchWeights derives a CSR from old where only edge weights changed:
 // rowPtr and colIdx are structurally identical, so they are shared with
 // the old snapshot, and only the weight/degree arrays are copied and
-// edited. edit(i) yields the i-th changed edge and its weight increment.
-func patchWeights(old *CSR, edits int, edit func(i int) (u, v int, dw int64)) *CSR {
+// edited.
+func patchWeights(old *CSR, edits []edit) *CSR {
 	next := &CSR{
 		n:       old.n,
 		rowPtr:  old.rowPtr,
@@ -169,12 +136,12 @@ func patchWeights(old *CSR, edits int, edit func(i int) (u, v int, dw int64)) *C
 		wdeg:    append([]int64(nil), old.wdeg...),
 		totalW:  old.totalW,
 	}
-	for i := 0; i < edits; i++ {
-		u, v, dw := edit(i)
-		next.weights[next.arcIndex(u, v)] += dw
-		next.weights[next.arcIndex(v, u)] += dw
-		next.wdeg[u] += dw
-		next.wdeg[v] += dw
+	for _, e := range edits {
+		dw := e.new - e.old
+		next.weights[next.arcIndex(e.u, e.v)] += dw
+		next.weights[next.arcIndex(e.v, e.u)] += dw
+		next.wdeg[e.u] += dw
+		next.wdeg[e.v] += dw
 		next.totalW += dw
 	}
 	return next
@@ -192,51 +159,69 @@ func (c *CSR) arcIndex(u, v int) int {
 	return lo + i
 }
 
-// spliceRows derives a CSR from old where the marked rows changed
-// structurally: touched rows are rebuilt from the (already updated)
-// adjacency maps, untouched rows are block-copied from the old arrays.
-// Compared to a full buildCSR this skips the per-row map iteration and
-// sort for every untouched row, which is where the rebuild cost lives
-// when the batch touches a handful of vertices in a large graph.
-func spliceRows(g *Graph, old *CSR, touched []bool) *CSR {
-	next := &CSR{
-		n:      g.n,
-		rowPtr: make([]int, g.n+1),
-		wdeg:   make([]int64, g.n),
-	}
-	arcs := 0
-	for u := 0; u < g.n; u++ {
-		if touched[u] {
-			arcs += len(g.adj[u])
-		} else {
-			arcs += old.rowPtr[u+1] - old.rowPtr[u]
+// arcEdit sets the directed arc row->col to w (zero removes it).
+type arcEdit struct {
+	row, col int
+	w        int64
+}
+
+// spliceRows derives a CSR from old where some edges appeared or
+// vanished: each touched row is the merge of its old (ascending) row with
+// its edits sorted by column, and untouched rows are block-copied. The
+// result is the CSR a full build of the edited edge set would produce.
+func spliceRows(old *CSR, edits []edit) *CSR {
+	arcs := make([]arcEdit, 0, 2*len(edits))
+	size := len(old.colIdx)
+	for _, e := range edits {
+		arcs = append(arcs, arcEdit{e.u, e.v, e.new}, arcEdit{e.v, e.u, e.new})
+		if e.old == 0 {
+			size += 2
+		} else if e.new == 0 {
+			size -= 2
 		}
 	}
-	next.colIdx = make([]int32, arcs)
-	next.weights = make([]int64, arcs)
-	var row []int
+	sort.Slice(arcs, func(i, j int) bool {
+		if arcs[i].row != arcs[j].row {
+			return arcs[i].row < arcs[j].row
+		}
+		return arcs[i].col < arcs[j].col
+	})
+	next := &CSR{
+		n:       old.n,
+		rowPtr:  make([]int, old.n+1),
+		colIdx:  make([]int32, size),
+		weights: make([]int64, size),
+		wdeg:    make([]int64, old.n),
+	}
 	at := 0
-	for u := 0; u < g.n; u++ {
-		if !touched[u] {
-			lo, hi := old.rowPtr[u], old.rowPtr[u+1]
+	for u := 0; u < old.n; u++ {
+		lo, hi := old.rowPtr[u], old.rowPtr[u+1]
+		if len(arcs) == 0 || arcs[0].row != u {
 			at += copy(next.colIdx[at:], old.colIdx[lo:hi])
 			copy(next.weights[at-(hi-lo):], old.weights[lo:hi])
 			next.wdeg[u] = old.wdeg[u]
 		} else {
-			row = row[:0]
-			for v := range g.adj[u] {
-				row = append(row, v)
-			}
-			sort.Ints(row)
-			var wd int64
-			for _, v := range row {
-				w := g.adj[u][v]
-				next.colIdx[at] = int32(v)
-				next.weights[at] = w
+			put := func(col int, w int64) {
+				next.colIdx[at], next.weights[at] = int32(col), w
+				next.wdeg[u] += w
 				at++
-				wd += w
 			}
-			next.wdeg[u] = wd
+			i := lo
+			for ; len(arcs) > 0 && arcs[0].row == u; arcs = arcs[1:] {
+				a := arcs[0]
+				for ; i < hi && int(old.colIdx[i]) < a.col; i++ {
+					put(int(old.colIdx[i]), old.weights[i])
+				}
+				if i < hi && int(old.colIdx[i]) == a.col {
+					i++ // the edit replaces this arc
+				}
+				if a.w != 0 {
+					put(a.col, a.w)
+				}
+			}
+			for ; i < hi; i++ {
+				put(int(old.colIdx[i]), old.weights[i])
+			}
 		}
 		next.rowPtr[u+1] = at
 		next.totalW += next.wdeg[u]

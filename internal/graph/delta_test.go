@@ -9,52 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// csrEqual compares two CSR views structurally, byte for byte across
-// every array the hot paths read.
-func csrEqual(t *testing.T, got, want *CSR) {
-	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("n: got %d, want %d", got.n, want.n)
-	}
-	if got.totalW != want.totalW {
-		t.Fatalf("totalW: got %d, want %d", got.totalW, want.totalW)
-	}
-	if len(got.colIdx) != len(want.colIdx) {
-		t.Fatalf("arcs: got %d, want %d", len(got.colIdx), len(want.colIdx))
-	}
-	for u := 0; u <= got.n; u++ {
-		if got.rowPtr[u] != want.rowPtr[u] {
-			t.Fatalf("rowPtr[%d]: got %d, want %d", u, got.rowPtr[u], want.rowPtr[u])
-		}
-	}
-	for i := range got.colIdx {
-		if got.colIdx[i] != want.colIdx[i] || got.weights[i] != want.weights[i] {
-			t.Fatalf("arc %d: got (%d,%d), want (%d,%d)",
-				i, got.colIdx[i], got.weights[i], want.colIdx[i], want.weights[i])
-		}
-	}
-	for u := 0; u < got.n; u++ {
-		if got.wdeg[u] != want.wdeg[u] {
-			t.Fatalf("wdeg[%d]: got %d, want %d", u, got.wdeg[u], want.wdeg[u])
-		}
-	}
-}
-
-// rebuildReference clones g's current adjacency into a fresh graph via
-// AddWeight and freezes it cold — the from-scratch answer ApplyDeltas
-// must agree with.
-func rebuildReference(t *testing.T, g *Graph) *CSR {
-	t.Helper()
-	ref, err := New(g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges(g) {
-		ref.AddWeight(e.U, e.V, e.W)
-	}
-	return ref.Freeze()
-}
-
 // TestApplyDeltasMatchesRebuild is the structural property test:
 // randomized delta sequences — increments, decrements, edge creation,
 // and deletion via weights reaching zero — applied through the patch
@@ -65,19 +19,19 @@ func TestApplyDeltasMatchesRebuild(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + n)))
-			g, err := New(n)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Seed with a random starting graph so round 0 has edges to
-			// delete, then freeze so the first batch patches a live CSR.
+			// delete; cur mirrors its weights for the oracle.
+			cur := make(map[[2]int]int64)
+			var es []Edge
 			for i := 0; i < 4*n; i++ {
 				u, v := rng.Intn(n), rng.Intn(n)
 				if u != v {
-					g.AddWeight(u, v, int64(rng.Intn(8)+1))
+					w := int64(rng.Intn(8) + 1)
+					es = append(es, Edge{U: u, V: v, W: w})
+					cur[[2]int{min(u, v), max(u, v)}] += w
 				}
 			}
-			g.Freeze()
+			g := mustFromEdges(t, n, es...)
 			for round := 0; round < 25; round++ {
 				batch := make([]Delta, 0, 8)
 				// pend tracks the net in-batch weight per edge so a batch
@@ -93,34 +47,41 @@ func TestApplyDeltasMatchesRebuild(t *testing.T) {
 						u, v = v, u
 					}
 					key := [2]int{u, v}
-					cur, seen := pend[key]
+					w0, seen := pend[key]
 					if !seen {
-						cur = g.Weight(u, v)
+						w0 = cur[key]
 					}
 					var w int64
 					switch rng.Intn(4) {
 					case 0: // exact deletion when the edge exists
-						w = -cur
+						w = -w0
 						if w == 0 {
 							w = 1
 						}
 					case 1: // partial decrement, clamped non-negative
-						if cur > 1 {
-							w = -rng.Int63n(cur)
+						if w0 > 1 {
+							w = -rng.Int63n(w0)
 						} else {
 							w = 1
 						}
 					default:
 						w = int64(rng.Intn(5) + 1)
 					}
-					pend[key] = cur + w
+					pend[key] = w0 + w
 					batch = append(batch, Delta{U: u, V: v, W: w})
 				}
 				if err := g.ApplyDeltas(batch); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
+				for key, w := range pend {
+					if w == 0 {
+						delete(cur, key)
+					} else {
+						cur[key] = w
+					}
+				}
 				got := g.Freeze()
-				want := rebuildReference(t, g)
+				want := refCSR(n, cur)
 				csrEqual(t, got, want)
 				if got.Canon().FP != want.Canon().FP {
 					t.Fatalf("round %d: patched fingerprint %s != rebuilt %s",
@@ -135,11 +96,7 @@ func TestApplyDeltasMatchesRebuild(t *testing.T) {
 // with any invalid delta leaves both the graph and its frozen view
 // untouched.
 func TestApplyDeltasValidation(t *testing.T) {
-	g, err := New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AddWeight(0, 1, 3)
+	g := mustFromEdges(t, 4, Edge{0, 1, 3})
 	before := g.Freeze()
 	cases := [][]Delta{
 		{{U: 0, V: 0, W: 1}},                       // self loop
@@ -153,7 +110,7 @@ func TestApplyDeltasValidation(t *testing.T) {
 		if err := g.ApplyDeltas(ds); err == nil {
 			t.Fatalf("case %d: want error, got nil", i)
 		}
-		if g.Weight(0, 1) != 3 {
+		if g.Freeze().Weight(0, 1) != 3 {
 			t.Fatalf("case %d: failed batch mutated the graph", i)
 		}
 		if g.Freeze() != before {
@@ -174,12 +131,7 @@ func TestApplyDeltasValidation(t *testing.T) {
 // CSR snapshot never observes a patch: both the weight-only and the
 // structural path must leave the prior snapshot byte-identical.
 func TestApplyDeltasSnapshotImmutable(t *testing.T) {
-	g, err := New(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AddWeight(0, 1, 2)
-	g.AddWeight(1, 2, 5)
+	g := mustFromEdges(t, 6, Edge{0, 1, 2}, Edge{1, 2, 5})
 	old := g.Freeze()
 	oldEdges := append([]Edge(nil), old.Edges()...)
 
@@ -217,7 +169,8 @@ func TestApplyDeltasSnapshotImmutable(t *testing.T) {
 
 // TestFromTraceOversized pins the boundary bugfix: a trace whose item
 // space reaches the CSR's int32 vertex limit must fail FromTrace with
-// ErrTooManyVertices instead of building a graph whose Freeze panics.
+// ErrTooManyVertices instead of a graph its int32 neighbor IDs cannot
+// index.
 func TestFromTraceOversized(t *testing.T) {
 	tr := trace.New("huge", MaxVertices)
 	tr.Read(0)
@@ -229,8 +182,8 @@ func TestFromTraceOversized(t *testing.T) {
 	if _, err := FromTrace(tr); !errors.Is(err, ErrTooManyVertices) {
 		t.Fatalf("FromTrace above the limit: err = %v, want ErrTooManyVertices", err)
 	}
-	if _, err := New(MaxVertices); !errors.Is(err, ErrTooManyVertices) {
-		t.Fatalf("New at the limit: err = %v, want ErrTooManyVertices", err)
+	if _, err := FromEdges(MaxVertices, nil); !errors.Is(err, ErrTooManyVertices) {
+		t.Fatalf("FromEdges at the limit: err = %v, want ErrTooManyVertices", err)
 	}
 	// Just below the limit is legal in principle; we cannot allocate a
 	// 2^31-vertex graph in a unit test, so pin only that a small graph
@@ -246,23 +199,23 @@ func TestFromTraceOversized(t *testing.T) {
 	}
 }
 
-// deltaBenchGraph builds an E10-scale transition graph (a few thousand
+// deltaBenchEdges draws an E10-scale transition graph (a few thousand
 // items, tens of thousands of edges) for the patch-vs-rebuild benchmark.
-func deltaBenchGraph(b *testing.B, n, edges int) *Graph {
-	b.Helper()
-	g, err := New(n)
-	if err != nil {
-		b.Fatal(err)
-	}
+func deltaBenchEdges(n, edges int) []Edge {
 	rng := rand.New(rand.NewSource(42))
+	es := make([]Edge, 0, edges)
 	for i := 0; i < edges; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.AddWeight(u, v, int64(rng.Intn(16)+1))
+			es = append(es, Edge{U: u, V: v, W: int64(rng.Intn(16) + 1)})
 		}
 	}
-	g.Freeze()
-	return g
+	return es
+}
+
+func deltaBenchGraph(b *testing.B, n, edges int) *Graph {
+	b.Helper()
+	return mustFromEdges(b, n, deltaBenchEdges(n, edges)...)
 }
 
 // benchDeltas yields a small batch touching existing edges (the
@@ -295,20 +248,21 @@ func BenchmarkApplyDeltas(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyDeltasRebuild is the old path for the same update: the
-// same 16 increments via AddWeight (which drops the cached CSR) followed
-// by the full Freeze rebuild every streaming batch used to pay.
+// BenchmarkApplyDeltasRebuild is the from-scratch path for the same
+// update: FromEdges over the graph's edges plus the 16 increments, the
+// build a stream would pay per batch without ApplyDeltas.
 func BenchmarkApplyDeltasRebuild(b *testing.B) {
 	g := deltaBenchGraph(b, 4096, 1<<16)
 	ds := benchDeltas(g, 16)
+	es := append([]Edge(nil), g.Freeze().Edges()...)
+	for _, d := range ds {
+		es = append(es, Edge{U: d.U, V: d.V, W: d.W})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, d := range ds {
-			g.AddWeight(d.U, d.V, d.W)
-		}
-		if g.Freeze() == nil {
-			b.Fatal("no CSR")
+		if _, err := FromEdges(g.N(), es); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

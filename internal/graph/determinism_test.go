@@ -25,12 +25,12 @@ func lcgTrace(items, accesses int) *trace.Trace {
 }
 
 // TestGraphViewsStableAcross100Rebuilds guards the determinism contract
-// dwmlint's maporder rule enforces structurally: the adjacency storage
-// is a map, whose iteration order Go re-randomizes per map instance, so
-// every rebuild exercises a different physical order. The ordered views
-// (the frozen CSR's rows and its Edges list) must come out identical
-// every time — delete the sort in Freeze or in CSR.Edges and this fails
-// with high probability.
+// dwmlint's maporder rule enforces structurally: FromTrace counts
+// transitions in a map, whose iteration order Go re-randomizes per map
+// instance, so every rebuild scatters the arcs into their rows in a
+// different order. The ordered views (the CSR's rows and its Edges list)
+// must come out identical every time — delete the row sort in buildRows
+// or the sort in CSR.Edges and this fails with high probability.
 func TestGraphViewsStableAcross100Rebuilds(t *testing.T) {
 	tr := lcgTrace(96, 6000)
 	build := func() *Graph {

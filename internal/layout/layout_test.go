@@ -86,31 +86,6 @@ func TestCloneAndSwap(t *testing.T) {
 	}
 }
 
-// mirror returns the placement reflected across the tape: slot s
-// becomes slots-1-s.
-func mirror(p Placement, slots int) Placement {
-	m := make(Placement, len(p))
-	for item, s := range p {
-		m[item] = slots - 1 - s
-	}
-	return m
-}
-
-func TestMirror(t *testing.T) {
-	p := Placement{0, 3, 1}
-	m := mirror(p, 4)
-	if !reflect.DeepEqual(m, Placement{3, 0, 2}) {
-		t.Errorf("mirror = %v", m)
-	}
-	if err := m.Validate(4); err != nil {
-		t.Errorf("mirrored placement invalid: %v", err)
-	}
-	// Mirror twice is identity.
-	if !reflect.DeepEqual(mirror(m, 4), p) {
-		t.Error("double mirror is not identity")
-	}
-}
-
 func TestMultiPlacementValidate(t *testing.T) {
 	mp := NewMultiPlacement(3)
 	if err := mp.Validate(2, 4); err == nil {

@@ -24,6 +24,9 @@ func TestValidate(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
+	if err := New("empty", 1).Validate(); err != nil {
+		t.Errorf("access-free trace rejected: %v", err)
+	}
 	bad := New("bad", 2)
 	bad.Read(2)
 	if err := bad.Validate(); err == nil {
@@ -61,68 +64,6 @@ func TestItemsAndTouched(t *testing.T) {
 	}
 	if got := tr.Touched(); !reflect.DeepEqual(got, []int{1, 4}) {
 		t.Errorf("Touched = %v", got)
-	}
-}
-
-// compact has no caller outside tests; it stays here with the tests
-// that pin it.
-// compact renumbers items so that only touched items remain, preserving
-// first-touch order, and returns the compacted trace together with the
-// mapping from new IDs back to original IDs. The receiver is unchanged.
-func compact(t *Trace) (*Trace, []int) {
-	newID := make([]int, t.NumItems)
-	for i := range newID {
-		newID[i] = -1
-	}
-	var oldID []int
-	c := &Trace{Name: t.Name}
-	c.Accesses = make([]Access, len(t.Accesses))
-	for i, a := range t.Accesses {
-		if newID[a.Item] < 0 {
-			newID[a.Item] = len(oldID)
-			oldID = append(oldID, a.Item)
-		}
-		c.Accesses[i] = Access{Item: newID[a.Item], Write: a.Write}
-	}
-	c.NumItems = len(oldID)
-	if c.NumItems == 0 {
-		c.NumItems = 1 // keep the invariant NumItems > 0 for empty traces
-	}
-	return c, oldID
-}
-
-func TestCompact(t *testing.T) {
-	tr := buildTrace("t", 10, 7, 2, 7, 9)
-	c, oldID := compact(tr)
-	if c.NumItems != 3 {
-		t.Fatalf("compact NumItems = %d, want 3", c.NumItems)
-	}
-	if !reflect.DeepEqual(oldID, []int{7, 2, 9}) {
-		t.Errorf("oldID = %v, want [7 2 9]", oldID)
-	}
-	if got := c.Items(); !reflect.DeepEqual(got, []int{0, 1, 0, 2}) {
-		t.Errorf("compact Items = %v, want [0 1 0 2]", got)
-	}
-	// Read/write flags preserved.
-	for i := range tr.Accesses {
-		if tr.Accesses[i].Write != c.Accesses[i].Write {
-			t.Errorf("access %d write flag changed", i)
-		}
-	}
-	// Original untouched.
-	if tr.NumItems != 10 {
-		t.Error("compact mutated its input")
-	}
-}
-
-func TestCompactEmpty(t *testing.T) {
-	tr := New("empty", 5)
-	c, oldID := compact(tr)
-	if c.NumItems != 1 || len(oldID) != 0 || c.Len() != 0 {
-		t.Errorf("compact empty: NumItems=%d oldID=%v len=%d", c.NumItems, oldID, c.Len())
-	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("compact empty invalid: %v", err)
 	}
 }
 
