@@ -273,11 +273,13 @@ func (l *Log) Append(payload []byte) (err error) {
 	}
 	l.curSize += int64(n)
 	l.segs[len(l.segs)-1].size = l.curSize
+	if l.opts.Policy == SyncAlways {
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
+	}
 	l.stats.Appends++
 	l.mAppends.Inc()
-	if l.opts.Policy == SyncAlways {
-		return l.syncLocked()
-	}
 	return nil
 }
 

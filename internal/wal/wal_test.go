@@ -326,7 +326,8 @@ func (syncFailFile) Sync() error { return errors.New("injected fsync failure") }
 // exactly one for every Append that returns an error — the fsync that
 // breaks the log (on rotation under SyncNever, on the append itself
 // under SyncAlways) and every append refused afterwards because the log
-// is broken.
+// is broken. Stats().Appends and <prefix>.appends count only the
+// appends that returned nil.
 func TestAppendErrorsCountsEveryFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -342,7 +343,8 @@ func TestAppendErrorsCountsEveryFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prefix := "wal_test.append_errors." + tc.name
 			errs := obs.GetCounter(prefix + ".append_errors")
-			before := errs.Value()
+			appends := obs.GetCounter(prefix + ".appends")
+			before, appendsBefore := errs.Value(), appends.Value()
 			l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 64, Policy: tc.policy,
 				FS: syncFailFS{OS()}, MetricsPrefix: prefix})
 			defer l.Close()
@@ -357,6 +359,13 @@ func TestAppendErrorsCountsEveryFailure(t *testing.T) {
 			}
 			if got := errs.Value() - before; got != int64(failed) {
 				t.Errorf("append_errors rose by %d, want %d (one per failed Append)", got, failed)
+			}
+			ok := int64(10 - failed)
+			if got := l.Stats().Appends; got != ok {
+				t.Errorf("Stats().Appends = %d, want %d (successful appends only)", got, ok)
+			}
+			if got := appends.Value() - appendsBefore; got != ok {
+				t.Errorf("appends rose by %d, want %d (successful appends only)", got, ok)
 			}
 		})
 	}
