@@ -57,15 +57,18 @@ race:
 race-repeat:
 	$(GO) test -race -count=10 -timeout 120s -run 'TestConcurrentClientKeyOneJob|TestAdmit|TestFinishedJobRetention|TestWaitAndCancelRaceFinish' ./internal/serve
 
-# One iteration of the heaviest experiment benchmark and of the Propose
-# layer benchmark: catches regressions (or a panicking benchmark) that
-# only show up under the full pipeline without paying for a
-# statistically meaningful run.
+# One iteration of the heaviest experiment benchmark, of the Propose and
+# anneal-chain layer benchmarks, and of every graph and cost benchmark:
+# catches regressions (or a broken or panicking benchmark) that only
+# show up under the full pipeline without paying for a statistically
+# meaningful run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE2MainComparison$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPropose$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTwoOpt$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTwoOptWindowed$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkAnnealChain$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/cost
 
 # Refresh BENCH_dwmbench.json (per-experiment wall times with deltas vs
 # the committed report).

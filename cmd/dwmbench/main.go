@@ -32,8 +32,8 @@
 // preserved from the prior report instead of being clobbered, so the
 // wall-time trajectory survives partial runs.
 //
-// -metrics prints the observability snapshot (simulator, annealer, CSR
-// cache, and runner instruments) to stderr after the run. -cpuprofile
+// -metrics prints the observability snapshot (simulator, annealer,
+// graph delta and canonicalization, and runner instruments) to stderr after the run. -cpuprofile
 // and -memprofile write pprof profiles for the whole invocation.
 //
 // -trace enables the span tracer for the run and writes the collected

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -238,21 +239,11 @@ type StreamPlan struct {
 	Batches [][]int
 }
 
-// mix64 is the splitmix64 finalizer, the tree-wide derivation primitive.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // deriveState folds the scenario identity into the chain's initial state.
 func (s *Scenario) deriveState() uint64 {
 	h := uint64(0x9E3779B97F4A7C15) ^ uint64(s.Seed)
 	for i := 0; i < len(s.Name); i++ {
-		h = mix64(h ^ uint64(s.Name[i]))
+		h = stats.Mix64(h ^ uint64(s.Name[i]))
 	}
 	return h
 }
@@ -272,7 +263,7 @@ func BuildPlan(s *Scenario) ([]PlannedRequest, error) {
 	state := s.deriveState()
 	plan := make([]PlannedRequest, 0, s.Requests)
 	for i := 0; i < s.Requests; i++ {
-		h := mix64(state + uint64(i)*0xD1B54A32D192ED03)
+		h := stats.Mix64(state + uint64(i)*0xD1B54A32D192ED03)
 		pick := int(h % uint64(totalWeight))
 		var entry MixEntry
 		entryIdx := 0
@@ -295,9 +286,9 @@ func BuildPlan(s *Scenario) ([]PlannedRequest, error) {
 			// request pins the seed to the mix entry, so every occurrence
 			// is the same request and all but the first are served from
 			// the placement cache.
-			reqSeed := int64(mix64(h + 1))
+			reqSeed := int64(stats.Mix64(h + 1))
 			if entry.Kind == kindCacheHit {
-				reqSeed = int64(mix64(state + uint64(entryIdx) + 0x1000))
+				reqSeed = int64(stats.Mix64(state + uint64(entryIdx) + 0x1000))
 			}
 			gen, err := workload.ByName(entry.workload())
 			if err != nil {
@@ -320,11 +311,11 @@ func BuildPlan(s *Scenario) ([]PlannedRequest, error) {
 		case kindStream:
 			items := entry.items()
 			batches := make([][]int, entry.appends())
-			bh := mix64(h + 2)
+			bh := stats.Mix64(h + 2)
 			for b := range batches {
 				batch := make([]int, entry.batch())
 				for a := range batch {
-					bh = mix64(bh + 0x632BE59BD9B4E019)
+					bh = stats.Mix64(bh + 0x632BE59BD9B4E019)
 					batch[a] = int(bh % uint64(items))
 				}
 				batches[b] = batch
@@ -333,7 +324,7 @@ func BuildPlan(s *Scenario) ([]PlannedRequest, error) {
 				Req: serve.StreamRequest{
 					Name:  fmt.Sprintf("%s-%06d", s.Name, i),
 					Items: items,
-					Seed:  int64(mix64(h + 3)),
+					Seed:  int64(stats.Mix64(h + 3)),
 				},
 				Batches: batches,
 			}

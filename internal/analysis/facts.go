@@ -363,7 +363,7 @@ func (f *Facts) selectsField(info *types.Info, e ast.Expr, field *types.Var) boo
 // fields of non-local values, no channel operations, no goroutines, and
 // only callees that are themselves mutation-free. Unknown callees make
 // the answer false — purity must be proven, not assumed. This is how
-// "graph.CSR accessors are mutation-free" propagates to other packages
+// "graph.Graph accessors are mutation-free" propagates to other packages
 // instead of being allowlisted per file.
 func (f *Facts) MutationFree(fn *types.Func) bool {
 	if fn == nil {

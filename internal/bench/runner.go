@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Runner instrumentation (see internal/obs): queue wait is the time an
@@ -64,8 +65,8 @@ type countingCache struct {
 	hits, misses atomic.Int64
 }
 
-func (cc *countingCache) Lookup(c *graph.CSR, start layout.Placement, opts core.AnnealOptions) (layout.Placement, int64, bool) {
-	p, cost, ok := cc.inner.Lookup(c, start, opts)
+func (cc *countingCache) Lookup(g *graph.Graph, start layout.Placement, opts core.AnnealOptions) (layout.Placement, int64, bool) {
+	p, cost, ok := cc.inner.Lookup(g, start, opts)
 	if ok {
 		cc.hits.Add(1)
 	} else {
@@ -74,8 +75,8 @@ func (cc *countingCache) Lookup(c *graph.CSR, start layout.Placement, opts core.
 	return p, cost, ok
 }
 
-func (cc *countingCache) Store(c *graph.CSR, start layout.Placement, opts core.AnnealOptions, best layout.Placement, cost int64) {
-	cc.inner.Store(c, start, opts, best, cost)
+func (cc *countingCache) Store(g *graph.Graph, start layout.Placement, opts core.AnnealOptions, best layout.Placement, cost int64) {
+	cc.inner.Store(g, start, opts, best, cost)
 }
 
 // workers resolves the effective worker count.
@@ -100,13 +101,7 @@ func DeriveSeed(seed int64, expID string, row int) int64 {
 		buf[i] = byte(row >> (8 * i))
 	}
 	h.Write(buf[:])
-	z := uint64(seed) ^ h.Sum64()
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(stats.Mix64(uint64(seed) ^ h.Sum64()))
 }
 
 // parMap runs n independent jobs on at most `workers` goroutines and
@@ -169,54 +164,15 @@ func parMap[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 // The same abandonment applies to a per-experiment timeout.
 func RunContext(ctx context.Context, cfg Config, exps ...Experiment) ([]RunResult, error) {
 	submitted := time.Now()
-	results := make([]RunResult, len(exps))
-	workers := cfg.workers()
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	runAt := func(i int) {
+	// Jobs never fail: each experiment's error stays on its RunResult.
+	results, _ := parMap(cfg.workers(), len(exps), func(i int) (RunResult, error) {
+		if err := ctx.Err(); err != nil {
+			obsCanceled.Inc()
+			return RunResult{ID: exps[i].ID, Name: exps[i].Name, Err: err}, nil
+		}
 		obsQueueWaitMS.Observe(time.Since(submitted).Milliseconds())
-		results[i] = runOne(ctx, cfg, exps[i])
-	}
-	if workers <= 1 {
-		for i := range exps {
-			if err := ctx.Err(); err != nil {
-				results[i] = RunResult{ID: exps[i].ID, Name: exps[i].Name, Err: err}
-				obsCanceled.Inc()
-				continue
-			}
-			runAt(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			//dwmlint:ignore ctxflow cancellation is handled at the submit loop: once ctx fires no index reaches the jobs channel, and in-flight runAt calls see ctx through runOne
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runAt(i)
-				}
-			}()
-		}
-	submit:
-		for i := range exps {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				// Everything not yet handed to a worker is canceled; no
-				// new experiment starts after the context fires.
-				for j := i; j < len(exps); j++ {
-					results[j] = RunResult{ID: exps[j].ID, Name: exps[j].Name, Err: ctx.Err()}
-					obsCanceled.Inc()
-				}
-				break submit
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
+		return runOne(ctx, cfg, exps[i]), nil
+	})
 	for i := range results {
 		if results[i].Err != nil {
 			return results, fmt.Errorf("%s: %w", results[i].ID, results[i].Err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,6 +245,46 @@ func TestRunContextCancelParallelPool(t *testing.T) {
 		if r.Table == nil && r.Err == nil {
 			t.Fatalf("result %d has neither table nor error: %+v", i, r)
 		}
+	}
+}
+
+// Cancellation mid-run with a parallel pool: once ctx fires, a worker
+// that frees up marks every remaining experiment canceled instead of
+// starting it.
+func TestRunContextCancelParallelMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocker := make(chan struct{})
+	defer close(blocker)
+	var inFlight sync.WaitGroup
+	inFlight.Add(2)
+	block := func(id string) Experiment {
+		return Experiment{ID: id, Name: "block", Run: func(cfg Config) (*Table, error) {
+			inFlight.Done()
+			<-blocker
+			return &Table{ID: id, Headers: []string{"v"}}, nil
+		}}
+	}
+	var tail atomic.Int32
+	exps := []Experiment{block("T1"), block("T2")}
+	for i := 3; i <= 8; i++ {
+		exps = append(exps, tinyExp(fmt.Sprintf("T%d", i), &tail))
+	}
+	go func() {
+		inFlight.Wait()
+		cancel()
+	}()
+	results, err := RunContext(ctx, Config{Seed: 1, Workers: 2}, exps...)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	for i, r := range results {
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("result %d must be marked canceled: %+v", i, r)
+		}
+	}
+	if n := tail.Load(); n != 0 {
+		t.Errorf("%d experiments started after cancellation", n)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Annealer instrumentation (see internal/obs): proposed iterations,
@@ -41,8 +42,8 @@ var (
 // the stored result is byte-identical to re-running the anneal — the
 // determinism contract extends through the cache.
 type PlacementCache interface {
-	Lookup(c *graph.CSR, start layout.Placement, opts AnnealOptions) (layout.Placement, int64, bool)
-	Store(c *graph.CSR, start layout.Placement, opts AnnealOptions, best layout.Placement, cost int64)
+	Lookup(g *graph.Graph, start layout.Placement, opts AnnealOptions) (layout.Placement, int64, bool)
+	Store(g *graph.Graph, start layout.Placement, opts AnnealOptions, best layout.Placement, cost int64)
 }
 
 // cancelCheckEvery is how many proposals a chain runs between
@@ -134,28 +135,21 @@ func Anneal(g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Plac
 // error: placement != nil with errors.Is(err, ctx.Err()) means
 // "interrupted but usable".
 func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
-	c := g.Freeze()
-	cache := opts.Cache
-	opts.Cache = nil // chains must not re-consult the cache
-	if cache != nil {
-		if best, bestCost, ok := cache.Lookup(c, p, opts); ok {
+	if cache := opts.Cache; cache != nil {
+		opts.Cache = nil // the chains below must not re-consult the cache
+		if best, bestCost, ok := cache.Lookup(g, p, opts); ok {
 			obsCacheHits.Inc()
 			return best, bestCost, nil
 		}
 		obsCacheMisses.Inc()
+		best, bestCost, err := AnnealContext(ctx, g, p, opts)
+		if err == nil && best != nil {
+			cache.Store(g, p, opts, best, bestCost)
+		}
+		return best, bestCost, err
 	}
-	best, bestCost, err := annealCSR(ctx, c, p, opts)
-	if cache != nil && err == nil && best != nil {
-		cache.Store(c, p, opts, best, bestCost)
-	}
-	return best, bestCost, err
-}
-
-// annealCSR runs the chain (or concurrent restart chains) over a frozen
-// graph; AnnealContext handles the cache.
-func annealCSR(ctx context.Context, c *graph.CSR, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
 	if opts.Restarts <= 1 {
-		return annealChain(ctx, c, p, opts)
+		return annealChain(ctx, g, p, opts)
 	}
 	type outcome struct {
 		p   layout.Placement
@@ -175,7 +169,7 @@ func annealCSR(ctx context.Context, c *graph.CSR, p layout.Placement, opts Annea
 			if i > 0 {
 				chainOpts.Seed = deriveSeed(opts.Seed, i)
 			}
-			p, c, err := annealChain(ctx, c, p, chainOpts)
+			p, c, err := annealChain(ctx, g, p, chainOpts)
 			results[i] = outcome{p: p, c: c, err: err}
 		}(i)
 	}
@@ -210,27 +204,21 @@ func annealCSR(ctx context.Context, c *graph.CSR, p layout.Placement, opts Annea
 // per-row seeds: statistically independent streams, stable across runs
 // and scheduling orders.
 func deriveSeed(seed int64, i int) int64 {
-	z := uint64(seed) + uint64(i)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(stats.Mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
 }
 
-// annealChain is one simulated-annealing run over the frozen graph. On
+// annealChain is one simulated-annealing run over g. On
 // cancellation it returns the best-so-far placement together with an
 // error wrapping ctx.Err().
-func annealChain(ctx context.Context, c *graph.CSR, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
+func annealChain(ctx context.Context, g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
 	ctx, span := obs.StartSpan(ctx, "core.anneal.chain")
 	defer span.End()
-	span.SetAttr("chain", opts.chain).SetAttr("n", c.N())
-	ev, err := cost.NewEvaluatorCSR(c, p)
+	span.SetAttr("chain", opts.chain).SetAttr("n", g.N())
+	ev, err := cost.NewEvaluator(g, p)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: Anneal: %w", err)
 	}
-	n := c.N()
+	n := g.N()
 	if n < 2 {
 		return ev.Placement(), ev.Cost(), nil
 	}

@@ -28,7 +28,7 @@ type annealGoldenCase struct {
 // rejected, the 1e-6 temperature floor (InitialTemp 0.01, Cooling 0.5),
 // and concurrent restart chains. The strings were recorded from the
 // plain Metropolis rule (u < math.Exp(-d/temp) on every uphill move,
-// float bucket search, CSR.Row-based SwapDelta); any change to the RNG
+// float bucket search, Graph.Row-based SwapDelta); any change to the RNG
 // draw sequence, an accepted move or a histogram count shows up here.
 var annealGoldenCases = []annealGoldenCase{
 	{n: 48, seed: 1, opts: AnnealOptions{Seed: 11, Iterations: 300 * 48}, want: "cost=2108 placement=38bc60dc86c345d3 deltas=[1368 7 57 183 671 1608 3478 6340 404 0 0] sum=17919487"},

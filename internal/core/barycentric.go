@@ -26,11 +26,10 @@ func Barycentric(g *graph.Graph, p layout.Placement) (layout.Placement, int64, e
 	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, fmt.Errorf("core: Barycentric: %w", err)
 	}
-	c := g.Freeze()
-	n := c.N()
+	n := g.N()
 	cur := p.Clone()
 	best := cur.Clone()
-	bestCost, err := cost.LinearCSR(c, cur)
+	bestCost, err := cost.Linear(g, cur)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -40,11 +39,11 @@ func Barycentric(g *graph.Graph, p layout.Placement) (layout.Placement, int64, e
 	for it := 0; it < barycentricIterations; it++ {
 		for v := 0; v < n; v++ {
 			var sum float64
-			cols, ws := c.Row(v)
+			cols, ws := g.Row(v)
 			for i, u := range cols {
 				sum += float64(ws[i]) * float64(cur[u])
 			}
-			if wsum := c.WeightedDegree(v); wsum == 0 {
+			if wsum := g.WeightedDegree(v); wsum == 0 {
 				coord[v] = float64(cur[v]) // isolated: stay put
 			} else {
 				coord[v] = sum / float64(wsum)
@@ -62,7 +61,7 @@ func Barycentric(g *graph.Graph, p layout.Placement) (layout.Placement, int64, e
 		for s, v := range rank {
 			cur[v] = s
 		}
-		cc, err := cost.LinearCSR(c, cur)
+		cc, err := cost.Linear(g, cur)
 		if err != nil {
 			return nil, 0, err
 		}

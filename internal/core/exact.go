@@ -32,21 +32,20 @@ func ExactDP(g *graph.Graph) (layout.Placement, int64, error) {
 	size := 1 << uint(n)
 
 	// deg[v] = weighted degree; adj[v] = packed neighbor list, both read
-	// straight off the frozen CSR rows.
+	// straight off the graph's CSR rows.
 	type arc struct {
 		to int
 		w  int64
 	}
-	c := g.Freeze()
 	adj := make([][]arc, n)
 	degW := make([]int64, n)
 	for v := 0; v < n; v++ {
-		cols, ws := c.Row(v)
+		cols, ws := g.Row(v)
 		adj[v] = make([]arc, len(cols))
 		for i, u := range cols {
 			adj[v][i] = arc{int(u), ws[i]}
 		}
-		degW[v] = c.WeightedDegree(v)
+		degW[v] = g.WeightedDegree(v)
 	}
 
 	// cut[S] built incrementally by removing the lowest set bit:

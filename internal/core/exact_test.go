@@ -100,11 +100,10 @@ func branchAndBound(g *graph.Graph) (layout.Placement, int64, error) {
 		to int
 		w  int64
 	}
-	c := g.Freeze()
 	adj := make([][]arc, n)
 	var unplacedW int64
 	for v := 0; v < n; v++ {
-		cols, ws := c.Row(v)
+		cols, ws := g.Row(v)
 		adj[v] = make([]arc, len(cols))
 		for i, u := range cols {
 			adj[v][i] = arc{int(u), ws[i]}

@@ -31,8 +31,7 @@ const (
 // Complexity is O(E log E) for the edge sort plus near-linear chain
 // bookkeeping, so it scales to thousands of items.
 func GreedyChain(g *graph.Graph, seed GreedySeed) (layout.Placement, error) {
-	c := g.Freeze()
-	n := c.N()
+	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
@@ -58,7 +57,7 @@ func GreedyChain(g *graph.Graph, seed GreedySeed) (layout.Placement, error) {
 
 	isEndpoint := func(v int) bool { return next[v] == -1 || prev[v] == -1 }
 
-	for _, e := range c.Edges() {
+	for _, e := range g.Edges() {
 		ru, rv := find(e.U), find(e.V)
 		if ru == rv || !isEndpoint(e.U) || !isEndpoint(e.V) {
 			continue
@@ -90,7 +89,7 @@ func GreedyChain(g *graph.Graph, seed GreedySeed) (layout.Placement, error) {
 		var ch chain
 		for x := v; x != -1; x = next[x] {
 			ch.items = append(ch.items, x)
-			if wd := c.WeightedDegree(x); wd > ch.seedW {
+			if wd := g.WeightedDegree(x); wd > ch.seedW {
 				ch.seedW = wd
 			}
 		}

@@ -45,8 +45,7 @@ func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Plac
 	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, fmt.Errorf("core: TwoOpt: %w", err)
 	}
-	c := g.Freeze()
-	n := c.N()
+	n := g.N()
 	maxPasses := opts.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 50 * n // effectively "until converged"
@@ -56,11 +55,11 @@ func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Plac
 	if err != nil {
 		return nil, 0, err
 	}
-	curCost, err := cost.LinearCSR(c, pos)
+	curCost, err := cost.Linear(g, pos)
 	if err != nil {
 		return nil, 0, err
 	}
-	rowPtr, colIdx, weights := c.Arrays()
+	rowPtr, colIdx, weights := g.Arrays()
 
 	// slopeAt[s] = Σ w·sign(s − pos t) over the edges (x, t) of the item x
 	// in slot s: F_x's derivative at x's own slot, which no neighbour
@@ -186,8 +185,7 @@ func Insertion(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placem
 	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, fmt.Errorf("core: Insertion: %w", err)
 	}
-	c := g.Freeze()
-	n := c.N()
+	n := g.N()
 	if maxPasses <= 0 {
 		maxPasses = 10
 	}
@@ -196,11 +194,11 @@ func Insertion(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placem
 	if err != nil {
 		return nil, 0, err
 	}
-	curCost, err := cost.LinearCSR(c, cur)
+	curCost, err := cost.Linear(g, cur)
 	if err != nil {
 		return nil, 0, err
 	}
-	rowPtr, colIdx, weights := c.Arrays()
+	rowPtr, colIdx, weights := g.Arrays()
 
 	// shifted[to] is the cost change, on edges not incident to x, of
 	// moving x to slot to: the items between x and to each move one slot

@@ -49,7 +49,7 @@ func TestTwoOptReachesLocalOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No single swap can improve further.
-	ev, err := cost.NewEvaluatorCSR(g.Freeze(), p)
+	ev, err := cost.NewEvaluator(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTwoOptDoesNotMutateInput(t *testing.T) {
 // reproduce exactly: every slot pair in the window is priced in full with
 // the evaluator's SwapDelta, and each improving swap is applied at once.
 func twoOptReference(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Placement, int64, error) {
-	ev, err := cost.NewEvaluatorCSR(g.Freeze(), p)
+	ev, err := cost.NewEvaluator(g, p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -334,14 +334,13 @@ func TestInsertionFixesRelocation(t *testing.T) {
 
 // insertionReference is the brute-force Insertion that the sweep-priced
 // one must reproduce exactly: every candidate is applied, the whole graph
-// is re-costed with LinearCSR, and the move is undone. Candidate order and
+// is re-costed with Linear, and the move is undone. Candidate order and
 // the strict first-best tie-break are the same as Insertion's.
 func insertionReference(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placement, int64, error) {
 	if err := p.Validate(g.N()); err != nil {
 		return nil, 0, err
 	}
-	c := g.Freeze()
-	n := c.N()
+	n := g.N()
 	if maxPasses <= 0 {
 		maxPasses = 10
 	}
@@ -350,7 +349,7 @@ func insertionReference(g *graph.Graph, p layout.Placement, maxPasses int) (layo
 	if err != nil {
 		return nil, 0, err
 	}
-	curCost, err := cost.LinearCSR(c, cur)
+	curCost, err := cost.Linear(g, cur)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -373,7 +372,7 @@ func insertionReference(g *graph.Graph, p layout.Placement, maxPasses int) (layo
 		for item := 0; item < n; item++ {
 			from := cur[item]
 			var cands []int
-			cols, _ := c.Row(item)
+			cols, _ := g.Row(item)
 			for _, v := range cols {
 				for _, d := range []int{-1, 0, 1} {
 					if to := cur[v] + d; to >= 0 && to < n && to != from {
@@ -384,7 +383,7 @@ func insertionReference(g *graph.Graph, p layout.Placement, maxPasses int) (layo
 			bestTo, bestCost := -1, curCost
 			for _, to := range cands {
 				apply(from, to)
-				cc, err := cost.LinearCSR(c, cur)
+				cc, err := cost.Linear(g, cur)
 				if err != nil {
 					return nil, 0, err
 				}

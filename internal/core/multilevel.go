@@ -35,7 +35,6 @@ func multilevel(g *graph.Graph, base int) (layout.Placement, int64, error) {
 	if n <= base {
 		return GreedyTwoOpt(g, TwoOptOptions{})
 	}
-	c := g.Freeze()
 
 	// Heaviest-edge matching.
 	matched := make([]int, n) // partner, -1 if unmatched
@@ -43,7 +42,7 @@ func multilevel(g *graph.Graph, base int) (layout.Placement, int64, error) {
 		matched[i] = -1
 	}
 	pairs := 0
-	for _, e := range c.Edges() {
+	for _, e := range g.Edges() {
 		if matched[e.U] == -1 && matched[e.V] == -1 {
 			matched[e.U], matched[e.V] = e.V, e.U
 			pairs++
@@ -75,7 +74,7 @@ func multilevel(g *graph.Graph, base int) (layout.Placement, int64, error) {
 		members = append(members, m)
 	}
 	var coarse []graph.Edge
-	c.EachEdge(func(u, v int, w int64) {
+	g.EachEdge(func(u, v int, w int64) {
 		if cu, cv := coarseID[u], coarseID[v]; cu != cv {
 			coarse = append(coarse, graph.Edge{U: cu, V: cv, W: w})
 		}
@@ -107,7 +106,7 @@ func multilevel(g *graph.Graph, base int) (layout.Placement, int64, error) {
 		a, b := m[0], m[1]
 		if len(order) > 0 {
 			last := order[len(order)-1]
-			if c.Weight(last, b) > c.Weight(last, a) {
+			if g.Weight(last, b) > g.Weight(last, a) {
 				a, b = b, a
 			}
 		}

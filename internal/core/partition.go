@@ -114,14 +114,13 @@ func AffinityPartition(g *graph.Graph, tapes, capacity int) (Partition, error) {
 		pt[i] = -1
 	}
 	load := make([]int, tapes)
-	c := g.Freeze()
 
 	// W(v, tape) = affinity of v to the items already on tape. This is
 	// the innermost loop of both construction and refinement (the swap
 	// pass calls it O(n²) times), so it scans the flat CSR row.
 	affinity := func(v, tape int) int64 {
 		var s int64
-		cols, ws := c.Row(v)
+		cols, ws := g.Row(v)
 		for i, u := range cols {
 			if pt[u] == tape {
 				s += ws[i]
@@ -135,7 +134,7 @@ func AffinityPartition(g *graph.Graph, tapes, capacity int) (Partition, error) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		wa, wb := c.WeightedDegree(order[a]), c.WeightedDegree(order[b])
+		wa, wb := g.WeightedDegree(order[a]), g.WeightedDegree(order[b])
 		if wa != wb {
 			return wa > wb
 		}
@@ -182,7 +181,7 @@ func AffinityPartition(g *graph.Graph, tapes, capacity int) (Partition, error) {
 				if tu == tv {
 					continue
 				}
-				delta := affinity(u, tv) + affinity(v, tu) - 2*c.Weight(u, v) -
+				delta := affinity(u, tv) + affinity(v, tu) - 2*g.Weight(u, v) -
 					affinity(u, tu) - affinity(v, tv)
 				if delta < 0 {
 					pt[u], pt[v] = tv, tu

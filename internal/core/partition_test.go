@@ -121,7 +121,7 @@ func TestAffinityPartitionCapacityAndValidity(t *testing.T) {
 // share a tape — the proxy objective AffinityPartition minimizes.
 func intraWeight(pt Partition, g *graph.Graph) int64 {
 	var s int64
-	for _, e := range g.Freeze().Edges() {
+	for _, e := range g.Edges() {
 		if pt[e.U] == pt[e.V] {
 			s += e.W
 		}

@@ -22,7 +22,7 @@ type proposeGoldenCase struct {
 // benchmark's offline-dense inputs (8192 accesses, skew 1.3, four phases,
 // n spanning the same ranges), where Insertion's relocation search did
 // most of Propose's work. These strings and proposeGoldenSuite's were
-// recorded from the brute-force Insertion (apply, full LinearCSR re-cost,
+// recorded from the brute-force Insertion (apply, full Linear re-cost,
 // undo per candidate).
 var proposeGoldenCases = []proposeGoldenCase{
 	{name: "zipf-96", make: func() *trace.Trace { return workload.Zipf(96, 8192, 1.3, 101) }, want: "cost=71388 placement=d5d41e5caf423e9b"},

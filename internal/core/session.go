@@ -185,9 +185,11 @@ func (s *Session) flush() error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	if err := s.g.ApplyDeltas(s.pending); err != nil {
+	g, err := s.g.ApplyDeltas(s.pending)
+	if err != nil {
 		return fmt.Errorf("core: session flush: %w", err)
 	}
+	s.g = g
 	for _, d := range s.pending {
 		s.cost += d.W * int64(abs(s.place[d.U]-s.place[d.V]))
 	}

@@ -88,7 +88,7 @@ func TestSessionChunkInvarianceWithRestarts(t *testing.T) {
 
 // TestSessionCostMatchesColdRecompute checks the incremental cost
 // bookkeeping end to end: after every Append of a chunked stream, the
-// snapshot cost must equal a cold FromTrace + Freeze + LinearCSR
+// snapshot cost must equal a cold FromTrace + Linear
 // recompute over exactly the accesses ingested so far — across flushes
 // of partial tails and the rounds that replace the placement.
 func TestSessionCostMatchesColdRecompute(t *testing.T) {
@@ -114,7 +114,7 @@ func TestSessionCostMatchesColdRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := cost.LinearCSR(g.Freeze(), snap.Placement)
+		cold, err := cost.Linear(g, snap.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSessionImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	identity, err := cost.LinearCSR(g.Freeze(), layout.Identity(opts.Items))
+	identity, err := cost.Linear(g, layout.Identity(opts.Items))
 	if err != nil {
 		t.Fatal(err)
 	}

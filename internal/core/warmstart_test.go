@@ -76,7 +76,7 @@ type fakeCache struct {
 	cost    int64
 }
 
-func (f *fakeCache) Lookup(_ *graph.CSR, _ layout.Placement, _ AnnealOptions) (layout.Placement, int64, bool) {
+func (f *fakeCache) Lookup(_ *graph.Graph, _ layout.Placement, _ AnnealOptions) (layout.Placement, int64, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lookups++
@@ -86,7 +86,7 @@ func (f *fakeCache) Lookup(_ *graph.CSR, _ layout.Placement, _ AnnealOptions) (l
 	return f.best.Clone(), f.cost, true
 }
 
-func (f *fakeCache) Store(_ *graph.CSR, _ layout.Placement, _ AnnealOptions, best layout.Placement, cost int64) {
+func (f *fakeCache) Store(_ *graph.Graph, _ layout.Placement, _ AnnealOptions, best layout.Placement, cost int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stores++
@@ -168,9 +168,9 @@ func randomBenchGraph(b *testing.B, n int, seed int64) *graph.Graph {
 }
 
 // BenchmarkFingerprint measures one full canonicalization (WL refinement
-// + individualization + fingerprint) of a fresh CSR. The one-edge
-// ApplyDeltas in the untimed section yields a new snapshot, which
-// defeats the per-CSR memo so every timed call does real work.
+// + individualization + fingerprint) of a fresh graph. The one-edge
+// ApplyDeltas in the untimed section yields a new graph, which defeats
+// the per-graph memo so every timed call does real work.
 func BenchmarkFingerprint(b *testing.B) {
 	for _, n := range []int{1024, 16384} {
 		b.Run(map[int]string{1024: "1k", 16384: "16k"}[n], func(b *testing.B) {
@@ -178,12 +178,13 @@ func BenchmarkFingerprint(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := g.ApplyDeltas([]graph.Delta{{U: 0, V: 1, W: 1}}); err != nil {
+				next, err := g.ApplyDeltas([]graph.Delta{{U: 0, V: 1, W: 1}})
+				if err != nil {
 					b.Fatal(err)
 				}
-				c := g.Freeze()
+				g = next
 				b.StartTimer()
-				_ = c.Canon()
+				_ = g.Canon()
 			}
 		})
 	}

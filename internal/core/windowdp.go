@@ -30,7 +30,6 @@ func WindowDP(g *graph.Graph, p layout.Placement, opts WindowDPOptions) (layout.
 	if err := p.Validate(n); err != nil {
 		return nil, 0, fmt.Errorf("core: WindowDP: %w", err)
 	}
-	csr := g.Freeze()
 	w := opts.Window
 	if w == 0 {
 		w = 6
@@ -84,7 +83,7 @@ func WindowDP(g *graph.Graph, p layout.Placement, opts WindowDPOptions) (layout.
 				for j := range bc[k] {
 					bc[k][j] = 0
 				}
-				cols, ws := csr.Row(it)
+				cols, ws := g.Row(it)
 				for ci, u32 := range cols {
 					u, wgt := int(u32), ws[ci]
 					if x := inWindow[u]; x > 0 {

@@ -25,23 +25,16 @@ import (
 )
 
 // Linear returns the MinLA objective of a placement on the access
-// transition graph: Σ over edges w(u,v) * |pos(u)-pos(v)|. It evaluates
-// on the graph's frozen CSR view (cached between mutations), so repeated
-// scoring of the same graph — the pattern of every refinement loop — runs
-// over flat arrays.
+// transition graph: Σ over edges w(u,v) * |pos(u)-pos(v)|, summed over
+// the graph's flat CSR rows.
 func Linear(g *graph.Graph, p layout.Placement) (int64, error) {
-	return LinearCSR(g.Freeze(), p)
-}
-
-// LinearCSR is Linear on an already-frozen graph.
-func LinearCSR(c *graph.CSR, p layout.Placement) (int64, error) {
-	if len(p) != c.N() {
-		return 0, fmt.Errorf("cost: placement covers %d items, graph has %d", len(p), c.N())
+	if len(p) != g.N() {
+		return 0, fmt.Errorf("cost: placement covers %d items, graph has %d", len(p), g.N())
 	}
 	var total int64
-	for u := 0; u < c.N(); u++ {
+	for u := 0; u < g.N(); u++ {
 		pu := p[u]
-		cols, ws := c.Row(u)
+		cols, ws := g.Row(u)
 		for i, v := range cols {
 			total += ws[i] * int64(abs(pu-p[v]))
 		}
@@ -138,7 +131,7 @@ func headWalk(seq, tape, slot, ports []int, perTape []int64) error {
 }
 
 // abs is |x|, branch-free through the sign mask rather than through the
-// compiler's choice of a conditional move: SwapDelta and LinearCSR call
+// compiler's choice of a conditional move: SwapDelta and Linear call
 // it for every neighbor, and the sign of a slot distance is close to a
 // coin flip, the worst case for a predicted branch.
 func abs(x int) int {

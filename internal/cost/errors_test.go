@@ -42,7 +42,7 @@ func TestEvaluatorVerifyDetectsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(3))
+	e, err := NewEvaluator(g, layout.Identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}

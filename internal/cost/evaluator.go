@@ -8,41 +8,35 @@ import (
 // Evaluator maintains a placement and its Linear cost, supporting O(deg)
 // evaluation and application of item swaps. Local search and simulated
 // annealing run millions of delta evaluations, so the evaluator iterates
-// the graph's frozen CSR rows — flat, cache-friendly slices — instead of
-// per-vertex maps, and its construction is a single pass over the CSR
-// with no sorting or per-vertex allocation.
+// the graph's CSR rows — flat, cache-friendly slices — and its
+// construction is a single pass over them with no sorting or per-vertex
+// allocation.
 type Evaluator struct {
-	csr *graph.CSR
+	g   *graph.Graph
 	pos layout.Placement
 	cur int64
 
-	// csr's arrays (graph.CSR.Arrays), cached so SwapDelta slices rows
-	// directly instead of paying a checked CSR.Row call per row.
+	// g's arrays (graph.Graph.Arrays), cached so SwapDelta slices rows
+	// directly instead of paying a checked Graph.Row call per row.
 	rowPtr  []int
 	colIdx  []int32
 	weights []int64
 }
 
-// NewEvaluatorCSR builds an evaluator on a frozen CSR view for a
-// placement that must be a permutation of [0, c.N()), sharing the view
-// with any other consumers (the CSR is immutable).
-func NewEvaluatorCSR(c *graph.CSR, p layout.Placement) (*Evaluator, error) {
-	if err := p.Validate(c.N()); err != nil {
+// NewEvaluator builds an evaluator on g for a placement that must be a
+// permutation of [0, g.N()), sharing g with any other consumers (a
+// graph is immutable).
+func NewEvaluator(g *graph.Graph, p layout.Placement) (*Evaluator, error) {
+	if err := p.Validate(g.N()); err != nil {
 		return nil, err
 	}
-	cost, err := LinearCSR(c, p)
+	cost, err := Linear(g, p)
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{pos: p.Clone(), cur: cost}
-	e.setCSR(c)
+	e := &Evaluator{g: g, pos: p.Clone(), cur: cost}
+	e.rowPtr, e.colIdx, e.weights = g.Arrays()
 	return e, nil
-}
-
-// setCSR points the evaluator, and its cached row arrays, at c.
-func (e *Evaluator) setCSR(c *graph.CSR) {
-	e.csr = c
-	e.rowPtr, e.colIdx, e.weights = c.Arrays()
 }
 
 // Cost returns the current Linear cost.

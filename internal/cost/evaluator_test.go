@@ -27,12 +27,12 @@ func randomGraph(rng *rand.Rand, n int) *graph.Graph {
 func TestNewEvaluatorValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 6)
-	if _, err := NewEvaluatorCSR(g.Freeze(), layout.Placement{0, 0, 1, 2, 3, 4}); err == nil {
+	if _, err := NewEvaluator(g, layout.Placement{0, 0, 1, 2, 3, 4}); err == nil {
 		t.Error("invalid placement accepted")
 	}
 	// A placement into more slots than vertices is rejected for the
 	// evaluator (it requires a permutation).
-	if _, err := NewEvaluatorCSR(g.Freeze(), layout.Placement{0, 1, 2, 3, 4, 9}); err == nil {
+	if _, err := NewEvaluator(g, layout.Placement{0, 1, 2, 3, 4, 9}); err == nil {
 		t.Error("sparse placement accepted")
 	}
 }
@@ -46,7 +46,7 @@ func TestEvaluatorSwapMatchesRecompute(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		e, err := NewEvaluatorCSR(g.Freeze(), p)
+		e, err := NewEvaluator(g, p)
 		if err != nil {
 			return false
 		}
@@ -69,7 +69,7 @@ func TestEvaluatorSwapMatchesRecompute(t *testing.T) {
 func TestEvaluatorSwapDeltaSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 8)
-	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(8))
+	e, err := NewEvaluator(g, layout.Identity(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEvaluatorSwapDeltaSelf(t *testing.T) {
 func TestEvaluatorPlacementIsCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGraph(rng, 5)
-	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(5))
+	e, err := NewEvaluator(g, layout.Identity(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEvaluatorSwapAdjacentItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEvaluatorCSR(g.Freeze(), layout.Identity(2))
+	e, err := NewEvaluator(g, layout.Identity(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import "fmt"
 // incremental bookkeeping agrees: the tests' oracle for SwapDelta and
 // SwapKnown.
 func (e *Evaluator) Verify() error {
-	c, err := LinearCSR(e.csr, e.pos)
+	c, err := Linear(e.g, e.pos)
 	if err != nil {
 		return err
 	}

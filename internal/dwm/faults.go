@@ -3,6 +3,8 @@ package dwm
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/stats"
 )
 
 // Shift fault model. Racetrack shifting is analog: a current pulse can
@@ -77,7 +79,7 @@ func (t *Tape) EnableFaults(f FaultModel) error {
 	// The defect map is a fixed property of the (simulated) wire: a
 	// distinct splitmix lane of the same seed, so the map and the error
 	// draws are decorrelated streams of one reproducible process.
-	t.pinSeed = mix64(uint64(f.Seed) ^ 0x8CB92BA72F3D8DD7)
+	t.pinSeed = stats.Mix64(uint64(f.Seed) ^ 0x8CB92BA72F3D8DD7)
 	return nil
 }
 
@@ -154,20 +156,9 @@ func (t *Tape) applyFaultsPinned(from, to int) int {
 // mean 1: a deterministic hash of (defect-map seed, position). Offsets
 // can be negative; the int64 widening keeps the hash well-defined.
 func (t *Tape) pinWeight(pos int) float64 {
-	z := mix64(t.pinSeed + uint64(int64(pos))*0xD1B54A32D192ED03)
+	z := stats.Mix64(t.pinSeed + uint64(int64(pos))*0xD1B54A32D192ED03)
 	frac := float64(z>>11) / (1 << 53)
 	return 0.25 + 1.5*frac
-}
-
-// mix64 is the splitmix64 finalizer — the tree-wide scheme for
-// decorrelated deterministic streams.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
 }
 
 // deriveTapeSeed maps (seed, tape index) to an independent per-tape RNG
@@ -177,7 +168,7 @@ func mix64(z uint64) uint64 {
 // statistically independent streams, stable across runs, and
 // independent of the order tapes are accessed in.
 func deriveTapeSeed(seed int64, i int) int64 {
-	return int64(mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
+	return int64(stats.Mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
 }
 
 // EnableFaults activates the fault model on every tape of the device,

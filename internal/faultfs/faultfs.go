@@ -25,6 +25,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -104,23 +105,12 @@ func New(inner wal.FS, opts Options) *FS {
 	return &FS{inner: inner, opts: opts}
 }
 
-// mix64 is the splitmix64 finalizer, the same derivation scheme the
-// rest of the tree uses for decorrelated deterministic streams.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // draw returns a deterministic value in [0, 1000) for (seed, op, lane).
 // Lanes decorrelate independent decisions about the same operation
 // (fault? which class? how short?).
 func (f *FS) draw(op int64, lane uint64) int {
 	z := uint64(f.opts.Seed)*0x9E3779B97F4A7C15 + uint64(op)*0xD1B54A32D192ED03 + lane*0x8CB92BA72F3D8DD7
-	return int(mix64(z) % 1000)
+	return int(stats.Mix64(z) % 1000)
 }
 
 // step counts one operation and decides its fate. It returns the op
@@ -224,7 +214,7 @@ func (w *file) Write(p []byte) (int, error) {
 		// write a crash leaves behind.
 		n := 0
 		if len(p) > 1 {
-			n = int(mix64(uint64(op)*0x9E3779B97F4A7C15+uint64(w.fs.opts.Seed)) % uint64(len(p)))
+			n = int(stats.Mix64(uint64(op)*0x9E3779B97F4A7C15+uint64(w.fs.opts.Seed)) % uint64(len(p)))
 		}
 		if n > 0 {
 			if m, err := w.inner.Write(p[:n]); err != nil {

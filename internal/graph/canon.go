@@ -6,10 +6,11 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
-// Canonicalization instrumentation (see internal/obs): how many CSR
-// views were canonicalized (cache misses on the per-CSR memo) and how
+// Canonicalization instrumentation (see internal/obs): how many graphs
+// were canonicalized (cache misses on the per-graph memo) and how
 // many refinement rounds the last mile of each build needed.
 var (
 	obsCanonBuilds = obs.GetCounter("graph.canon.builds")
@@ -40,7 +41,7 @@ func (f Fingerprint) String() string {
 	return string(b[:])
 }
 
-// Canonical is the canonical relabeling of a CSR view, produced by Canon.
+// Canonical is the canonical relabeling of a graph, produced by Canon.
 type Canonical struct {
 	// Labeling maps original vertex ID to its canonical index: vertex u
 	// of the source graph is vertex Labeling[u] of the canonical form.
@@ -59,8 +60,8 @@ type Canonical struct {
 	Profile uint64
 }
 
-// Canon returns the canonical relabeling of this CSR, building it on
-// first use and memoizing it for the CSR's lifetime (the CSR is
+// Canon returns the canonical relabeling of g, building it on
+// first use and memoizing it for g's lifetime (the graph is
 // immutable, so the canonical form is too).
 //
 // The construction is Weisfeiler–Lehman style iterative refinement:
@@ -79,34 +80,20 @@ type Canonical struct {
 // search to canonicalize exactly — can in principle produce different
 // fingerprints for renumbered twins; that costs a cache miss, never a
 // wrong hit, because hits compare full canonical adjacency hashes.
-func (c *CSR) Canon() *Canonical {
-	c.canonOnce.Do(func() {
+func (g *Graph) Canon() *Canonical {
+	g.canonOnce.Do(func() {
 		_, span := obs.StartSpan(context.Background(), "graph.canon.build")
-		c.canon = canonicalize(c)
+		g.canon = canonicalize(g)
 		obsCanonBuilds.Inc()
-		span.SetAttr("n", c.n).SetAttr("fp", c.canon.FP.String())
+		span.SetAttr("n", g.n).SetAttr("fp", g.canon.FP.String())
 		span.End()
 	})
-	return c.canon
-}
-
-// mix64 is the splitmix64 finalizer, the same mixer the seed-derivation
-// helpers use: a cheap bijection on uint64 with full avalanche.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
+	return g.canon
 }
 
 // h64 hashes one value, offset by the golden-ratio constant so zero
 // inputs do not map to zero.
-func h64(z uint64) uint64 { return mix64(z + 0x9E3779B97F4A7C15) }
-
-// foldSeq absorbs v into an order-dependent running hash.
-func foldSeq(h, v uint64) uint64 { return mix64(h*0x100000001B3 + v) }
+func h64(z uint64) uint64 { return stats.Mix64(z + 0x9E3779B97F4A7C15) }
 
 // distinctColors counts the distinct values in colors using scratch
 // (resized as needed) for the sort.
@@ -123,12 +110,12 @@ func distinctColors(colors []uint64, scratch []uint64) (int, []uint64) {
 }
 
 // canonicalize runs the refinement described on Canon.
-func canonicalize(c *CSR) *Canonical {
-	n := c.n
+func canonicalize(g *Graph) *Canonical {
+	n := g.n
 	colors := make([]uint64, n)
 	for u := 0; u < n; u++ {
-		deg := uint64(c.rowPtr[u+1] - c.rowPtr[u])
-		colors[u] = mix64(h64(deg) ^ h64(uint64(c.wdeg[u])<<1|1))
+		deg := uint64(g.rowPtr[u+1] - g.rowPtr[u])
+		colors[u] = stats.Mix64(h64(deg) ^ h64(uint64(g.wdeg[u])<<1|1))
 	}
 	next := make([]uint64, n)
 	var scratch, sig []uint64
@@ -139,15 +126,15 @@ func canonicalize(c *CSR) *Canonical {
 		// One WL round: recolor by own color + sorted neighbor signature.
 		for {
 			for u := 0; u < n; u++ {
-				cols, ws := c.Row(u)
+				cols, ws := g.Row(u)
 				sig = sig[:0]
 				for i, v := range cols {
-					sig = append(sig, mix64(colors[v]^h64(uint64(ws[i]))))
+					sig = append(sig, stats.Mix64(colors[v]^h64(uint64(ws[i]))))
 				}
 				sort.Slice(sig, func(i, j int) bool { return sig[i] < sig[j] })
 				h := h64(colors[u])
 				for _, s := range sig {
-					h = foldSeq(h, s)
+					h = stats.FoldSeq(h, s)
 				}
 				next[u] = h
 			}
@@ -193,7 +180,7 @@ func canonicalize(c *CSR) *Canonical {
 				break
 			}
 		}
-		colors[pick] = mix64(colors[pick] ^ 0xA5A5_5A5A_DEAD_BEEF)
+		colors[pick] = stats.Mix64(colors[pick] ^ 0xA5A5_5A5A_DEAD_BEEF)
 		classes, scratch = distinctColors(colors, scratch)
 		refine()
 	}
@@ -219,8 +206,8 @@ func canonicalize(c *CSR) *Canonical {
 
 	return &Canonical{
 		Labeling: labeling,
-		FP:       fingerprintCanonical(c, order, labeling),
-		Profile:  degreeProfile(c),
+		FP:       fingerprintCanonical(g, order, labeling),
+		Profile:  degreeProfile(g),
 	}
 }
 
@@ -232,22 +219,22 @@ type canonEdge struct {
 
 // fingerprintCanonical hashes the canonically relabeled adjacency into
 // two independent 64-bit lanes.
-func fingerprintCanonical(c *CSR, order []int, labeling []int32) Fingerprint {
-	h0 := h64(0x517C_C1B7_2722_0A95 ^ uint64(c.n))
-	h1 := h64(0x2545_F491_4F6C_DD1D ^ uint64(c.n))
+func fingerprintCanonical(g *Graph, order []int, labeling []int32) Fingerprint {
+	h0 := h64(0x517C_C1B7_2722_0A95 ^ uint64(g.n))
+	h1 := h64(0x2545_F491_4F6C_DD1D ^ uint64(g.n))
 	var row []canonEdge
 	for _, u := range order {
-		cols, ws := c.Row(u)
+		cols, ws := g.Row(u)
 		row = row[:0]
 		for i, v := range cols {
 			row = append(row, canonEdge{v: labeling[v], w: ws[i]})
 		}
 		sort.Slice(row, func(i, j int) bool { return row[i].v < row[j].v })
-		h0 = foldSeq(h0, uint64(len(row)))
-		h1 = foldSeq(h1, uint64(len(row))^0xFF)
+		h0 = stats.FoldSeq(h0, uint64(len(row)))
+		h1 = stats.FoldSeq(h1, uint64(len(row))^0xFF)
 		for _, e := range row {
-			h0 = foldSeq(foldSeq(h0, uint64(e.v)), uint64(e.w))
-			h1 = foldSeq(foldSeq(h1, uint64(e.w)), uint64(e.v))
+			h0 = stats.FoldSeq(stats.FoldSeq(h0, uint64(e.v)), uint64(e.w))
+			h1 = stats.FoldSeq(stats.FoldSeq(h1, uint64(e.w)), uint64(e.v))
 		}
 	}
 	return Fingerprint{h0, h1}
@@ -256,16 +243,16 @@ func fingerprintCanonical(c *CSR, order []int, labeling []int32) Fingerprint {
 // degreeProfile hashes the renumbering-invariant shape summary: the
 // sorted multiset of per-vertex (degree, weighted degree) hashes plus
 // the vertex count and total weight.
-func degreeProfile(c *CSR) uint64 {
-	hs := make([]uint64, c.n)
-	for u := 0; u < c.n; u++ {
-		deg := uint64(c.rowPtr[u+1] - c.rowPtr[u])
-		hs[u] = mix64(h64(deg) ^ h64(uint64(c.wdeg[u])*3+1))
+func degreeProfile(g *Graph) uint64 {
+	hs := make([]uint64, g.n)
+	for u := 0; u < g.n; u++ {
+		deg := uint64(g.rowPtr[u+1] - g.rowPtr[u])
+		hs[u] = stats.Mix64(h64(deg) ^ h64(uint64(g.wdeg[u])*3+1))
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	p := h64(uint64(c.n) ^ 0xABCD_EF01_2345_6789)
+	p := h64(uint64(g.n) ^ 0xABCD_EF01_2345_6789)
 	for _, h := range hs {
-		p = foldSeq(p, h)
+		p = stats.FoldSeq(p, h)
 	}
-	return foldSeq(p, uint64(c.totalW))
+	return stats.FoldSeq(p, uint64(g.totalW))
 }

@@ -62,7 +62,7 @@ func ringGraph(t *testing.T, n int, w int64) *Graph {
 func permuteGraph(t *testing.T, g *Graph, perm []int) *Graph {
 	t.Helper()
 	var es []Edge
-	for _, e := range g.Freeze().Edges() {
+	for _, e := range g.Edges() {
 		es = append(es, Edge{U: perm[e.U], V: perm[e.V], W: e.W})
 	}
 	return mustFromEdges(t, g.N(), es...)
@@ -99,7 +99,7 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.build(t)
-			ref := g.Freeze().Canon()
+			ref := g.Canon()
 			if err := checkLabeling(ref.Labeling, g.N()); err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				perm := randPerm(rng, g.N())
 				pg := permuteGraph(t, g, perm)
-				got := pg.Freeze().Canon()
+				got := pg.Canon()
 				if got.FP != ref.FP {
 					t.Fatalf("trial %d: fingerprint changed under renumbering: %s vs %s",
 						trial, got.FP, ref.FP)
@@ -133,13 +133,13 @@ func TestFingerprintPermutationInvarianceOnTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := g.Freeze().Canon()
+		ref := g.Canon()
 		perm := randPerm(rng, tr.NumItems)
 		pg, err := FromTrace(permuteTrace(tr, perm))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := pg.Freeze().Canon(); got.FP != ref.FP {
+		if got := pg.Canon(); got.FP != ref.FP {
 			t.Fatalf("trial %d: trace renumbering changed fingerprint: %s vs %s",
 				trial, got.FP, ref.FP)
 		}
@@ -177,7 +177,7 @@ func TestFingerprintDistinguishesStructure(t *testing.T) {
 	}
 	fps := make(map[Fingerprint]string)
 	for name, build := range builds {
-		fp := build(t).Freeze().Canon().FP
+		fp := build(t).Canon().FP
 		if prev, dup := fps[fp]; dup {
 			t.Errorf("graphs %q and %q share fingerprint %s", name, prev, fp)
 		}
@@ -198,7 +198,7 @@ func TestCanonDeterministicAcrossBuilds(t *testing.T) {
 			}
 			es = rev
 		}
-		return mustFromEdges(t, 12, es...).Freeze().Canon()
+		return mustFromEdges(t, 12, es...).Canon()
 	}
 	a, b := mk(false), mk(true)
 	if a.FP != b.FP {
@@ -218,7 +218,7 @@ func TestCanonDeterministicAcrossBuilds(t *testing.T) {
 // cannot import internal/cost (cost depends on graph).
 func linearCost(g *Graph, p []int) int64 {
 	var total int64
-	for _, e := range g.Freeze().Edges() {
+	for _, e := range g.Edges() {
 		d := int64(p[e.U] - p[e.V])
 		if d < 0 {
 			d = -d
@@ -239,7 +239,7 @@ func TestCanonicalPlacementTransportPreservesCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	perm := randPerm(rng, g.N())
 	pg := permuteGraph(t, g, perm)
-	ca, cb := g.Freeze().Canon(), pg.Freeze().Canon()
+	ca, cb := g.Canon(), pg.Canon()
 	if ca.FP != cb.FP {
 		t.Fatal("renumbered twin has a different fingerprint; transport undefined")
 	}
@@ -269,7 +269,7 @@ func TestFingerprintString(t *testing.T) {
 }
 
 func TestCanonMemoized(t *testing.T) {
-	c := ringGraph(t, 8, 1).Freeze()
+	c := ringGraph(t, 8, 1)
 	if a, b := c.Canon(), c.Canon(); a != b {
 		t.Fatal("Canon() rebuilt instead of returning the memo")
 	}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// refCSR is the oracle the builders are checked against: the CSR of the
+// refCSR is the oracle the builders are checked against: the graph of the
 // edge set w (keys {u,v} with u < v, weights positive) built the plain
 // way — mirror every edge into per-vertex maps, then list each map's
 // keys in ascending order, summing weighted degrees as it goes.
-func refCSR(n int, w map[[2]int]int64) *CSR {
+func refCSR(n int, w map[[2]int]int64) *Graph {
 	adj := make([]map[int]int64, n)
 	for e, x := range w {
 		for _, a := range [][2]int{e, {e[1], e[0]}} {
@@ -23,7 +23,7 @@ func refCSR(n int, w map[[2]int]int64) *CSR {
 			adj[a[0]][a[1]] = x
 		}
 	}
-	c := &CSR{n: n, rowPtr: make([]int, n+1), wdeg: make([]int64, n)}
+	c := &Graph{n: n, rowPtr: make([]int, n+1), wdeg: make([]int64, n)}
 	for u := 0; u < n; u++ {
 		row := make([]int, 0, len(adj[u]))
 		for v := range adj[u] {
@@ -42,7 +42,7 @@ func refCSR(n int, w map[[2]int]int64) *CSR {
 	return c
 }
 
-// refEdges lists the edge set w in CSR.Edges order: descending weight,
+// refEdges lists the edge set w in Graph.Edges order: descending weight,
 // ties by (U,V) ascending.
 func refEdges(w map[[2]int]int64) []Edge {
 	es := []Edge{}
@@ -61,9 +61,9 @@ func refEdges(w map[[2]int]int64) []Edge {
 	return es
 }
 
-// csrEqual compares two CSR views structurally, byte for byte across
-// every array the hot paths read.
-func csrEqual(t *testing.T, got, want *CSR) {
+// csrEqual compares two graphs structurally, byte for byte across every
+// CSR array the hot paths read.
+func csrEqual(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.n != want.n {
 		t.Fatalf("n: got %d, want %d", got.n, want.n)
@@ -94,16 +94,15 @@ func csrEqual(t *testing.T, got, want *CSR) {
 }
 
 // TestBuildersMatchOracle is the differential property test of every
-// way a CSR is made: FromTrace, FromEdges and ApplyDeltas (both its
+// way a graph is made: FromTrace, FromEdges and ApplyDeltas (both its
 // weight-only patch and its structural splice) must each produce the
 // oracle's arrays byte for byte, and the same Edges and TotalWeight.
 func TestBuildersMatchOracle(t *testing.T) {
 	check := func(t *testing.T, g *Graph, n int, want map[[2]int]int64) {
 		t.Helper()
-		c := g.Freeze()
-		csrEqual(t, c, refCSR(n, want))
-		if !reflect.DeepEqual(c.Edges(), refEdges(want)) {
-			t.Fatalf("Edges = %v, want %v", c.Edges(), refEdges(want))
+		csrEqual(t, g, refCSR(n, want))
+		if !reflect.DeepEqual(g.Edges(), refEdges(want)) {
+			t.Fatalf("Edges = %v, want %v", g.Edges(), refEdges(want))
 		}
 		var total int64
 		for _, x := range want {
@@ -204,10 +203,12 @@ func TestBuildersMatchOracle(t *testing.T) {
 						want[key] = w
 					}
 				}
-				if err := g.ApplyDeltas(batch); err != nil {
+				next, err := g.ApplyDeltas(batch)
+				if err != nil {
 					t.Fatalf("seed %d round %d: %v", seed, round, err)
 				}
-				check(t, g, n, want)
+				check(t, next, n, want)
+				g = next
 			}
 		}
 		if obsDeltaPatched.Value() == patched || obsDeltaSpliced.Value() == spliced {
@@ -220,7 +221,7 @@ func TestBuildersMatchOracle(t *testing.T) {
 // the graph was built from.
 func TestFreezeMatchesGraph(t *testing.T) {
 	w := map[[2]int]int64{{0, 1}: 5, {0, 2}: 2, {1, 2}: 7, {3, 4}: 1, {0, 4}: 3}
-	c := buildTestGraph(t).Freeze()
+	c := buildTestGraph(t)
 	if c.N() != 6 || c.NumEdges() != len(w) {
 		t.Fatalf("N = %d, NumEdges = %d", c.N(), c.NumEdges())
 	}
@@ -260,31 +261,30 @@ func buildTestGraph(t *testing.T) *Graph {
 	return mustFromEdges(t, 6, Edge{0, 1, 5}, Edge{0, 2, 2}, Edge{1, 2, 7}, Edge{3, 4, 1}, Edge{0, 4, 3})
 }
 
-// Freeze returns the same snapshot until ApplyDeltas replaces it, and
-// the replaced snapshot never changes.
+// Freeze is the identity, and ApplyDeltas returns a successor that
+// carries the edit while the receiver keeps its old edge set.
 func TestFreezeCachingAndInvalidation(t *testing.T) {
 	g := buildTestGraph(t)
-	c1 := g.Freeze()
-	if c2 := g.Freeze(); c1 != c2 {
-		t.Error("Freeze did not return the current snapshot")
+	if g.Freeze() != g {
+		t.Error("Freeze did not return the graph itself")
 	}
-	if err := g.ApplyDeltas([]Delta{{U: 2, V: 3, W: 9}}); err != nil {
+	next, err := g.ApplyDeltas([]Delta{{U: 2, V: 3, W: 9}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := g.Freeze()
-	if c3 == c1 {
-		t.Error("ApplyDeltas did not replace the snapshot")
+	if next == g {
+		t.Error("ApplyDeltas did not return a successor")
 	}
-	if c3.Weight(2, 3) != 9 {
-		t.Errorf("new snapshot missing new edge: weight %d", c3.Weight(2, 3))
+	if next.Weight(2, 3) != 9 {
+		t.Errorf("successor missing new edge: weight %d", next.Weight(2, 3))
 	}
-	if c1.Weight(2, 3) != 0 {
-		t.Error("old CSR snapshot mutated")
+	if g.Weight(2, 3) != 0 {
+		t.Error("ApplyDeltas changed its receiver")
 	}
 }
 
 func TestCSREachEdgeCoversAll(t *testing.T) {
-	c := buildTestGraph(t).Freeze()
+	c := buildTestGraph(t)
 	got := map[[2]int]int64{}
 	c.EachEdge(func(u, v int, w int64) {
 		if u >= v {
@@ -299,8 +299,7 @@ func TestCSREachEdgeCoversAll(t *testing.T) {
 }
 
 func TestCSRRowSlicesAligned(t *testing.T) {
-	g := buildTestGraph(t)
-	c := g.Freeze()
+	c := buildTestGraph(t)
 	cols, ws := c.Row(0)
 	if len(cols) != len(ws) || len(cols) != c.Degree(0) {
 		t.Fatalf("row 0: %d cols, %d weights, degree %d", len(cols), len(ws), c.Degree(0))
@@ -313,7 +312,7 @@ func TestCSRRowSlicesAligned(t *testing.T) {
 }
 
 func TestCSRPanicsOnBadVertex(t *testing.T) {
-	c := buildTestGraph(t).Freeze()
+	c := buildTestGraph(t)
 	for _, fn := range []func(){
 		func() { c.Row(-1) },
 		func() { c.Degree(6) },
@@ -332,7 +331,7 @@ func TestCSRPanicsOnBadVertex(t *testing.T) {
 }
 
 // FromTrace and a stream of one-transition ApplyDeltas batches, as a
-// streaming session would send them, end in the same CSR.
+// streaming session would send them, end in the same CSR arrays.
 func TestFromTraceMatchesIncrementalBuild(t *testing.T) {
 	tr := trace.New("t", 5)
 	for _, it := range []int{0, 1, 2, 1, 0, 0, 3, 4, 3, 1} {
@@ -346,12 +345,12 @@ func TestFromTraceMatchesIncrementalBuild(t *testing.T) {
 	for i := 1; i < tr.Len(); i++ {
 		u, v := tr.Accesses[i-1].Item, tr.Accesses[i].Item
 		if u != v {
-			if err := want.ApplyDeltas([]Delta{{U: u, V: v, W: 1}}); err != nil {
+			if want, err = want.ApplyDeltas([]Delta{{U: u, V: v, W: 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	csrEqual(t, got.Freeze(), want.Freeze())
+	csrEqual(t, got, want)
 }
 
 func syntheticTrace(n, length int) *trace.Trace {
@@ -377,7 +376,7 @@ func BenchmarkFromTrace(b *testing.B) {
 
 // BenchmarkFreeze times the CSR build alone, from the netted transition
 // counts of the FromTrace benchmark's trace to sorted rows. Freeze
-// itself is a pointer load; this is the work the first snapshot costs.
+// itself does nothing; this is the part of FromTrace after the count.
 func BenchmarkFreeze(b *testing.B) {
 	tr := syntheticTrace(2048, 1<<16)
 	counts := map[uint64]int64{}

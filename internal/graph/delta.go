@@ -36,36 +36,33 @@ type edit struct {
 	old, new int64
 }
 
-// ApplyDeltas applies a batch of edge-weight increments in one step,
-// deriving the graph's next CSR snapshot from the current one: a batch
-// that only changes weights of existing edges copies the weight/degree
-// arrays and edits the touched entries in place, and a batch that
-// inserts or removes edges merges each touched row with its edits,
-// block-copying the rest. Either way the previous snapshot stays
-// immutable and valid for readers that still hold it; the graph simply
-// advances to the successor, whose fingerprint/edges/canon memos are
-// rebuilt lazily only if someone asks for them.
+// ApplyDeltas applies a batch of edge-weight increments in one step and
+// returns the successor graph; g itself never changes. A batch that only
+// changes weights of existing edges shares g's rowPtr/colIdx and copies
+// the weight/degree arrays with the touched entries edited, and a batch
+// that inserts or removes edges merges each touched row with its edits,
+// block-copying the rest. The successor's edges/canon memos are built
+// lazily only if someone asks for them. An empty batch, or one whose
+// increments net to zero on every edge, returns g itself.
 //
-// The whole batch is validated before anything changes: an out-of-range
-// vertex, a self loop, or a net weight that would go negative fails the
-// call with the graph unchanged. The final graph (and its CSR bytes) is
-// a pure function of the net per-edge increments — the order of deltas
-// within a batch, and the batching itself, never shows through. Calls
-// must not run concurrently with each other.
-func (g *Graph) ApplyDeltas(ds []Delta) error {
+// The whole batch is validated first: an out-of-range vertex, a self
+// loop, or a net weight that would go negative fails the call. The
+// result (and its CSR bytes) is a pure function of the net per-edge
+// increments — the order of deltas within a batch, and the batching
+// itself, never shows through.
+func (g *Graph) ApplyDeltas(ds []Delta) (*Graph, error) {
 	if len(ds) == 0 {
-		return nil
+		return g, nil
 	}
 	// Net the batch per edge and validate against the current weights.
-	old := g.Freeze()
 	net := make(map[uint64]edit, len(ds))
 	for i, d := range ds {
 		u, v := d.U, d.V
 		if u < 0 || u >= g.n || v < 0 || v >= g.n {
-			return fmt.Errorf("graph: delta %d: vertex pair (%d,%d) outside [0,%d)", i, u, v, g.n)
+			return nil, fmt.Errorf("graph: delta %d: vertex pair (%d,%d) outside [0,%d)", i, u, v, g.n)
 		}
 		if u == v {
-			return fmt.Errorf("graph: delta %d: self loop on %d", i, u)
+			return nil, fmt.Errorf("graph: delta %d: self loop on %d", i, u)
 		}
 		if u > v {
 			u, v = v, u
@@ -73,18 +70,18 @@ func (g *Graph) ApplyDeltas(ds []Delta) error {
 		k := pairKey(u, v)
 		e, seen := net[k]
 		if !seen {
-			w := old.Weight(u, v)
+			w := g.Weight(u, v)
 			e = edit{u: u, v: v, old: w, new: w}
 		}
 		e.new += d.W
 		if e.new < 0 {
-			return fmt.Errorf("graph: delta %d: edge {%d,%d} weight would go negative", i, u, v)
+			return nil, fmt.Errorf("graph: delta %d: edge {%d,%d} weight would go negative", i, u, v)
 		}
 		net[k] = e
 	}
 
 	// Flatten to a sorted edit list (map order must not leak anywhere)
-	// and drop no-ops so an inert batch leaves every memo untouched.
+	// and drop no-ops so an inert batch returns g with its memos.
 	edits := make([]edit, 0, len(net))
 	structural := false
 	for _, e := range net {
@@ -94,7 +91,7 @@ func (g *Graph) ApplyDeltas(ds []Delta) error {
 		}
 	}
 	if len(edits) == 0 {
-		return nil
+		return g, nil
 	}
 	sort.Slice(edits, func(i, j int) bool {
 		if edits[i].u != edits[j].u {
@@ -109,26 +106,21 @@ func (g *Graph) ApplyDeltas(ds []Delta) error {
 	obsDeltaEdges.Add(int64(len(edits)))
 	span.SetAttr("edges", len(edits)).SetAttr("structural", structural)
 
-	var next *CSR
 	if !structural {
-		next = patchWeights(old, edits)
 		obsDeltaPatched.Inc()
 		span.SetAttr("path", "patched")
-	} else {
-		next = spliceRows(old, edits)
-		obsDeltaSpliced.Inc()
-		span.SetAttr("path", "spliced")
+		return patchWeights(g, edits), nil
 	}
-	g.csr.Store(next)
-	return nil
+	obsDeltaSpliced.Inc()
+	span.SetAttr("path", "spliced")
+	return spliceRows(g, edits), nil
 }
 
-// patchWeights derives a CSR from old where only edge weights changed:
+// patchWeights derives a graph from old where only edge weights changed:
 // rowPtr and colIdx are structurally identical, so they are shared with
-// the old snapshot, and only the weight/degree arrays are copied and
-// edited.
-func patchWeights(old *CSR, edits []edit) *CSR {
-	next := &CSR{
+// old, and only the weight/degree arrays are copied and edited.
+func patchWeights(old *Graph, edits []edit) *Graph {
+	next := &Graph{
 		n:       old.n,
 		rowPtr:  old.rowPtr,
 		colIdx:  old.colIdx,
@@ -149,12 +141,12 @@ func patchWeights(old *CSR, edits []edit) *CSR {
 
 // arcIndex locates the weights/colIdx index of the directed arc u->v by
 // binary search over u's row. The arc must exist.
-func (c *CSR) arcIndex(u, v int) int {
-	lo, hi := c.rowPtr[u], c.rowPtr[u+1]
-	row := c.colIdx[lo:hi]
+func (g *Graph) arcIndex(u, v int) int {
+	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
+	row := g.colIdx[lo:hi]
 	i := sort.Search(len(row), func(i int) bool { return int(row[i]) >= v })
 	if i >= len(row) || int(row[i]) != v {
-		panic(fmt.Sprintf("graph: arc %d->%d absent from CSR during patch", u, v))
+		panic(fmt.Sprintf("graph: arc %d->%d absent from graph during patch", u, v))
 	}
 	return lo + i
 }
@@ -165,11 +157,11 @@ type arcEdit struct {
 	w        int64
 }
 
-// spliceRows derives a CSR from old where some edges appeared or
+// spliceRows derives a graph from old where some edges appeared or
 // vanished: each touched row is the merge of its old (ascending) row with
 // its edits sorted by column, and untouched rows are block-copied. The
-// result is the CSR a full build of the edited edge set would produce.
-func spliceRows(old *CSR, edits []edit) *CSR {
+// result is the graph a full build of the edited edge set would produce.
+func spliceRows(old *Graph, edits []edit) *Graph {
 	arcs := make([]arcEdit, 0, 2*len(edits))
 	size := len(old.colIdx)
 	for _, e := range edits {
@@ -186,7 +178,7 @@ func spliceRows(old *CSR, edits []edit) *CSR {
 		}
 		return arcs[i].col < arcs[j].col
 	})
-	next := &CSR{
+	next := &Graph{
 		n:       old.n,
 		rowPtr:  make([]int, old.n+1),
 		colIdx:  make([]int32, size),

@@ -12,8 +12,8 @@ import (
 // TestApplyDeltasMatchesRebuild is the structural property test:
 // randomized delta sequences — increments, decrements, edge creation,
 // and deletion via weights reaching zero — applied through the patch
-// path must leave a CSR identical to a cold rebuild, round after round,
-// including the canonical fingerprint memo of the patched view.
+// path must leave CSR arrays identical to a cold rebuild, round after
+// round, including the canonical fingerprint memo of the patched graph.
 func TestApplyDeltasMatchesRebuild(t *testing.T) {
 	for _, n := range []int{2, 8, 33, 120} {
 		n := n
@@ -70,9 +70,11 @@ func TestApplyDeltasMatchesRebuild(t *testing.T) {
 					pend[key] = w0 + w
 					batch = append(batch, Delta{U: u, V: v, W: w})
 				}
-				if err := g.ApplyDeltas(batch); err != nil {
+				next, err := g.ApplyDeltas(batch)
+				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
+				g = next
 				for key, w := range pend {
 					if w == 0 {
 						delete(cur, key)
@@ -80,12 +82,11 @@ func TestApplyDeltasMatchesRebuild(t *testing.T) {
 						cur[key] = w
 					}
 				}
-				got := g.Freeze()
 				want := refCSR(n, cur)
-				csrEqual(t, got, want)
-				if got.Canon().FP != want.Canon().FP {
+				csrEqual(t, g, want)
+				if g.Canon().FP != want.Canon().FP {
 					t.Fatalf("round %d: patched fingerprint %s != rebuilt %s",
-						round, got.Canon().FP, want.Canon().FP)
+						round, g.Canon().FP, want.Canon().FP)
 				}
 			}
 		})
@@ -93,11 +94,10 @@ func TestApplyDeltasMatchesRebuild(t *testing.T) {
 }
 
 // TestApplyDeltasValidation pins the all-or-nothing contract: a batch
-// with any invalid delta leaves both the graph and its frozen view
+// with any invalid delta fails with no successor and the graph
 // untouched.
 func TestApplyDeltasValidation(t *testing.T) {
 	g := mustFromEdges(t, 4, Edge{0, 1, 3})
-	before := g.Freeze()
 	cases := [][]Delta{
 		{{U: 0, V: 0, W: 1}},                       // self loop
 		{{U: -1, V: 2, W: 1}},                      // vertex out of range
@@ -107,41 +107,46 @@ func TestApplyDeltasValidation(t *testing.T) {
 		{{U: 0, V: 1, W: -2}, {U: 0, V: 1, W: -2}}, // net negative across the batch
 	}
 	for i, ds := range cases {
-		if err := g.ApplyDeltas(ds); err == nil {
-			t.Fatalf("case %d: want error, got nil", i)
+		next, err := g.ApplyDeltas(ds)
+		if err == nil || next != nil {
+			t.Fatalf("case %d: want (nil, error), got (%v, %v)", i, next, err)
 		}
-		if g.Freeze().Weight(0, 1) != 3 {
+		if g.Weight(0, 1) != 3 || g.NumEdges() != 1 {
 			t.Fatalf("case %d: failed batch mutated the graph", i)
 		}
-		if g.Freeze() != before {
-			t.Fatalf("case %d: failed batch replaced the frozen view", i)
+	}
+	// An empty batch, or one that nets to zero, is a no-op and returns
+	// the receiver itself (memos kept).
+	for _, ds := range [][]Delta{nil, {{U: 0, V: 1, W: 2}, {U: 0, V: 1, W: -2}}} {
+		next, err := g.ApplyDeltas(ds)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A batch that nets to zero is a no-op and must keep the same CSR
-	// pointer (memos untouched).
-	if err := g.ApplyDeltas([]Delta{{U: 0, V: 1, W: 2}, {U: 0, V: 1, W: -2}}); err != nil {
-		t.Fatal(err)
-	}
-	if g.Freeze() != before {
-		t.Fatal("net-zero batch replaced the frozen view")
+		if next != g {
+			t.Fatalf("no-op batch %v returned a new graph", ds)
+		}
 	}
 }
 
 // TestApplyDeltasSnapshotImmutable pins that a reader holding the old
-// CSR snapshot never observes a patch: both the weight-only and the
-// structural path must leave the prior snapshot byte-identical.
+// graph never observes a patch: both the weight-only and the structural
+// path must leave their receiver byte-identical.
 func TestApplyDeltasSnapshotImmutable(t *testing.T) {
-	g := mustFromEdges(t, 6, Edge{0, 1, 2}, Edge{1, 2, 5})
-	old := g.Freeze()
+	old := mustFromEdges(t, 6, Edge{0, 1, 2}, Edge{1, 2, 5})
 	oldEdges := append([]Edge(nil), old.Edges()...)
 
 	// Weight-only patch.
-	if err := g.ApplyDeltas([]Delta{{U: 0, V: 1, W: 7}}); err != nil {
+	mid, err := old.ApplyDeltas([]Delta{{U: 0, V: 1, W: 7}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Structural patch (new edge + deletion).
-	if err := g.ApplyDeltas([]Delta{{U: 3, V: 4, W: 1}, {U: 1, V: 2, W: -5}}); err != nil {
+	cur, err := mid.ApplyDeltas([]Delta{{U: 3, V: 4, W: 1}, {U: 1, V: 2, W: -5}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := mid.Weight(1, 2); got != 5 {
+		t.Fatalf("weight-patched graph's weight(1,2) = %d, want 5", got)
 	}
 	if got := old.Weight(0, 1); got != 2 {
 		t.Fatalf("old snapshot weight(0,1) = %d, want 2", got)
@@ -154,8 +159,7 @@ func TestApplyDeltasSnapshotImmutable(t *testing.T) {
 			t.Fatalf("old snapshot edge list changed at %d: %+v != %+v", i, e, oldEdges[i])
 		}
 	}
-	// And the live view reflects both patches.
-	cur := g.Freeze()
+	// And the successor reflects both patches.
 	if got := cur.Weight(0, 1); got != 9 {
 		t.Fatalf("patched weight(0,1) = %d, want 9", got)
 	}
@@ -168,7 +172,7 @@ func TestApplyDeltasSnapshotImmutable(t *testing.T) {
 }
 
 // TestFromTraceOversized pins the boundary bugfix: a trace whose item
-// space reaches the CSR's int32 vertex limit must fail FromTrace with
+// space reaches the graph's int32 vertex limit must fail FromTrace with
 // ErrTooManyVertices instead of a graph its int32 neighbor IDs cannot
 // index.
 func TestFromTraceOversized(t *testing.T) {
@@ -221,9 +225,8 @@ func deltaBenchGraph(b *testing.B, n, edges int) *Graph {
 // benchDeltas yields a small batch touching existing edges (the
 // streaming steady state: transitions between already-seen item pairs).
 func benchDeltas(g *Graph, k int) []Delta {
-	c := g.Freeze()
 	ds := make([]Delta, 0, k)
-	c.EachEdge(func(u, v int, w int64) {
+	g.EachEdge(func(u, v int, w int64) {
 		if len(ds) < k {
 			ds = append(ds, Delta{U: u, V: v, W: 1})
 		}
@@ -232,18 +235,16 @@ func benchDeltas(g *Graph, k int) []Delta {
 }
 
 // BenchmarkApplyDeltas measures the incremental path: a 16-edge batch
-// patched into a warm CSR.
+// patched into the previous iteration's graph.
 func BenchmarkApplyDeltas(b *testing.B) {
 	g := deltaBenchGraph(b, 4096, 1<<16)
 	ds := benchDeltas(g, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.ApplyDeltas(ds); err != nil {
+		var err error
+		if g, err = g.ApplyDeltas(ds); err != nil {
 			b.Fatal(err)
-		}
-		if g.Freeze() == nil {
-			b.Fatal("no CSR")
 		}
 	}
 }
@@ -254,7 +255,7 @@ func BenchmarkApplyDeltas(b *testing.B) {
 func BenchmarkApplyDeltasRebuild(b *testing.B) {
 	g := deltaBenchGraph(b, 4096, 1<<16)
 	ds := benchDeltas(g, 16)
-	es := append([]Edge(nil), g.Freeze().Edges()...)
+	es := append([]Edge(nil), g.Edges()...)
 	for _, d := range ds {
 		es = append(es, Edge{U: d.U, V: d.V, W: d.W})
 	}
@@ -281,11 +282,9 @@ func BenchmarkApplyDeltasStructural(b *testing.B) {
 			w = -1
 		}
 		on = !on
-		if err := g.ApplyDeltas([]Delta{{U: 0, V: 1, W: w}, {U: 2, V: 3, W: w}}); err != nil {
+		var err error
+		if g, err = g.ApplyDeltas([]Delta{{U: 0, V: 1, W: w}, {U: 2, V: 3, W: w}}); err != nil {
 			b.Fatal(err)
-		}
-		if g.Freeze() == nil {
-			b.Fatal("no CSR")
 		}
 	}
 }

@@ -9,24 +9,23 @@
 // Linear Arrangement objective. The placement algorithms in internal/core
 // operate on this graph.
 //
-// The graph has one representation: an immutable CSR snapshot (see
-// CSR). FromTrace and FromEdges build the first snapshot; ApplyDeltas
-// derives each successor from its predecessor.
+// A Graph is an immutable compressed-sparse-row (CSR) array set.
+// FromTrace and FromEdges build one; ApplyDeltas derives a successor
+// from it and leaves it as it was.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/trace"
 )
 
-// MaxVertices is the largest vertex count a Graph can hold: the CSR view
-// indexes neighbors with int32 IDs, so graphs must stay below 2^31
-// vertices. FromEdges and FromTrace reject larger inputs with
-// ErrTooManyVertices.
-const MaxVertices = maxCSRVertices
+// MaxVertices bounds the vertex count of a Graph: its rows index
+// neighbors with int32 IDs, so graphs must stay below 2^31 vertices.
+// FromEdges and FromTrace reject larger inputs with ErrTooManyVertices.
+const MaxVertices = 1 << 31
 
 // ErrTooManyVertices is returned (wrapped) by FromEdges and FromTrace
 // when the requested vertex count reaches MaxVertices. Callers can
@@ -34,19 +33,33 @@ const MaxVertices = maxCSRVertices
 // crash.
 var ErrTooManyVertices = errors.New("graph: vertex count exceeds the CSR limit")
 
-// Edge is an undirected weighted edge. CSR.Edges lists them with U < V;
-// FromEdges accepts either order.
+// Edge is an undirected weighted edge. Graph.Edges lists them with
+// U < V; FromEdges accepts either order.
 type Edge struct {
 	U, V int
 	W    int64
 }
 
-// Graph is a weighted undirected graph over vertices 0..N-1 with no self
-// loops: a handle to its current CSR snapshot, which ApplyDeltas
-// advances. The zero value is unusable; use FromEdges or FromTrace.
+// Graph is an immutable weighted undirected graph over vertices 0..N-1
+// with no self loops, stored in compressed-sparse-row form: the
+// adjacency of vertex u occupies colIdx/weights[rowPtr[u]:rowPtr[u+1]],
+// with neighbors in ascending ID order, so the optimizer hot loops
+// (SwapDelta, barycenter averaging, affinity scans) iterate flat,
+// cache-friendly slices. It is safe for concurrent readers. Build one
+// with FromEdges or FromTrace; the zero value is unusable.
 type Graph struct {
-	n   int
-	csr atomic.Pointer[CSR]
+	n       int
+	rowPtr  []int   //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	colIdx  []int32 //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	weights []int64 //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	wdeg    []int64 //dwmlint:frozen FromEdges FromTrace ApplyDeltas
+	totalW  int64
+
+	edgesOnce sync.Once
+	edges     []Edge // lazily built descending-weight edge list
+
+	canonOnce sync.Once
+	canon     *Canonical // lazily built canonical relabeling, see Canon
 }
 
 // FromEdges returns the graph on n vertices whose edges are es, summing
@@ -56,8 +69,8 @@ func FromEdges(n int, es []Edge) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: need at least one vertex, got %d", n)
 	}
-	if n >= maxCSRVertices {
-		return nil, fmt.Errorf("graph: %d vertices: %w (limit %d)", n, ErrTooManyVertices, maxCSRVertices)
+	if n >= MaxVertices {
+		return nil, fmt.Errorf("graph: %d vertices: %w (limit %d)", n, ErrTooManyVertices, MaxVertices)
 	}
 	sums := make(map[uint64]int64, len(es))
 	for i, e := range es {
@@ -73,7 +86,7 @@ func FromEdges(n int, es []Edge) (*Graph, error) {
 		}
 		sums[pairKey(u, v)] += e.W
 	}
-	return newGraph(n, sums), nil
+	return buildRows(n, sums), nil
 }
 
 // FromTrace builds the access-transition graph of a trace: one vertex per
@@ -84,11 +97,11 @@ func FromTrace(t *trace.Trace) (*Graph, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	// Reject oversized item spaces before allocating anything: the CSR's
+	// Reject oversized item spaces before allocating anything: the
 	// neighbor IDs are int32, so such a graph cannot be represented.
-	if t.NumItems >= maxCSRVertices {
+	if t.NumItems >= MaxVertices {
 		return nil, fmt.Errorf("graph: trace %q declares %d items: %w (limit %d)",
-			t.Name, t.NumItems, ErrTooManyVertices, maxCSRVertices)
+			t.Name, t.NumItems, ErrTooManyVertices, MaxVertices)
 	}
 	counts := make(map[uint64]int64, t.NumItems)
 	for i := 1; i < t.Len(); i++ {
@@ -97,13 +110,7 @@ func FromTrace(t *trace.Trace) (*Graph, error) {
 			counts[pairKey(u, v)]++
 		}
 	}
-	return newGraph(t.NumItems, counts), nil
-}
-
-func newGraph(n int, sums map[uint64]int64) *Graph {
-	g := &Graph{n: n}
-	g.csr.Store(buildRows(n, sums))
-	return g
+	return buildRows(t.NumItems, counts), nil
 }
 
 // pairKey packs the edge {u,v} into one map key, smaller endpoint first.
@@ -114,8 +121,10 @@ func pairKey(u, v int) uint64 {
 	return uint64(u)<<32 | uint64(v)
 }
 
-// N returns the number of vertices.
-func (g *Graph) N() int { return g.n }
+// Freeze returns g itself. A Graph is already immutable; Freeze is kept
+// only because the benchmark harness, a separate module, still calls it
+// between building a graph and using it.
+func (g *Graph) Freeze() *Graph { return g }
 
 // TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() int64 { return g.Freeze().totalW }
+func (g *Graph) TotalWeight() int64 { return g.totalW }

@@ -31,7 +31,7 @@ func TestNewRejectsNonPositive(t *testing.T) {
 // from FromEdges and ApplyDeltas instead (TestFromEdgesErrors,
 // TestApplyDeltasValidation).
 func TestPanics(t *testing.T) {
-	c := mustFromEdges(t, 3, Edge{U: 0, V: 1, W: 1}).Freeze()
+	c := mustFromEdges(t, 3, Edge{U: 0, V: 1, W: 1})
 	cases := []func(){
 		func() { c.Weight(-1, 1) },
 		func() { c.Weight(3, 1) },
@@ -85,7 +85,7 @@ func TestFromEdgesOrderInvariant(t *testing.T) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	for _, list := range [][]Edge{es, rev} {
-		csrEqual(t, mustFromEdges(t, 4, list...).Freeze(), want)
+		csrEqual(t, mustFromEdges(t, 4, list...), want)
 	}
 }
 
@@ -93,22 +93,23 @@ func TestFromEdgesOrderInvariant(t *testing.T) {
 // weight that reaches zero removes the edge from both rows.
 func TestApplyDeltasSymmetric(t *testing.T) {
 	g := mustFromEdges(t, 4)
-	if err := g.ApplyDeltas([]Delta{{U: 1, V: 3, W: 5}}); err != nil {
-		t.Fatal(err)
+	apply := func(ds ...Delta) {
+		t.Helper()
+		var err error
+		if g, err = g.ApplyDeltas(ds); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c := g.Freeze(); c.Weight(1, 3) != 5 || c.Weight(3, 1) != 5 {
-		t.Errorf("weights: %d, %d", c.Weight(1, 3), c.Weight(3, 1))
+	apply(Delta{U: 1, V: 3, W: 5})
+	if g.Weight(1, 3) != 5 || g.Weight(3, 1) != 5 {
+		t.Errorf("weights: %d, %d", g.Weight(1, 3), g.Weight(3, 1))
 	}
-	if err := g.ApplyDeltas([]Delta{{U: 3, V: 1, W: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if w := g.Freeze().Weight(1, 3); w != 7 {
+	apply(Delta{U: 3, V: 1, W: 2})
+	if w := g.Weight(1, 3); w != 7 {
 		t.Errorf("accumulated weight = %d, want 7", w)
 	}
-	if err := g.ApplyDeltas([]Delta{{U: 1, V: 3, W: -7}}); err != nil {
-		t.Fatal(err)
-	}
-	if c := g.Freeze(); c.Weight(1, 3) != 0 || c.Degree(1) != 0 || c.Degree(3) != 0 {
+	apply(Delta{U: 1, V: 3, W: -7})
+	if g.Weight(1, 3) != 0 || g.Degree(1) != 0 || g.Degree(3) != 0 {
 		t.Error("zeroed edge not removed")
 	}
 }
@@ -125,9 +126,8 @@ func TestFromTrace(t *testing.T) {
 	if g.N() != 4 {
 		t.Errorf("N = %d", g.N())
 	}
-	c := g.Freeze()
-	if c.Weight(0, 1) != 2 || c.Weight(0, 2) != 1 || c.Weight(1, 2) != 1 {
-		t.Errorf("weights wrong: %d %d %d", c.Weight(0, 1), c.Weight(0, 2), c.Weight(1, 2))
+	if g.Weight(0, 1) != 2 || g.Weight(0, 2) != 1 || g.Weight(1, 2) != 1 {
+		t.Errorf("weights wrong: %d %d %d", g.Weight(0, 1), g.Weight(0, 2), g.Weight(1, 2))
 	}
 	// Self transition 0->0 ignored.
 	if g.TotalWeight() != 4 {
@@ -140,11 +140,11 @@ func TestFromTrace(t *testing.T) {
 	}
 }
 
-// The frozen CSR row lists a vertex's neighbors in ascending order
+// The CSR row lists a vertex's neighbors in ascending order
 // whatever order the edges were given in.
 func TestNeighborsDeterministicOrder(t *testing.T) {
 	g := mustFromEdges(t, 5, Edge{2, 4, 1}, Edge{2, 0, 2}, Edge{2, 3, 3})
-	cols, ws := g.Freeze().Row(2)
+	cols, ws := g.Row(2)
 	if !reflect.DeepEqual(cols, []int32{0, 3, 4}) || !reflect.DeepEqual(ws, []int64{2, 3, 1}) {
 		t.Errorf("row 2 = %v / %v", cols, ws)
 	}
@@ -152,13 +152,13 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 
 func TestEdgesSorted(t *testing.T) {
 	g := mustFromEdges(t, 5, Edge{0, 1, 3}, Edge{2, 3, 7}, Edge{1, 4, 3})
-	es := g.Freeze().Edges()
+	es := g.Edges()
 	want := []Edge{{2, 3, 7}, {0, 1, 3}, {1, 4, 3}}
 	if !reflect.DeepEqual(es, want) {
 		t.Errorf("Edges = %v, want %v", es, want)
 	}
-	if c := g.Freeze(); c.NumEdges() != 3 {
-		t.Errorf("NumEdges = %d", c.NumEdges())
+	if g.NumEdges() != 3 {
+		t.Errorf("NumEdges = %d", g.NumEdges())
 	}
 }
 
@@ -176,7 +176,7 @@ func TestEachEdgeMatchesEdges(t *testing.T) {
 			want[[2]int{min(u, v), max(u, v)}] += w
 		}
 	}
-	c := mustFromEdges(t, 12, es...).Freeze()
+	c := mustFromEdges(t, 12, es...)
 	got := map[[2]int]int64{}
 	c.EachEdge(func(u, v int, w int64) {
 		if u >= v {
@@ -196,7 +196,7 @@ func TestEachEdgeMatchesEdges(t *testing.T) {
 }
 
 func TestDegreeAndWeightedDegree(t *testing.T) {
-	c := mustFromEdges(t, 4, Edge{0, 1, 3}, Edge{0, 2, 4}).Freeze()
+	c := mustFromEdges(t, 4, Edge{0, 1, 3}, Edge{0, 2, 4})
 	if c.Degree(0) != 2 || c.WeightedDegree(0) != 7 {
 		t.Errorf("deg=%d wdeg=%d", c.Degree(0), c.WeightedDegree(0))
 	}

@@ -98,7 +98,7 @@ func TestHistogramMergeQuantileOracle(t *testing.T) {
 			// Deterministic per-goroutine stream via the splitmix chain.
 			state := uint64(g)*0x9E3779B97F4A7C15 + 1
 			for i := 0; i < 500; i++ {
-				state = mix64(state + 0x632BE59BD9B4E019)
+				state = stats.Mix64(state + 0x632BE59BD9B4E019)
 				v := int64(state % 700)
 				l.Observe(v)
 				mine = append(mine, float64(v))

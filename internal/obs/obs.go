@@ -1,7 +1,7 @@
 // Package obs is a minimal in-process metrics layer: named counters,
 // gauges, and histograms with a consistent snapshot API and no external
 // dependencies. The hot layers of the reproduction (the simulator, the
-// annealer, the CSR cache, the experiment runner) register instruments
+// annealer, the graph deltas, the experiment runner) register instruments
 // once at package init and update them with single atomic operations, so
 // instrumentation is cheap enough to leave on unconditionally.
 //

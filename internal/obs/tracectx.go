@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // TraceContext identifies a request across process boundaries.
@@ -100,17 +102,6 @@ func isHex(s string) bool {
 	return len(s) > 0
 }
 
-// mix64 is the splitmix64 finalizer, the tree-wide derivation primitive
-// for decorrelated deterministic streams.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // DeriveTraceContext derives a TraceContext deterministically from a
 // string key: the same key always yields the same trace, distinct keys
 // decorrelate through the splitmix chain. Callers use the request's
@@ -120,13 +111,13 @@ func mix64(z uint64) uint64 {
 func DeriveTraceContext(key string) TraceContext {
 	h := uint64(0x9E3779B97F4A7C15)
 	for i := 0; i < len(key); i++ {
-		h = mix64(h ^ uint64(key[i]))
+		h = stats.Mix64(h ^ uint64(key[i]))
 	}
-	hi, lo := mix64(h+1), mix64(h+2)
+	hi, lo := stats.Mix64(h+1), stats.Mix64(h+2)
 	if hi == 0 && lo == 0 {
 		lo = 1
 	}
-	span := mix64(h + 3)
+	span := stats.Mix64(h + 3)
 	if span == 0 {
 		span = 1
 	}

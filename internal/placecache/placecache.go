@@ -27,6 +27,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -286,28 +287,16 @@ func Decanonize(pc []int, labeling []int32) layout.Placement {
 	return out
 }
 
-// mix64 is the splitmix64 finalizer (same scheme as graph/core/bench).
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-func foldSeq(h, v uint64) uint64 { return mix64(h*0x100000001B3 + v) }
-
 // annealAux hashes the anneal inputs not covered by the key's named
 // fields: the canonical-space start placement and the bitwise float
 // schedule parameters.
 func annealAux(canonStart []int, initialTemp, cooling float64) uint64 {
-	h := mix64(uint64(len(canonStart)) ^ 0x9E3779B97F4A7C15)
+	h := stats.Mix64(uint64(len(canonStart)) ^ 0x9E3779B97F4A7C15)
 	for _, s := range canonStart {
-		h = foldSeq(h, uint64(s))
+		h = stats.FoldSeq(h, uint64(s))
 	}
-	h = foldSeq(h, math.Float64bits(initialTemp))
-	return foldSeq(h, math.Float64bits(cooling))
+	h = stats.FoldSeq(h, math.Float64bits(initialTemp))
+	return stats.FoldSeq(h, math.Float64bits(cooling))
 }
 
 // annealAdapter adapts the cache to core.PlacementCache for plain
@@ -339,24 +328,24 @@ func (a *annealAdapter) key(cn *graph.Canonical, start layout.Placement, opts co
 }
 
 // Lookup implements core.PlacementCache.
-func (a *annealAdapter) Lookup(c *graph.CSR, start layout.Placement, opts core.AnnealOptions) (layout.Placement, int64, bool) {
-	if len(start) != c.N() {
+func (a *annealAdapter) Lookup(g *graph.Graph, start layout.Placement, opts core.AnnealOptions) (layout.Placement, int64, bool) {
+	if len(start) != g.N() {
 		return nil, 0, false
 	}
-	cn := c.Canon()
+	cn := g.Canon()
 	e, ok := a.c.Get(a.key(cn, start, opts))
-	if !ok || len(e.Placement) != c.N() {
+	if !ok || len(e.Placement) != g.N() {
 		return nil, 0, false
 	}
 	return Decanonize(e.Placement, cn.Labeling), e.Cost, true
 }
 
 // Store implements core.PlacementCache.
-func (a *annealAdapter) Store(c *graph.CSR, start layout.Placement, opts core.AnnealOptions, best layout.Placement, cost int64) {
-	if len(start) != c.N() || len(best) != c.N() {
+func (a *annealAdapter) Store(g *graph.Graph, start layout.Placement, opts core.AnnealOptions, best layout.Placement, cost int64) {
+	if len(start) != g.N() || len(best) != g.N() {
 		return
 	}
-	cn := c.Canon()
+	cn := g.Canon()
 	a.c.Put(a.key(cn, start, opts), Entry{
 		Placement: Canonize(best, cn.Labeling),
 		Cost:      cost,

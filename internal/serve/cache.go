@@ -69,7 +69,7 @@ func planCache(cache *placecache.Cache, req PlaceRequest, tr *trace.Trace) (*cac
 	if err != nil {
 		return nil, err
 	}
-	cn := g.Freeze().Canon()
+	cn := g.Canon()
 	plan := &cachePlan{
 		g:     g,
 		canon: cn,

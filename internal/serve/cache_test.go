@@ -157,7 +157,7 @@ func TestCacheWarmstartRejectedNotCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn := g.Freeze().Canon()
+	cn := g.Canon()
 	propose, _, err := core.Propose(tr, g)
 	if err != nil {
 		t.Fatal(err)

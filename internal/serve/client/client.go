@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/stats"
 )
 
 // Options configures a Client. The zero value of every field selects a
@@ -136,17 +137,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Message)
 }
 
-// mix64 is the splitmix64 finalizer — the tree-wide derivation for
-// decorrelated deterministic streams.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // backoffFor computes attempt's retry delay (attempt is 1-based over
 // completed tries): exponential growth capped at maxBackoff, with
 // full jitter drawn deterministically from (key, attempt). The
@@ -159,9 +149,9 @@ func backoffFor(key string, attempt int) time.Duration {
 	}
 	var h uint64 = 0x9E3779B97F4A7C15
 	for _, b := range []byte(key) {
-		h = mix64(h ^ uint64(b))
+		h = stats.Mix64(h ^ uint64(b))
 	}
-	frac := mix64(h + uint64(attempt)*0xD1B54A32D192ED03)
+	frac := stats.Mix64(h + uint64(attempt)*0xD1B54A32D192ED03)
 	// Full jitter in [ceil/2, ceil]: never less than half the nominal
 	// delay (so retries still back off), never more than the cap.
 	half := ceil / 2

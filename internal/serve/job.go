@@ -187,9 +187,12 @@ type task struct {
 	req    PlaceRequest
 	tr     *trace.Trace
 	resume layout.Placement // optional starting placement from a resumed job
-	// plan carries the pre-built graph and canonical form plus either a
-	// warm start or the store key; nil runs cold.
-	plan     *cachePlan
+	// plan carries the pre-built graph, canonical form and store key of
+	// a cacheable job; nil for other jobs and for recovered ones.
+	plan *cachePlan
+	// warm is the near-hit warm candidate: the plan's at admission, the
+	// journaled one on recovery. Nil runs from the policy's own start.
+	warm     layout.Placement
 	enqueued time.Time // set at admission, read for the queue-wait histogram
 }
 

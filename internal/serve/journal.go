@@ -12,7 +12,9 @@ package serve
 //     acknowledged job therefore survives a crash; replay re-enqueues
 //     it and the worker re-derives the result — byte-identical to an
 //     uninterrupted run, because a job's result is a pure function of
-//     its request. The journal never needs to capture search state.
+//     its request and of the warm candidate admission planned, which
+//     the record carries. The journal never needs to capture search
+//     state.
 //   - job.ckpt records the best-so-far placement on the checkpoint
 //     cadence. It does not influence the recovered search (that would
 //     break byte-identity); it pre-seeds the recovered job's best-so-
@@ -87,6 +89,12 @@ type journalRecord struct {
 	// field; replay falls back to the deterministic derivation
 	// (RequestTrace), which matches what an uninstrumented caller got.
 	Trace string `json:"trace,omitempty"`
+	// job.accept also carries the cache's near-hit warm candidate, in
+	// the request's numbering, when admission planned one: whether the
+	// anneal adopts it depends on the cache's contents at admission, not
+	// on the request, so replay needs it to re-derive the same result.
+	// Older journals lack the field; their jobs replay cold.
+	Warm []int `json:"warm,omitempty"`
 	// job.ckpt carries the improved best-so-far.
 	Placement []int `json:"placement,omitempty"`
 	Cost      int64 `json:"cost,omitempty"`
@@ -177,6 +185,7 @@ type recoveredJob struct {
 	id       string
 	req      PlaceRequest
 	trace    string // traceparent wire form from job.accept, may be empty
+	warm     []int  // near-hit warm candidate from job.accept, may be nil
 	ckpt     []int
 	ckptCost int64
 	result   *Result
@@ -270,7 +279,7 @@ func (st *replayState) apply(rec journalRecord) {
 			obsRecordSkips.Inc()
 			return
 		}
-		st.jobs[rec.ID] = &recoveredJob{id: rec.ID, req: *rec.Req, trace: rec.Trace}
+		st.jobs[rec.ID] = &recoveredJob{id: rec.ID, req: *rec.Req, trace: rec.Trace, warm: rec.Warm}
 		st.jobOrder = append(st.jobOrder, rec.ID)
 		if n := idSeq(rec.ID); n > st.maxJobSeq {
 			st.maxJobSeq = n

@@ -118,6 +118,85 @@ func TestRecoveredJobByteIdenticalToUninterruptedRun(t *testing.T) {
 	}
 }
 
+// TestRecoveredWarmStartedJobByteIdentical is the cache-on half of the
+// replay contract: a job whose live run adopted a near-hit warm start
+// must recover to the same placement. The candidate came from the cache
+// at admission, so replay can only reproduce it through the job.accept
+// record; a recovered job that re-runs from Propose's start anneals to
+// a different placement.
+func TestRecoveredWarmStartedJobByteIdentical(t *testing.T) {
+	first := PlaceRequest{Trace: testTrace(t), Seed: 3, Iterations: 20000}
+	req := PlaceRequest{Trace: testTrace(t), Seed: 4, Iterations: 20000}
+
+	// Control: the same request with no cache, so no warm start.
+	_, coldBase := startServer(t, Options{Workers: 1, DisableCache: true})
+	_, coldID := submit(t, coldBase, req)
+	cold := waitDone(t, coldBase, coldID)
+
+	// Live run: seed 3 fills the cache, so seed 4 (a miss with the same
+	// graph) warm-starts from seed 3's placement.
+	dir := t.TempDir()
+	_, base, stop := startJournaled(t, dir, Options{Workers: 1})
+	_, id1 := submit(t, base, first)
+	waitDone(t, base, id1)
+	_, id := submit(t, base, req)
+	want := waitDone(t, base, id)
+	stop()
+	if want.Status != statusDone || cold.Status != statusDone {
+		t.Fatalf("live runs failed: %q, %q", want.Error, cold.Error)
+	}
+	if fmt.Sprint(want.Result.Placement) == fmt.Sprint(cold.Result.Placement) {
+		t.Fatal("the warm start did not change the result; the test shows nothing")
+	}
+
+	// Crash artifact: only the live job's acceptance, as journaled.
+	jl, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accept *journalRecord
+	err = jl.Replay(func(payload []byte) error {
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		if rec.T == recJobAccept && rec.ID == id {
+			accept = &rec
+		}
+		return nil
+	})
+	jl.Close()
+	if err != nil || accept == nil {
+		t.Fatalf("job.accept of %s not found in the journal (err %v)", id, err)
+	}
+	crashed := t.TempDir()
+	appendRaw(t, crashed, *accept)
+
+	_, base2, _ := startJournaled(t, crashed, Options{Workers: 1})
+	got := waitDone(t, base2, id)
+	if got.Status != statusDone {
+		t.Fatalf("recovered job failed: %s", got.Error)
+	}
+	if got.Result.Cost != want.Result.Cost ||
+		fmt.Sprint(got.Result.Placement) != fmt.Sprint(want.Result.Placement) {
+		t.Errorf("recovered placement diverged from the warm-started live run: cost %d vs %d",
+			got.Result.Cost, want.Result.Cost)
+	}
+
+	// A journaled candidate that is not a placement of the trace's items
+	// is dropped, and the job replays cold.
+	bad := *accept
+	bad.Warm = append([]int(nil), accept.Warm...)
+	bad.Warm[0] = bad.Warm[1]
+	badDir := t.TempDir()
+	appendRaw(t, badDir, bad)
+	_, base3, _ := startJournaled(t, badDir, Options{Workers: 1})
+	got = waitDone(t, base3, id)
+	if got.Status != statusDone || fmt.Sprint(got.Result.Placement) != fmt.Sprint(cold.Result.Placement) {
+		t.Errorf("a job with an invalid journaled warm start did not replay cold: %+v", got)
+	}
+}
+
 // getRaw sends GET /v1/jobs/{id}, with ?wait=<wait> when wait is not
 // empty, and returns the 200 body as sent.
 func getRaw(t *testing.T, base, id, wait string) []byte {

@@ -310,12 +310,14 @@ func New(opts Options) (*Server, error) {
 // Terminal jobs come back exactly as journaled: their results were
 // derived once and the stored bytes are served as-is. Their trace is
 // parsed only to fill the job's TraceInfo; neither the trace nor the
-// request text is kept. Unfinished jobs are re-run from the request —
-// cold, with no cache plan — because a job's result is a pure function
-// of its request; re-deriving is what makes the recovered placement
-// byte-identical to an uninterrupted run. Journaled checkpoints only
-// pre-seed the recovered job's best-so-far, so cancelling right after
-// recovery still returns the pre-crash best.
+// request text is kept. Unfinished jobs are re-run from the request and
+// the warm candidate their job.accept journaled, with no cache plan:
+// that pair is all a job's result depends on, so re-deriving makes the
+// recovered placement byte-identical to an uninterrupted run. A
+// candidate that is not a placement of the trace's items is dropped
+// (the job replays cold). Journaled checkpoints only pre-seed the
+// recovered job's best-so-far, so cancelling right after recovery
+// still returns the pre-crash best.
 func (s *Server) recover() ([]*task, error) {
 	st, err := replayJournal(s.opts.Journal)
 	if err != nil {
@@ -353,7 +355,11 @@ func (s *Server) recover() ([]*task, error) {
 				j.ckpt = layout.Placement(rec.ckpt)
 				j.ckptCost = rec.ckptCost
 			}
-			requeue = append(requeue, &task{j: j, req: rec.req, tr: tr, enqueued: now})
+			t := &task{j: j, req: rec.req, tr: tr, enqueued: now}
+			if warm := layout.Placement(rec.warm); warm != nil && warm.Validate(tr.NumItems) == nil {
+				t.warm = warm
+			}
+			requeue = append(requeue, t)
 		}
 		s.jobs[id] = j
 		if k := rec.req.ClientKey; k != "" {
@@ -604,6 +610,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	} else {
 		j.status, j.done = statusQueued, make(chan struct{})
 		t = &task{j: j, req: req, tr: tr, resume: resume, plan: plan}
+		if plan != nil {
+			t.warm = plan.warm
+		}
 	}
 	owner, outcome, err := s.admit(rctx, &req, j, t, hit)
 	// A miss is counted here; a warm start is NOT — a near-match found by
@@ -695,6 +704,9 @@ func (s *Server) admit(ctx context.Context, req *PlaceRequest, j *job, t *task, 
 	// unavailable the job is not accepted — durability was the promise
 	// the 202 would have made.
 	recs := []journalRecord{{T: recJobAccept, ID: j.id, Req: req, Trace: j.tc.TraceParent()}}
+	if t != nil {
+		recs[0].Warm = t.warm
+	}
 	if hit != nil {
 		recs = append(recs, journalRecord{T: recJobDone, ID: j.id, Result: hit, CacheHit: true})
 	}
@@ -1050,23 +1062,23 @@ func (s *Server) runJob(t *task) {
 			_ = s.jl.append(ctx, journalRecord{T: recJobCheckpoint, ID: j.id, Placement: p, Cost: c})
 		}
 	}
-	var prebuiltGraph *graph.Graph
-	var warm layout.Placement
-	if t.plan != nil {
-		prebuiltGraph = t.plan.g
-		warm = t.plan.warm
-	}
 	// Warm-start accounting fires only when execute actually adopts the
 	// cached near-match (it must beat the policy's own start): both the
 	// service counter and the cache's own warm-hit stat measure
-	// applications, not lookups.
-	warmApplied := func() {
-		obsCacheWarmstarts.Inc()
-		if s.cache != nil {
-			s.cache.NoteWarmApplied()
+	// applications, not lookups. A recovered job re-applies a journaled
+	// candidate without consulting the cache, so it is not counted.
+	var prebuiltGraph *graph.Graph
+	var warmApplied func()
+	if t.plan != nil {
+		prebuiltGraph = t.plan.g
+		warmApplied = func() {
+			obsCacheWarmstarts.Inc()
+			if s.cache != nil {
+				s.cache.NoteWarmApplied()
+			}
 		}
 	}
-	res, err := execute(ctx, t.req, t.tr, prebuiltGraph, t.resume, warm, warmApplied, checkpoint, j.recordProgress)
+	res, err := execute(ctx, t.req, t.tr, prebuiltGraph, t.resume, t.warm, warmApplied, checkpoint, j.recordProgress)
 	if err != nil {
 		finish(nil, err.Error())
 		return

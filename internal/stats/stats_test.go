@@ -84,3 +84,18 @@ func TestSummaryProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Mix64 is the splitmix64 finalizer: seeded with the golden-ratio
+// increment it yields splitmix64's published first outputs, which pins
+// every stream derived from it.
+func TestMix64KnownValues(t *testing.T) {
+	const gamma = 0x9E3779B97F4A7C15
+	for i, want := range []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F} {
+		if got := Mix64(uint64(i+1) * gamma); got != want {
+			t.Errorf("Mix64(%d·gamma) = %#x, want %#x", i+1, got, want)
+		}
+	}
+	if FoldSeq(1, 2) != Mix64(0x100000001B3+2) {
+		t.Error("FoldSeq is not Mix64(h·FNV prime + v)")
+	}
+}
