@@ -167,7 +167,7 @@ func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts
 			chainOpts.Restarts = 0
 			chainOpts.chain = i
 			if i > 0 {
-				chainOpts.Seed = deriveSeed(opts.Seed, i)
+				chainOpts.Seed = stats.DeriveSeed(opts.Seed, i)
 			}
 			p, c, err := annealChain(ctx, g, p, chainOpts)
 			results[i] = outcome{p: p, c: c, err: err}
@@ -197,14 +197,6 @@ func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts
 		obsRestartWins.Inc()
 	}
 	return best, bestCost, ctxErr
-}
-
-// deriveSeed maps (seed, index) to an independent chain seed with a
-// splitmix64 finalizer, the same scheme the bench harness uses for
-// per-row seeds: statistically independent streams, stable across runs
-// and scheduling orders.
-func deriveSeed(seed int64, i int) int64 {
-	return int64(stats.Mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
 }
 
 // annealChain is one simulated-annealing run over g. On

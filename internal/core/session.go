@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Session instrumentation: streaming rounds run, accesses ingested, and
@@ -208,7 +209,7 @@ func (s *Session) round(ctx context.Context) error {
 	s.rounds++
 	round := s.rounds
 	opts := AnnealOptions{
-		Seed:       deriveSeed(s.opts.Seed, int(round)),
+		Seed:       stats.DeriveSeed(s.opts.Seed, int(round)),
 		Iterations: s.opts.RoundIterations,
 		Restarts:   s.opts.Restarts,
 		Checkpoint: func(p layout.Placement, c int64) {

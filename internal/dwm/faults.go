@@ -161,16 +161,6 @@ func (t *Tape) pinWeight(pos int) float64 {
 	return 0.25 + 1.5*frac
 }
 
-// deriveTapeSeed maps (seed, tape index) to an independent per-tape RNG
-// seed with a splitmix64 finalizer — the same derivation scheme the
-// bench harness (bench.DeriveSeed) and the annealer's restart chains
-// use. Each tape's error process is a pure function of (seed, index):
-// statistically independent streams, stable across runs, and
-// independent of the order tapes are accessed in.
-func deriveTapeSeed(seed int64, i int) int64 {
-	return int64(stats.Mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
-}
-
 // EnableFaults activates the fault model on every tape of the device,
 // deriving per-tape seeds (splitmix64 over (Seed, tape index)) so tapes
 // fault independently: sharing one seed across tapes would correlate
@@ -184,7 +174,7 @@ func (d *Device) EnableFaults(f FaultModel) error {
 	for i, t := range d.tapes {
 		tf := f
 		if tf.Prob > 0 {
-			tf.Seed = deriveTapeSeed(f.Seed, i)
+			tf.Seed = stats.DeriveSeed(f.Seed, i)
 		}
 		if err := t.EnableFaults(tf); err != nil {
 			return err

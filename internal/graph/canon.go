@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/obs"
@@ -99,7 +100,7 @@ func h64(z uint64) uint64 { return stats.Mix64(z + 0x9E3779B97F4A7C15) }
 // (resized as needed) for the sort.
 func distinctColors(colors []uint64, scratch []uint64) (int, []uint64) {
 	scratch = append(scratch[:0], colors...)
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
+	slices.Sort(scratch)
 	n := 0
 	for i, v := range scratch {
 		if i == 0 || v != scratch[i-1] {
@@ -117,6 +118,12 @@ func canonicalize(g *Graph) *Canonical {
 		deg := uint64(g.rowPtr[u+1] - g.rowPtr[u])
 		colors[u] = stats.Mix64(h64(deg) ^ h64(uint64(g.wdeg[u])<<1|1))
 	}
+	// The edge-weight hashes do not change between rounds; hash each arc's
+	// weight once, aligned with the CSR's colIdx/weights.
+	wh := make([]uint64, len(g.weights))
+	for i, w := range g.weights {
+		wh[i] = h64(uint64(w))
+	}
 	next := make([]uint64, n)
 	var scratch, sig []uint64
 	classes, scratch := distinctColors(colors, scratch)
@@ -126,12 +133,12 @@ func canonicalize(g *Graph) *Canonical {
 		// One WL round: recolor by own color + sorted neighbor signature.
 		for {
 			for u := 0; u < n; u++ {
-				cols, ws := g.Row(u)
+				lo, hi := g.rowPtr[u], g.rowPtr[u+1]
 				sig = sig[:0]
-				for i, v := range cols {
-					sig = append(sig, stats.Mix64(colors[v]^h64(uint64(ws[i]))))
+				for i, v := range g.colIdx[lo:hi] {
+					sig = append(sig, stats.Mix64(colors[v]^wh[lo+i]))
 				}
-				sort.Slice(sig, func(i, j int) bool { return sig[i] < sig[j] })
+				slices.Sort(sig)
 				h := h64(colors[u])
 				for _, s := range sig {
 					h = stats.FoldSeq(h, s)
@@ -193,11 +200,11 @@ func canonicalize(g *Graph) *Canonical {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if colors[order[a]] != colors[order[b]] {
-			return colors[order[a]] < colors[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(colors[a], colors[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	labeling := make([]int32, n)
 	for ci, u := range order {
@@ -229,7 +236,7 @@ func fingerprintCanonical(g *Graph, order []int, labeling []int32) Fingerprint {
 		for i, v := range cols {
 			row = append(row, canonEdge{v: labeling[v], w: ws[i]})
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i].v < row[j].v })
+		slices.SortFunc(row, func(a, b canonEdge) int { return cmp.Compare(a.v, b.v) })
 		h0 = stats.FoldSeq(h0, uint64(len(row)))
 		h1 = stats.FoldSeq(h1, uint64(len(row))^0xFF)
 		for _, e := range row {
@@ -249,7 +256,7 @@ func degreeProfile(g *Graph) uint64 {
 		deg := uint64(g.rowPtr[u+1] - g.rowPtr[u])
 		hs[u] = stats.Mix64(h64(deg) ^ h64(uint64(g.wdeg[u])*3+1))
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	p := h64(uint64(g.n) ^ 0xABCD_EF01_2345_6789)
 	for _, h := range hs {
 		p = stats.FoldSeq(p, h)

@@ -44,8 +44,9 @@ const servePolicyKey = "serve.anneal"
 // cachePlan is the outcome of consulting the cache for one request. The
 // graph and canonical form are always populated (the job reuses them),
 // and exactly one of {hit, miss} applies: a non-nil hit carries the
-// finished result; otherwise storeKey names where the job's eventual
-// result belongs and warm optionally seeds the search.
+// finished result; otherwise key names where the job's eventual result
+// belongs and warm optionally seeds the search. A store-only plan
+// (newPlan) never consulted the cache, so it has neither hit nor warm.
 type cachePlan struct {
 	g     *graph.Graph
 	canon *graph.Canonical
@@ -61,16 +62,16 @@ func cacheable(req PlaceRequest) bool {
 	return (req.Policy == "" || req.Policy == PolicyAnneal) && req.Resume == ""
 }
 
-// planCache builds the request's graph, canonicalizes it, and consults
-// the cache. The returned plan always carries the graph so the job
-// avoids a second FromTrace.
-func planCache(cache *placecache.Cache, req PlaceRequest, tr *trace.Trace) (*cachePlan, error) {
+// newPlan builds the request's graph, canonicalizes it, and names the
+// key its result is stored under, without consulting the cache: the
+// store-only plan of a job recovered from the journal.
+func newPlan(req PlaceRequest, tr *trace.Trace) (*cachePlan, error) {
 	g, err := graph.FromTrace(tr)
 	if err != nil {
 		return nil, err
 	}
 	cn := g.Canon()
-	plan := &cachePlan{
+	return &cachePlan{
 		g:     g,
 		canon: cn,
 		key: placecache.Key{
@@ -81,7 +82,18 @@ func planCache(cache *placecache.Cache, req PlaceRequest, tr *trace.Trace) (*cac
 			Iterations: req.Iterations,
 			Restarts:   req.Restarts,
 		},
+	}, nil
+}
+
+// planCache builds the request's plan (newPlan) and consults the cache.
+// The returned plan always carries the graph so the job avoids a second
+// FromTrace.
+func planCache(cache *placecache.Cache, req PlaceRequest, tr *trace.Trace) (*cachePlan, error) {
+	plan, err := newPlan(req, tr)
+	if err != nil {
+		return nil, err
 	}
+	cn, g := plan.canon, plan.g
 	if e, ok := cache.Get(plan.key); ok && len(e.Placement) == tr.NumItems {
 		p := placecache.Decanonize(e.Placement, cn.Labeling)
 		res, err := mintResult(tr, g, p)

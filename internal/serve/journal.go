@@ -14,7 +14,16 @@ package serve
 //     uninterrupted run, because a job's result is a pure function of
 //     its request and of the warm candidate admission planned, which
 //     the record carries. The journal never needs to capture search
-//     state.
+//     state. The record also carries the job's TraceInfo, so replay
+//     parses the trace only for a job it must re-run.
+//   - job.hit is the one record of a job born finished from an exact
+//     cache hit, journaled BEFORE the 202 like job.accept. It holds the
+//     request without its trace text (ClientKey, Tenant, seed and
+//     options stay), the traceparent, the TraceInfo and the result: a
+//     finished job never re-runs, so its trace is dead weight. Journals
+//     written before job.hit existed hold a hit as job.accept (full
+//     trace) plus job.done with cache_hit set; both forms replay to the
+//     same job.
 //   - job.ckpt records the best-so-far placement on the checkpoint
 //     cadence. It does not influence the recovered search (that would
 //     break byte-identity); it pre-seeds the recovered job's best-so-
@@ -54,6 +63,7 @@ import (
 // Journal record types.
 const (
 	recJobAccept     = "job.accept"
+	recJobHit        = "job.hit"
 	recJobCheckpoint = "job.ckpt"
 	recJobDone       = "job.done"
 	recJobFailed     = "job.fail"
@@ -80,15 +90,19 @@ type journalRecord struct {
 	T  string `json:"t"`
 	ID string `json:"id"`
 	// job.accept / stream.create carry the full request, so replay can
-	// re-derive everything else.
+	// re-derive everything else; job.hit carries it with Trace emptied.
 	Req    *PlaceRequest  `json:"req,omitempty"`
 	Stream *StreamRequest `json:"stream,omitempty"`
-	// job.accept also carries the job's trace context in traceparent wire
-	// form, so a journal-recovered job keeps answering polls with the
-	// trace ID the original caller is following. Older journals lack the
-	// field; replay falls back to the deterministic derivation
-	// (RequestTrace), which matches what an uninstrumented caller got.
+	// job.accept and job.hit also carry the job's trace context in
+	// traceparent wire form, so a journal-recovered job keeps answering
+	// polls with the trace ID the original caller is following. Older
+	// journals lack the field; replay falls back to the deterministic
+	// derivation (RequestTrace), which matches what an uninstrumented
+	// caller got.
 	Trace string `json:"trace,omitempty"`
+	// job.accept and job.hit also carry the trace summary a GET reports.
+	// Older journals lack it; replay then parses the request's trace.
+	Info *TraceInfo `json:"info,omitempty"`
 	// job.accept also carries the cache's near-hit warm candidate, in
 	// the request's numbering, when admission planned one: whether the
 	// anneal adopts it depends on the cache's contents at admission, not
@@ -98,7 +112,8 @@ type journalRecord struct {
 	// job.ckpt carries the improved best-so-far.
 	Placement []int `json:"placement,omitempty"`
 	Cost      int64 `json:"cost,omitempty"`
-	// job.done / job.fail carry the terminal state.
+	// job.hit / job.done / job.fail carry the terminal state. CacheHit
+	// is set only on the job.done of an old-format hit.
 	Result   *Result `json:"result,omitempty"`
 	CacheHit bool    `json:"cache_hit,omitempty"`
 	Err      string  `json:"err,omitempty"`
@@ -184,8 +199,9 @@ func requestDigest(req PlaceRequest) uint64 {
 type recoveredJob struct {
 	id       string
 	req      PlaceRequest
-	trace    string // traceparent wire form from job.accept, may be empty
-	warm     []int  // near-hit warm candidate from job.accept, may be nil
+	trace    string     // traceparent wire form from job.accept/job.hit, may be empty
+	info     *TraceInfo // trace summary from job.accept/job.hit, nil in older journals
+	warm     []int      // near-hit warm candidate from job.accept, may be nil
 	ckpt     []int
 	ckptCost int64
 	result   *Result
@@ -270,8 +286,8 @@ func replayJournal(log *wal.Log) (*replayState, error) {
 // apply folds one record into the state.
 func (st *replayState) apply(rec journalRecord) {
 	switch rec.T {
-	case recJobAccept:
-		if rec.Req == nil || rec.ID == "" {
+	case recJobAccept, recJobHit:
+		if rec.Req == nil || rec.ID == "" || (rec.T == recJobHit && (rec.Result == nil || rec.Info == nil)) {
 			obsRecordSkips.Inc()
 			return
 		}
@@ -279,7 +295,11 @@ func (st *replayState) apply(rec journalRecord) {
 			obsRecordSkips.Inc()
 			return
 		}
-		st.jobs[rec.ID] = &recoveredJob{id: rec.ID, req: *rec.Req, trace: rec.Trace, warm: rec.Warm}
+		r := &recoveredJob{id: rec.ID, req: *rec.Req, trace: rec.Trace, info: rec.Info, warm: rec.Warm}
+		if rec.T == recJobHit {
+			r.result, r.cacheHit = rec.Result, true
+		}
+		st.jobs[rec.ID] = r
 		st.jobOrder = append(st.jobOrder, rec.ID)
 		if n := idSeq(rec.ID); n > st.maxJobSeq {
 			st.maxJobSeq = n

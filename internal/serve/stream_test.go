@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"reflect"
@@ -118,7 +119,7 @@ func TestStreamValidation(t *testing.T) {
 	if code, _ := createStream(t, base, StreamRequest{Items: 0}); code != http.StatusBadRequest {
 		t.Fatalf("items=0: status %d, want 400", code)
 	}
-	if code, _ := createStream(t, base, StreamRequest{Items: maxStreamItems + 1}); code != http.StatusBadRequest {
+	if code, _ := createStream(t, base, StreamRequest{Items: maxItems + 1}); code != http.StatusBadRequest {
 		t.Fatalf("oversized items: status %d, want 400", code)
 	}
 	code, st := createStream(t, base, StreamRequest{Items: 8, Seed: 1})
@@ -180,14 +181,17 @@ func TestStreamDelete(t *testing.T) {
 
 // TestPlaceOversizedTrace pins the oversized-trace bugfix at the HTTP
 // boundary: a trace whose header declares an item space at the CSR limit
-// must be rejected with 400 at submission, not crash a worker into a
-// panic-isolated failed job.
+// or past maxItems must be rejected with 400 at submission, not crash a
+// worker into a panic-isolated failed job or have the graph build
+// allocate rows for every declared item.
 func TestPlaceOversizedTrace(t *testing.T) {
 	_, base := startServer(t, Options{Workers: 1})
-	resp, body := postJSON(t, base+"/v1/place", PlaceRequest{
-		Trace: "dwmtrace 1\nname huge\nitems 2147483648\nR 0\nR 1\n",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized trace: status %d (%s), want 400", resp.StatusCode, body)
+	for _, items := range []int{1 << 31, maxItems + 1} {
+		resp, body := postJSON(t, base+"/v1/place", PlaceRequest{
+			Trace: fmt.Sprintf("dwmtrace 1\nname huge\nitems %d\nR 0\nR 1\n", items),
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("trace of %d items: status %d (%s), want 400", items, resp.StatusCode, body)
+		}
 	}
 }

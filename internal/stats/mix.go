@@ -16,3 +16,13 @@ func Mix64(z uint64) uint64 {
 
 // FoldSeq absorbs v into the order-dependent running hash h.
 func FoldSeq(h, v uint64) uint64 { return Mix64(h*0x100000001B3 + v) }
+
+// DeriveSeed maps (seed, index) to an independent stream seed: the
+// golden-ratio step i·0x9E3779B97F4A7C15 from seed, finalized with
+// Mix64, so nearby indices land in unrelated streams. The annealer's
+// restart chains and session rounds and the device's per-tape fault
+// processes derive their seeds here: statistically independent streams,
+// stable across runs and independent of the order they are used in.
+func DeriveSeed(seed int64, i int) int64 {
+	return int64(Mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
+}

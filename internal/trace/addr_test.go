@@ -114,33 +114,6 @@ func TestMapAddressesProperties(t *testing.T) {
 	}
 }
 
-func FuzzDecode(f *testing.F) {
-	f.Add("dwmtrace 1\nname x\nitems 3\nR 0\nW 2\n")
-	f.Add("dwmtrace 1\nitems 1\n")
-	f.Add("garbage")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := Decode(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		// Anything Decode accepts must validate and re-encode cleanly.
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("decoded invalid trace: %v", err)
-		}
-		var sb strings.Builder
-		if err := Encode(&sb, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := Decode(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(back, tr) {
-			t.Fatal("re-decode mismatch")
-		}
-	})
-}
-
 func FuzzDecodeAddr(f *testing.F) {
 	f.Add("R 0x10\nW 32\n")
 	f.Add("# comment\n\nR 0\n")
