@@ -32,9 +32,12 @@
 // preserved from the prior report instead of being clobbered, so the
 // wall-time trajectory survives partial runs.
 //
-// -metrics prints the observability snapshot (simulator, annealer,
-// graph delta and canonicalization, and runner instruments) to stderr after the run. -cpuprofile
-// and -memprofile write pprof profiles for the whole invocation.
+// -metrics prints the observability snapshot to stderr after the run:
+// one line per instrument of the obs registry (simulator, annealer,
+// graph delta and canonicalization, placement cache and runner), each
+// event counted once. With -cache, the anneal cache's lookups appear as
+// placecache.hits and placecache.misses. -cpuprofile and -memprofile
+// write pprof profiles for the whole invocation.
 //
 // -trace enables the span tracer for the run and writes the collected
 // spans at exit: Chrome trace_event JSON by default (load it in

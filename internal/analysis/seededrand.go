@@ -15,7 +15,7 @@ var SeededRand = &Analyzer{
 	Name: "seededrand",
 	Doc: "forbid global math/rand state and time-seeded sources: every RNG " +
 		"must be a *rand.Rand built from an explicit seed (derived via " +
-		"bench.DeriveSeed for per-row streams) and threaded as a parameter",
+		"stats.DeriveNamedSeed for per-row streams) and threaded as a parameter",
 	Run: runSeededRand,
 }
 

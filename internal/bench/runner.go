@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Runner instrumentation (see internal/obs): queue wait is the time an
@@ -85,23 +83,6 @@ func (cfg Config) workers() int {
 		return cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// DeriveSeed maps (seed, expID, row) to an independent per-row RNG seed:
-// seed ^ FNV-1a(expID, row), finalized with a splitmix64 mix so nearby
-// rows land in unrelated streams. Experiments whose rows need their own
-// randomness derive it through this function instead of sharing one
-// sequential RNG, which is what makes row-parallel execution produce
-// byte-identical tables for every worker count.
-func DeriveSeed(seed int64, expID string, row int) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(expID))
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(row >> (8 * i))
-	}
-	h.Write(buf[:])
-	return int64(stats.Mix64(uint64(seed) ^ h.Sum64()))
 }
 
 // parMap runs n independent jobs on at most `workers` goroutines and

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // ISSUE acceptance: parallel execution must be byte-identical to
@@ -79,23 +81,25 @@ func TestParMapOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestDeriveSeed checks the per-row seeds experiment rows derive with
+// stats.DeriveNamedSeed.
 func TestDeriveSeed(t *testing.T) {
 	seen := map[int64]bool{}
 	for row := 0; row < 100; row++ {
-		s := DeriveSeed(1, "E2", row)
+		s := stats.DeriveNamedSeed(1, "E2", row)
 		if seen[s] {
 			t.Fatalf("seed collision at row %d", row)
 		}
 		seen[s] = true
 	}
-	if DeriveSeed(1, "E2", 5) != DeriveSeed(1, "E2", 5) {
-		t.Error("DeriveSeed not stable")
+	if stats.DeriveNamedSeed(1, "E2", 5) != stats.DeriveNamedSeed(1, "E2", 5) {
+		t.Error("DeriveNamedSeed not stable")
 	}
-	if DeriveSeed(1, "E2", 5) == DeriveSeed(1, "E7", 5) {
-		t.Error("DeriveSeed ignores the experiment ID")
+	if stats.DeriveNamedSeed(1, "E2", 5) == stats.DeriveNamedSeed(1, "E7", 5) {
+		t.Error("DeriveNamedSeed ignores the experiment ID")
 	}
-	if DeriveSeed(1, "E2", 5) == DeriveSeed(2, "E2", 5) {
-		t.Error("DeriveSeed ignores the base seed")
+	if stats.DeriveNamedSeed(1, "E2", 5) == stats.DeriveNamedSeed(2, "E2", 5) {
+		t.Error("DeriveNamedSeed ignores the base seed")
 	}
 }
 

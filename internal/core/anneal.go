@@ -31,8 +31,6 @@ var (
 	obsInterrupted = obs.GetCounter("core.anneal.interrupted")
 	obsDeltaHist   = obs.GetHistogram("core.anneal.proposal_delta",
 		[]float64{0, 1, 4, 16, 64, 256, 1024, 4096, 16384, 65536})
-	obsCacheHits   = obs.GetCounter("core.anneal.cache.hits")
-	obsCacheMisses = obs.GetCounter("core.anneal.cache.misses")
 )
 
 // PlacementCache memoizes anneal results by graph structure, start
@@ -138,10 +136,8 @@ func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts
 	if cache := opts.Cache; cache != nil {
 		opts.Cache = nil // the chains below must not re-consult the cache
 		if best, bestCost, ok := cache.Lookup(g, p, opts); ok {
-			obsCacheHits.Inc()
 			return best, bestCost, nil
 		}
-		obsCacheMisses.Inc()
 		best, bestCost, err := AnnealContext(ctx, g, p, opts)
 		if err == nil && best != nil {
 			cache.Store(g, p, opts, best, bestCost)

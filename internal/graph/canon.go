@@ -73,10 +73,14 @@ type Canonical struct {
 // (symmetric graphs: rings, stars, mirrored paths), one vertex of the
 // first ambiguous class — chosen by (class size, class color), which is
 // renumbering-invariant — is individualized and refinement resumes, the
-// standard individualization-refinement step. Vertices that remain tied
-// after refinement are broken by original ID; for automorphic vertices
-// (the common case for surviving ties) any tie-break yields the same
-// canonical adjacency, so the fingerprint stays renumbering-invariant.
+// standard individualization-refinement step. Each individualization
+// costs one refinement pass, so k WL-equivalent vertices that are not
+// isolated (the leaves of a star, say) cost k passes, quadratic in k;
+// isolated vertices are exempt, because any order of them is exact (see
+// canonicalize). Vertices that remain tied after refinement are broken
+// by original ID; for automorphic vertices (the common case for
+// surviving ties) any tie-break yields the same canonical adjacency, so
+// the fingerprint stays renumbering-invariant.
 // WL-equivalent but non-automorphic ties — which require backtracking
 // search to canonicalize exactly — can in principle produce different
 // fingerprints for renumbered twins; that costs a cache miss, never a
@@ -158,6 +162,17 @@ func canonicalize(g *Graph) *Canonical {
 		}
 	}
 
+	// Degree-0 vertices share one color in every round (no neighbor
+	// feeds their hash), and any permutation of them is an automorphism,
+	// so the ID tie-break below is exact for them: their class is never
+	// individualized, and refinement stops once it is the only tie.
+	iso := -1
+	for u := 0; u < n && iso < 0; u++ {
+		if g.rowPtr[u+1] == g.rowPtr[u] {
+			iso = u
+		}
+	}
+
 	refine()
 	for classes < n {
 		// Stable but not discrete: individualize one vertex of the
@@ -174,11 +189,14 @@ func canonicalize(g *Graph) *Canonical {
 			for j < n && scratch[j] == scratch[i] {
 				j++
 			}
-			if size := j - i; size > 1 && (size < targetSize ||
-				(size == targetSize && scratch[i] < targetColor)) {
+			if size := j - i; size > 1 && (iso < 0 || scratch[i] != colors[iso]) &&
+				(size < targetSize || (size == targetSize && scratch[i] < targetColor)) {
 				targetSize, targetColor = size, scratch[i]
 			}
 			i = j
+		}
+		if targetSize > n {
+			break // only the degree-0 class is tied
 		}
 		pick := -1
 		for u := 0; u < n; u++ {
@@ -195,7 +213,7 @@ func canonicalize(g *Graph) *Canonical {
 
 	// Canonical order: by (final color, original ID). With a discrete
 	// partition the ID tie-break is inert; it only matters for the
-	// residual-tie case documented on Canon.
+	// degree-0 class and the residual-tie case documented on Canon.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -289,4 +290,50 @@ func checkLabeling(labeling []int32, n int) error {
 		seen[ci] = true
 	}
 	return nil
+}
+
+// TestCanonIsolatedVerticesFewRounds pins the degree-0 exemption: a
+// trace that declares 10 000 items and touches two has 9 998 isolated
+// vertices, which share one color in every round and are ordered by ID
+// instead of being individualized one refinement pass at a time. The
+// round count (graph.canon.rounds, deterministic) stays a handful, and
+// renumberings still agree on the fingerprint.
+func TestCanonIsolatedVerticesFewRounds(t *testing.T) {
+	const n = 10000
+	tr := trace.New("sparse", n)
+	tr.Read(0)
+	tr.Write(1)
+	g, err := FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := obs.GetCounter("graph.canon.rounds")
+	before := rounds.Value()
+	cn := g.Canon()
+	if got := rounds.Value() - before; got > 4 {
+		t.Fatalf("Canon took %d refinement rounds on %d isolated vertices, want at most 4", got, n-2)
+	}
+	if err := checkLabeling(cn.Labeling, n); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2; i++ {
+		if fp := permuteGraph(t, g, randPerm(rng, n)).Canon().FP; fp != cn.FP {
+			t.Fatalf("renumbering %d changed the fingerprint: %v vs %v", i, fp, cn.FP)
+		}
+	}
+	// Isolated vertices beside a symmetric component: the ring is still
+	// individualized, the isolated class is not, and the fingerprint
+	// stays invariant.
+	es := make([]Edge, 6)
+	for i := range es {
+		es[i] = Edge{U: i, V: (i + 1) % 6, W: 2}
+	}
+	ring := mustFromEdges(t, 1000, es...)
+	want := ring.Canon().FP
+	for i := 0; i < 3; i++ {
+		if fp := permuteGraph(t, ring, randPerm(rng, 1000)).Canon().FP; fp != want {
+			t.Fatalf("ring plus isolated vertices: renumbering %d changed the fingerprint", i)
+		}
+	}
 }

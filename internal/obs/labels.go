@@ -1,15 +1,20 @@
 package obs
 
-// Labeled instruments. A CounterVec / HistogramVec is a family of
-// counters (histograms) keyed by a small, declared label set — tenant,
-// policy, outcome — the per-tenant attribution the serving layer stamps
-// on every request. Cardinality is bounded by construction: each vec
-// caps its distinct label combinations (default 64), and once the cap
-// is reached new combinations collapse into one overflow child whose
-// every label value is OverflowLabel. A hostile or merely unbounded
-// label source (user-chosen tenant names, say) can therefore never grow
-// the exposition without limit; the overflow child keeps the totals
-// honest while the interesting series stay per-value. cmd/promlint's
+// Instrument families. Every counter and histogram lives in a family: a
+// set of instruments of one kind keyed by a small, declared label set —
+// tenant, policy, outcome — the per-tenant attribution the serving layer
+// stamps on every request. An unlabeled instrument is a family with zero
+// keys and exactly one child, which Registry.Counter and
+// Registry.Histogram return; CounterVec and HistogramVec are the same
+// generic family over Counter and Histogram.
+//
+// Cardinality is bounded by construction: each family caps its distinct
+// label combinations (default 64), and once the cap is reached new
+// combinations collapse into one overflow child whose every label value
+// is OverflowLabel. A hostile or merely unbounded label source
+// (user-chosen tenant names, say) can therefore never grow the
+// exposition without limit; the overflow child keeps the totals honest
+// while the interesting series stay per-value. cmd/promlint's
 // cardinality check is the matching scrape-side gate.
 //
 // Label KEYS are declared once at registration and must be legal
@@ -20,32 +25,59 @@ package obs
 import (
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// OverflowLabel is the label value every series beyond a vec's
+// OverflowLabel is the label value every series beyond a family's
 // cardinality cap collapses into.
 const OverflowLabel = "_other"
 
-// DefaultMaxSeries is the per-vec cardinality cap when the registry's
-// vec constructors are called with no explicit bound.
+// DefaultMaxSeries is the per-family cardinality cap the registry's
+// constructors apply.
 const DefaultMaxSeries = 64
 
 // labelKeyRE is the Prometheus label-name grammar (no leading "__",
 // which is reserved for internal use).
 var labelKeyRE = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 
-// validateLabelKeys panics on a malformed or reserved label key —
-// label sets are declared by code, not data, so this is a programming
-// error on the same footing as malformed histogram bounds.
-func validateLabelKeys(name string, keys []string) {
-	if len(keys) == 0 {
-		panic(fmt.Sprintf("obs: vec %q declares no label keys", name))
-	}
+// family is a set of instruments of one kind over a fixed label set.
+// Obtain one from a Registry; the zero value is unusable.
+type family[T any] struct {
+	name    string
+	keys    []string
+	max     int
+	newInst func() *T
+
+	mu       sync.Mutex
+	children map[string]*child[T] //dwmlint:guard mu
+}
+
+type child[T any] struct {
+	values []string
+	inst   *T
+}
+
+// CounterVec is a family of counters over a fixed label set.
+type CounterVec = family[Counter]
+
+// HistogramVec is a family of fixed-bucket histograms over a fixed label
+// set; every child shares the family's bucket bounds.
+type HistogramVec = family[Histogram]
+
+func newCounter() *Counter { return new(Counter) }
+
+// newFamily validates the label keys and returns an empty family capped
+// at max combinations (DefaultMaxSeries when max <= 0). A zero-key
+// family gets its one child at once, so an unlabeled instrument is
+// always in the snapshot.
+func newFamily[T any](name string, keys []string, max int, newInst func() *T) *family[T] {
 	seen := make(map[string]bool, len(keys))
 	for _, k := range keys {
+		// Label sets are declared by code, not data, so a malformed or
+		// reserved key is a programming error on the same footing as
+		// malformed histogram bounds.
 		if !labelKeyRE.MatchString(k) || strings.HasPrefix(k, "__") {
 			panic(fmt.Sprintf("obs: vec %q has invalid label key %q", name, k))
 		}
@@ -54,6 +86,53 @@ func validateLabelKeys(name string, keys []string) {
 		}
 		seen[k] = true
 	}
+	if max <= 0 {
+		max = DefaultMaxSeries
+	}
+	f := &family[T]{name: name, keys: slices.Clone(keys), max: max, newInst: newInst, children: map[string]*child[T]{}}
+	if len(keys) == 0 {
+		f.With()
+	}
+	return f
+}
+
+// vecKeys rejects an empty key set for the labeled constructors: a vec
+// without labels is a plain Counter or Histogram.
+func vecKeys(name string, keys []string) []string {
+	if len(keys) == 0 {
+		panic(fmt.Sprintf("obs: vec %q declares no label keys", name))
+	}
+	return keys
+}
+
+// With returns the instrument for the given label values (one per
+// declared key, in declaration order), creating it on first use. Once
+// the family holds max distinct combinations, unseen combinations all
+// map to the overflow child, which may push the map one past max — the
+// cap bounds real combinations, and the overflow series must always
+// exist to absorb them. The returned instrument is valid forever; hot
+// callers should keep it.
+func (f *family[T]) With(values ...string) *T {
+	if len(values) != len(f.keys) {
+		panic(fmt.Sprintf("obs: vec %q wants %d label values, got %d", f.name, len(f.keys), len(values)))
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	key := childKey(values)
+	ch, ok := f.children[key]
+	if !ok && len(f.children) >= f.max {
+		values = make([]string, len(f.keys))
+		for i := range values {
+			values[i] = OverflowLabel
+		}
+		key = childKey(values)
+		ch, ok = f.children[key]
+	}
+	if !ok {
+		ch = &child[T]{values: slices.Clone(values), inst: f.newInst()}
+		f.children[key] = ch
+	}
+	return ch.inst
 }
 
 // childKey serializes label values into a map key. \xff cannot appear
@@ -63,191 +142,19 @@ func childKey(values []string) string {
 	return strings.Join(values, "\xff")
 }
 
-// CounterVec is a family of counters over a fixed label set. Obtain one
-// from a Registry; the zero value is unusable.
-type CounterVec struct {
-	name string
-	keys []string
-	max  int
-
-	mu       sync.Mutex
-	children map[string]*counterChild //dwmlint:guard mu
-}
-
-type counterChild struct {
-	values []string
-	c      Counter
-}
-
-func newCounterVec(name string, keys []string, max int) *CounterVec {
-	validateLabelKeys(name, keys)
-	if max <= 0 {
-		max = DefaultMaxSeries
+// sorted returns the family's children ordered lexically by their
+// label-value vectors — the deterministic order of the snapshot and the
+// exposition. A child's values never change once created.
+func (f *family[T]) sorted() []*child[T] {
+	f.mu.Lock()
+	out := make([]*child[T], 0, len(f.children))
+	for _, ch := range f.children {
+		//dwmlint:ignore maporder the sort below restores the deterministic label-value order
+		out = append(out, ch)
 	}
-	return &CounterVec{name: name, keys: keys, max: max, children: map[string]*counterChild{}}
-}
-
-// With returns the counter for the given label values (one per declared
-// key, in declaration order), creating it on first use. Once the vec
-// holds max distinct combinations, unseen combinations all map to the
-// overflow child. The returned counter is valid forever; hot callers
-// should keep it.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.keys) {
-		panic(fmt.Sprintf("obs: vec %q wants %d label values, got %d", v.name, len(v.keys), len(values)))
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	key := childKey(values)
-	ch, ok := v.children[key]
-	if !ok {
-		if len(v.children) >= v.max {
-			return &v.overflowLocked().c
-		}
-		ch = &counterChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
-	}
-	return &ch.c
-}
-
-// overflowLocked returns (creating if needed) the overflow child. The
-// overflow child may push the map one past max — the cap bounds real
-// combinations, and the overflow series must always exist to absorb
-// them. Called only from With with v.mu held.
-//
-//dwmlint:holds mu
-func (v *CounterVec) overflowLocked() *counterChild {
-	values := make([]string, len(v.keys))
-	for i := range values {
-		values[i] = OverflowLabel
-	}
-	key := childKey(values)
-	ch, ok := v.children[key]
-	if !ok {
-		ch = &counterChild{values: values}
-		v.children[key] = ch
-	}
-	return ch
-}
-
-// snapshot copies the vec's series, sorted by label values.
-func (v *CounterVec) snapshot() LabeledCounterStats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	s := LabeledCounterStats{Keys: append([]string(nil), v.keys...)}
-	for _, ch := range v.children {
-		//dwmlint:ignore maporder sortSeries below restores the deterministic label-value order
-		s.Series = append(s.Series, LabeledSample{
-			Values: append([]string(nil), ch.values...),
-			Value:  ch.c.Value(),
-		})
-	}
-	sortSeries(s.Series, func(ls LabeledSample) []string { return ls.Values })
-	return s
-}
-
-// reset zeroes every child in place (handles stay valid).
-func (v *CounterVec) reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, ch := range v.children {
-		ch.c.v.Store(0)
-	}
-}
-
-// HistogramVec is a family of fixed-bucket histograms over a fixed
-// label set; every child shares the vec's bucket bounds.
-type HistogramVec struct {
-	name   string
-	keys   []string
-	bounds []float64
-	max    int
-
-	mu       sync.Mutex
-	children map[string]*histChild //dwmlint:guard mu
-}
-
-type histChild struct {
-	values []string
-	h      *Histogram
-}
-
-func newHistogramVec(name string, keys []string, bounds []float64, max int) *HistogramVec {
-	validateLabelKeys(name, keys)
-	if max <= 0 {
-		max = DefaultMaxSeries
-	}
-	return &HistogramVec{
-		name:     name,
-		keys:     keys,
-		bounds:   append([]float64(nil), bounds...),
-		max:      max,
-		children: map[string]*histChild{},
-	}
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use; past the cardinality cap, unseen combinations share the
-// overflow child (see CounterVec.With).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.keys) {
-		panic(fmt.Sprintf("obs: vec %q wants %d label values, got %d", v.name, len(v.keys), len(values)))
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	key := childKey(values)
-	ch, ok := v.children[key]
-	if !ok {
-		if len(v.children) >= v.max {
-			return v.overflowLocked().h
-		}
-		ch = &histChild{values: append([]string(nil), values...), h: newHistogram(v.bounds)}
-		v.children[key] = ch
-	}
-	return ch.h
-}
-
-// overflowLocked returns (creating if needed) the overflow child; see
-// CounterVec.overflowLocked. Called only from With with v.mu held.
-//
-//dwmlint:holds mu
-func (v *HistogramVec) overflowLocked() *histChild {
-	values := make([]string, len(v.keys))
-	for i := range values {
-		values[i] = OverflowLabel
-	}
-	key := childKey(values)
-	ch, ok := v.children[key]
-	if !ok {
-		ch = &histChild{values: values, h: newHistogram(v.bounds)}
-		v.children[key] = ch
-	}
-	return ch
-}
-
-// snapshot copies the vec's series, sorted by label values.
-func (v *HistogramVec) snapshot() LabeledHistStats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	s := LabeledHistStats{Keys: append([]string(nil), v.keys...)}
-	for _, ch := range v.children {
-		//dwmlint:ignore maporder sortSeries below restores the deterministic label-value order
-		s.Series = append(s.Series, LabeledHistSample{
-			Values: append([]string(nil), ch.values...),
-			Hist:   ch.h.Stats(),
-		})
-	}
-	sortSeries(s.Series, func(ls LabeledHistSample) []string { return ls.Values })
-	return s
-}
-
-// reset zeroes every child histogram in place.
-func (v *HistogramVec) reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, ch := range v.children {
-		resetHistogram(ch.h)
-	}
+	f.mu.Unlock()
+	slices.SortFunc(out, func(a, b *child[T]) int { return slices.Compare(a.values, b.values) })
+	return out
 }
 
 // LabeledCounterStats is the snapshot form of a CounterVec: the declared
@@ -275,18 +182,22 @@ type LabeledHistSample struct {
 	Hist   HistStats `json:"hist"`
 }
 
-// sortSeries orders series lexically by their label-value vectors — the
-// deterministic order of the snapshot and the exposition.
-func sortSeries[T any](s []T, values func(T) []string) {
-	sort.Slice(s, func(i, j int) bool {
-		a, b := values(s[i]), values(s[j])
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+// labeledCounters copies a counter family's series.
+func labeledCounters(f *CounterVec) LabeledCounterStats {
+	s := LabeledCounterStats{Keys: slices.Clone(f.keys)}
+	for _, ch := range f.sorted() {
+		s.Series = append(s.Series, LabeledSample{Values: slices.Clone(ch.values), Value: ch.inst.Value()})
+	}
+	return s
+}
+
+// labeledHists copies a histogram family's series.
+func labeledHists(f *HistogramVec) LabeledHistStats {
+	s := LabeledHistStats{Keys: slices.Clone(f.keys)}
+	for _, ch := range f.sorted() {
+		s.Series = append(s.Series, LabeledHistSample{Values: slices.Clone(ch.values), Hist: ch.inst.Stats()})
+	}
+	return s
 }
 
 // labelPairs renders a label set body ("k1=v1,k2=v2" style with escaped

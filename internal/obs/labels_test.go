@@ -73,7 +73,7 @@ func TestCounterVecOverflow(t *testing.T) {
 	// Known combinations keep resolving to their own child past the cap.
 	v.With("a").Inc()
 
-	s := v.snapshot()
+	s := labeledCounters(v)
 	if len(s.Series) != 3 {
 		t.Fatalf("got %d series, want 3 (a, b, _other)", len(s.Series))
 	}
@@ -91,7 +91,7 @@ func TestHistogramVecOverflow(t *testing.T) {
 	v.With("a").Observe(5)
 	v.With("b").Observe(50) // over cap
 	v.With("c").Observe(50)
-	s := v.snapshot()
+	s := labeledHists(v)
 	if len(s.Series) != 2 {
 		t.Fatalf("got %d series, want 2 (a, _other)", len(s.Series))
 	}
@@ -142,11 +142,40 @@ func TestVecConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	for _, ls := range v.snapshot().Series {
+	for _, ls := range labeledCounters(v).Series {
 		total += ls.Value
 	}
 	if total != 8*200 {
 		t.Fatalf("lost updates: total %d, want 1600", total)
+	}
+}
+
+// TestCounterAndVecShareOneFamily pins the one-instrument-per-name
+// rule: a counter and a counter vec registered under one name are one
+// family (the first registration's shape wins), so the exposition
+// declares the metric once.
+func TestCounterAndVecShareOneFamily(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("serve.jobs.accepted")
+	c.Add(2)
+	v := r.CounterVec("serve.jobs.accepted", []string{"tenant"})
+	if v.With() != c {
+		t.Fatal("counter vec under a counter's name is a second family")
+	}
+	s := r.Snapshot()
+	if s.Counters["serve.jobs.accepted"] != 2 || len(s.LabeledCounters) != 0 {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	var b strings.Builder
+	if err := s.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if n := strings.Count(out, "# TYPE dwm_serve_jobs_accepted "); n != 1 {
+		t.Fatalf("%d TYPE lines for one name, want 1:\n%s", n, out)
+	}
+	if err := LintExpositionOpts(strings.NewReader(out), LintOptions{}); err != nil {
+		t.Fatalf("exposition fails conformance: %v\n%s", err, out)
 	}
 }
 

@@ -14,7 +14,7 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,49 +49,55 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Registry holds named instruments. The zero value is ready to use; most
-// code uses the package-level default registry instead.
+// Registry holds named instruments: counter families, gauges and
+// histogram families. A name maps to one instrument of its kind — a
+// counter and a counter vec registered under one name are one family,
+// and the first registration's shape (keys, bucket bounds) wins. The
+// zero value is ready to use; most code uses the package-level default
+// registry instead.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	hists       map[string]*Histogram
-	counterVecs map[string]*CounterVec
-	histVecs    map[string]*HistogramVec
+	mu       sync.Mutex
+	counters map[string]*CounterVec
+	gauges   map[string]*Gauge
+	hists    map[string]*HistogramVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter returns the counter with the given name, creating it on first
-// use. Repeated calls with the same name return the same instrument.
-func (r *Registry) Counter(name string) *Counter {
+// lookup returns m[name], first storing mk() there when it is absent.
+func lookup[V any](r *Registry, m *map[string]*V, name string, mk func() *V) *V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = map[string]*Counter{}
-	}
-	c, ok := r.counters[name]
+	v, ok := (*m)[name]
 	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+		v = mk()
+		if *m == nil {
+			*m = map[string]*V{}
+		}
+		(*m)[name] = v
 	}
-	return c
+	return v
+}
+
+// Counter returns the counter with the given name, creating it on first
+// use. Repeated calls with the same name return the same instrument.
+func (r *Registry) Counter(name string) *Counter { return r.counterFamily(name, nil).With() }
+
+// CounterVec returns the labeled counter family with the given name,
+// creating it with the given label keys and the default cardinality cap
+// (DefaultMaxSeries) on first use.
+func (r *Registry) CounterVec(name string, keys []string) *CounterVec {
+	return r.counterFamily(name, vecKeys(name, keys))
+}
+
+func (r *Registry) counterFamily(name string, keys []string) *CounterVec {
+	return lookup(r, &r.counters, name, func() *CounterVec { return newFamily(name, keys, 0, newCounter) })
 }
 
 // Gauge returns the gauge with the given name, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = map[string]*Gauge{}
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, &r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the fixed-bucket histogram with the given name,
@@ -100,52 +106,21 @@ func (r *Registry) Gauge(name string) *Gauge {
 // use. Later calls with the same name return the existing instrument —
 // its original bounds win, so register each histogram once.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hists == nil {
-		r.hists = map[string]*Histogram{}
-	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// CounterVec returns the labeled counter family with the given name,
-// creating it with the given label keys and the default cardinality cap
-// (DefaultMaxSeries) on first use. Like Histogram, the first
-// registration's shape wins.
-func (r *Registry) CounterVec(name string, keys []string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counterVecs == nil {
-		r.counterVecs = map[string]*CounterVec{}
-	}
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = newCounterVec(name, keys, 0)
-		r.counterVecs[name] = v
-	}
-	return v
+	return r.histFamily(name, nil, bounds).With()
 }
 
 // HistogramVec returns the labeled histogram family with the given
 // name, creating it with the given label keys, bucket bounds, and the
 // default cardinality cap on first use.
 func (r *Registry) HistogramVec(name string, keys []string, bounds []float64) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histVecs == nil {
-		r.histVecs = map[string]*HistogramVec{}
-	}
-	v, ok := r.histVecs[name]
-	if !ok {
-		v = newHistogramVec(name, keys, bounds, 0)
-		r.histVecs[name] = v
-	}
-	return v
+	return r.histFamily(name, vecKeys(name, keys), bounds)
+}
+
+func (r *Registry) histFamily(name string, keys []string, bounds []float64) *HistogramVec {
+	return lookup(r, &r.hists, name, func() *HistogramVec {
+		bounds := slices.Clone(bounds)
+		return newFamily(name, keys, 0, func() *Histogram { return newHistogram(bounds) })
+	})
 }
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
@@ -154,10 +129,20 @@ type Snapshot struct {
 	Counters   map[string]int64     `json:"counters,omitempty"`
 	Gauges     map[string]int64     `json:"gauges,omitempty"`
 	Histograms map[string]HistStats `json:"histograms,omitempty"`
-	// LabeledCounters / LabeledHistograms hold the vec families; each
-	// family's series are sorted by label values (see labels.go).
+	// LabeledCounters / LabeledHistograms hold the families that declare
+	// label keys; each family's series are sorted by label values (see
+	// labels.go).
 	LabeledCounters   map[string]LabeledCounterStats `json:"labeled_counters,omitempty"`
 	LabeledHistograms map[string]LabeledHistStats    `json:"labeled_histograms,omitempty"`
+}
+
+// put stores m[k] = v, allocating m on first use so an empty kind stays
+// nil (and out of the JSON).
+func put[V any](m *map[string]V, k string, v V) {
+	if *m == nil {
+		*m = map[string]V{}
+	}
+	(*m)[k] = v
 }
 
 // Snapshot copies the current value of every instrument.
@@ -165,34 +150,21 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
+	for name, f := range r.counters {
+		if len(f.keys) == 0 {
+			put(&s.Counters, name, f.With().Value())
+		} else {
+			put(&s.LabeledCounters, name, labeledCounters(f))
 		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
+	for name, g := range r.gauges {
+		put(&s.Gauges, name, g.Value())
 	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistStats, len(r.hists))
-		for name, h := range r.hists {
-			s.Histograms[name] = h.Stats()
-		}
-	}
-	if len(r.counterVecs) > 0 {
-		s.LabeledCounters = make(map[string]LabeledCounterStats, len(r.counterVecs))
-		for name, v := range r.counterVecs {
-			s.LabeledCounters[name] = v.snapshot()
-		}
-	}
-	if len(r.histVecs) > 0 {
-		s.LabeledHistograms = make(map[string]LabeledHistStats, len(r.histVecs))
-		for name, v := range r.histVecs {
-			s.LabeledHistograms[name] = v.snapshot()
+	for name, f := range r.hists {
+		if len(f.keys) == 0 {
+			put(&s.Histograms, name, f.With().Stats())
+		} else {
+			put(&s.LabeledHistograms, name, labeledHists(f))
 		}
 	}
 	return s
@@ -203,20 +175,18 @@ func (r *Registry) Snapshot() Snapshot {
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
+	for _, f := range r.counters {
+		for _, ch := range f.sorted() {
+			ch.inst.v.Store(0)
+		}
 	}
 	for _, g := range r.gauges {
 		g.v.Store(0)
 	}
-	for _, h := range r.hists {
-		resetHistogram(h)
-	}
-	for _, v := range r.counterVecs {
-		v.reset()
-	}
-	for _, v := range r.histVecs {
-		v.reset()
+	for _, f := range r.hists {
+		for _, ch := range f.sorted() {
+			resetHistogram(ch.inst)
+		}
 	}
 }
 
@@ -225,60 +195,30 @@ func (r *Registry) Reset() {
 // -metrics flag.
 func (s Snapshot) Format() string {
 	var b strings.Builder
-	writeSorted := func(kind string, m map[string]int64) {
-		if len(m) == 0 {
-			return
-		}
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s %-36s %d\n", kind, name, m[name])
+	for _, name := range sortedKeys(s.Counters) {
+		fmt.Fprintf(&b, "counter %-36s %d\n", name, s.Counters[name])
+	}
+	for _, name := range sortedKeys(s.Gauges) {
+		fmt.Fprintf(&b, "gauge   %-36s %d\n", name, s.Gauges[name])
+	}
+	for _, name := range sortedKeys(s.Histograms) {
+		st := s.Histograms[name]
+		fmt.Fprintf(&b, "hist    %-36s count=%d sum=%d p50=%s p95=%s max=%s\n",
+			name, st.Count, st.Sum,
+			formatBound(st.Quantile(0.50)), formatBound(st.Quantile(0.95)), formatBound(st.Quantile(1)))
+	}
+	for _, name := range sortedKeys(s.LabeledCounters) {
+		st := s.LabeledCounters[name]
+		for _, ls := range st.Series {
+			fmt.Fprintf(&b, "counter %s{%s} %d\n", name, labelPairs(st.Keys, ls.Values), ls.Value)
 		}
 	}
-	writeSorted("counter", s.Counters)
-	writeSorted("gauge  ", s.Gauges)
-	if len(s.Histograms) > 0 {
-		names := make([]string, 0, len(s.Histograms))
-		for name := range s.Histograms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			st := s.Histograms[name]
-			fmt.Fprintf(&b, "hist    %-36s count=%d sum=%d p50=%s p95=%s max=%s\n",
-				name, st.Count, st.Sum,
-				formatBound(st.Quantile(0.50)), formatBound(st.Quantile(0.95)), formatBound(st.Quantile(1)))
-		}
-	}
-	if len(s.LabeledCounters) > 0 {
-		names := make([]string, 0, len(s.LabeledCounters))
-		for name := range s.LabeledCounters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			st := s.LabeledCounters[name]
-			for _, ls := range st.Series {
-				fmt.Fprintf(&b, "counter %s{%s} %d\n", name, labelPairs(st.Keys, ls.Values), ls.Value)
-			}
-		}
-	}
-	if len(s.LabeledHistograms) > 0 {
-		names := make([]string, 0, len(s.LabeledHistograms))
-		for name := range s.LabeledHistograms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			st := s.LabeledHistograms[name]
-			for _, ls := range st.Series {
-				fmt.Fprintf(&b, "hist    %s{%s} count=%d sum=%d p50=%s p95=%s\n",
-					name, labelPairs(st.Keys, ls.Values), ls.Hist.Count, ls.Hist.Sum,
-					formatBound(ls.Hist.Quantile(0.50)), formatBound(ls.Hist.Quantile(0.95)))
-			}
+	for _, name := range sortedKeys(s.LabeledHistograms) {
+		st := s.LabeledHistograms[name]
+		for _, ls := range st.Series {
+			fmt.Fprintf(&b, "hist    %s{%s} count=%d sum=%d p50=%s p95=%s\n",
+				name, labelPairs(st.Keys, ls.Values), ls.Hist.Count, ls.Hist.Sum,
+				formatBound(ls.Hist.Quantile(0.50)), formatBound(ls.Hist.Quantile(0.95)))
 		}
 	}
 	return b.String()

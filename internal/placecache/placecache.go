@@ -34,7 +34,6 @@ import (
 var (
 	obsHits      = obs.GetCounter("placecache.hits")
 	obsMisses    = obs.GetCounter("placecache.misses")
-	obsWarmHits  = obs.GetCounter("placecache.warm_hits")
 	obsStores    = obs.GetCounter("placecache.stores")
 	obsEvictions = obs.GetCounter("placecache.evictions")
 	obsEntries   = obs.GetGauge("placecache.entries")
@@ -227,10 +226,10 @@ func (c *Cache) evictOldest() {
 // matches and whose placement covers exactly n vertices — a structural
 // near-match suitable for warm-starting a fresh search. It does not bump
 // recency (a warm start is a hint, not a reuse), and it does not count a
-// warm hit either: a candidate is only a hit once a consumer actually
-// adopts it (it must beat the consumer's own start), which the consumer
-// reports via NoteWarmApplied. Counting here would overstate warm hits by
-// every near-match that lost to the policy's cold start.
+// warm start either: a candidate counts only once a consumer actually
+// adopts it (it must beat the consumer's own start), which the serving
+// layer records as serve.cache.warmstarts. Counting here would overstate
+// warm starts by every near-match that lost to the policy's cold start.
 func (c *Cache) Nearest(profile uint64, n int) (Key, Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,13 +246,6 @@ func (c *Cache) Nearest(profile uint64, n int) (Key, Entry, bool) {
 	}
 	return Key{}, Entry{}, false
 }
-
-// NoteWarmApplied records that a placement returned by Nearest was
-// actually adopted as a search's starting point. Consumers call it at the
-// point of application, so the warm-hit counter (placecache.warm_hits)
-// measures warm starts that happened, not candidates that
-// were merely found.
-func (c *Cache) NoteWarmApplied() { obsWarmHits.Inc() }
 
 // Len returns the number of live entries.
 func (c *Cache) Len() int {

@@ -193,7 +193,6 @@ func TestCacheWarmstartRejectedNotCounted(t *testing.T) {
 	})
 
 	warm0 := obs.GetCounter("serve.cache.warmstarts").Value()
-	cacheWarm0 := obs.GetCounter("placecache.warm_hits").Value()
 	_, id := submit(t, base, PlaceRequest{Trace: testTrace(t), Seed: 6, Iterations: 20000})
 	st := waitDone(t, base, id)
 	if st.Status != statusDone {
@@ -204,9 +203,6 @@ func TestCacheWarmstartRejectedNotCounted(t *testing.T) {
 	}
 	if got := obs.GetCounter("serve.cache.warmstarts").Value(); got != warm0 {
 		t.Fatalf("rejected warm candidate was counted: %d -> %d", warm0, got)
-	}
-	if got := obs.GetCounter("placecache.warm_hits").Value(); got != cacheWarm0 {
-		t.Fatalf("rejected warm candidate bumped the cache counter: %d -> %d", cacheWarm0, got)
 	}
 }
 

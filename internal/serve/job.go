@@ -6,7 +6,7 @@
 //
 //   - Determinism. A job's result is a pure function of its request —
 //     the effective annealing seed is derived from (request seed, trace
-//     identity) with bench.DeriveSeed, never from worker identity or
+//     identity) with stats.DeriveNamedSeed, never from worker identity or
 //     scheduling — so two identical submissions return byte-identical
 //     placements no matter which worker picks them up.
 //   - Backpressure. The job queue is bounded; a submission that does
@@ -29,12 +29,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -343,10 +343,10 @@ func validPolicy(name string) bool {
 // effectiveSeed derives the seed the job's randomized stages use. It is
 // a pure function of the request — seed and trace identity — so results
 // are byte-identical regardless of which worker runs the job, while the
-// splitmix finalizer in bench.DeriveSeed decorrelates service streams
+// splitmix finalizer in stats.DeriveNamedSeed decorrelates service streams
 // from the CLI/benchmark streams that share the same user seed.
 func effectiveSeed(req PlaceRequest, tr *trace.Trace) int64 {
-	return bench.DeriveSeed(req.Seed, "serve/"+tr.Name, tr.Len())
+	return stats.DeriveNamedSeed(req.Seed, "serve/"+tr.Name, tr.Len())
 }
 
 // execute computes the job's placement. It is a pure function of

@@ -12,10 +12,12 @@ package serve
 //     acknowledged job therefore survives a crash; replay re-enqueues
 //     it and the worker re-derives the result — byte-identical to an
 //     uninterrupted run, because a job's result is a pure function of
-//     its request and of the warm candidate admission planned, which
-//     the record carries. The journal never needs to capture search
-//     state. The record also carries the job's TraceInfo, so replay
-//     parses the trace only for a job it must re-run.
+//     its request and of the two starts admission resolved — the warm
+//     candidate the cache planned and, for a resumed job, the
+//     checkpoint it resumes from — which the record carries. The
+//     journal never needs to capture search state. The record also
+//     carries the job's TraceInfo, so replay parses the trace only for
+//     a job it must re-run.
 //   - job.hit is the one record of a job born finished from an exact
 //     cache hit, journaled BEFORE the 202 like job.accept. It holds the
 //     request without its trace text (ClientKey, Tenant, seed and
@@ -109,6 +111,11 @@ type journalRecord struct {
 	// on the request, so replay needs it to re-derive the same result.
 	// Older journals lack the field; their jobs replay cold.
 	Warm []int `json:"warm,omitempty"`
+	// job.accept of a resumed job also carries the start it resumes
+	// from: the checkpoint of the job its request names, which a
+	// restarted server may no longer hold in that state. Older journals
+	// lack the field; their resumed jobs replay from the policy's start.
+	Resume []int `json:"resume,omitempty"`
 	// job.ckpt carries the improved best-so-far.
 	Placement []int `json:"placement,omitempty"`
 	Cost      int64 `json:"cost,omitempty"`
@@ -202,6 +209,7 @@ type recoveredJob struct {
 	trace    string     // traceparent wire form from job.accept/job.hit, may be empty
 	info     *TraceInfo // trace summary from job.accept/job.hit, nil in older journals
 	warm     []int      // near-hit warm candidate from job.accept, may be nil
+	resume   []int      // resumed job's start from job.accept, may be nil
 	ckpt     []int
 	ckptCost int64
 	result   *Result
@@ -295,7 +303,7 @@ func (st *replayState) apply(rec journalRecord) {
 			obsRecordSkips.Inc()
 			return
 		}
-		r := &recoveredJob{id: rec.ID, req: *rec.Req, trace: rec.Trace, info: rec.Info, warm: rec.Warm}
+		r := &recoveredJob{id: rec.ID, req: *rec.Req, trace: rec.Trace, info: rec.Info, warm: rec.Warm, resume: rec.Resume}
 		if rec.T == recJobHit {
 			r.result, r.cacheHit = rec.Result, true
 		}

@@ -197,6 +197,105 @@ func TestRecoveredWarmStartedJobByteIdentical(t *testing.T) {
 	}
 }
 
+// journaledRecords returns the records of dir's journal that match keep,
+// in journal order.
+func journaledRecords(t *testing.T, dir string, keep func(journalRecord) bool) []journalRecord {
+	t.Helper()
+	jl, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	var out []journalRecord
+	err = jl.Replay(func(payload []byte) error {
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		if keep(rec) {
+			out = append(out, rec)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRecoveredResumedJobByteIdentical is the resume half of the replay
+// contract: a job submitted with "resume" starts from the named job's
+// checkpoint, so a crash mid-run must recover to the placement the live
+// run computed, not re-run from Propose's start.
+func TestRecoveredResumedJobByteIdentical(t *testing.T) {
+	first := PlaceRequest{Trace: testTrace(t), Seed: 3, Iterations: 20000}
+	opts := Options{Workers: 1, DisableCache: true}
+
+	// Live run: B resumes from A's result.
+	dir := t.TempDir()
+	_, base, stop := startJournaled(t, dir, opts)
+	_, idA := submit(t, base, first)
+	waitDone(t, base, idA)
+	req := PlaceRequest{Trace: testTrace(t), Seed: 4, Iterations: 20000, Resume: idA}
+	_, idB := submit(t, base, req)
+	want := waitDone(t, base, idB)
+	stop()
+
+	// Control: B's request without the resume.
+	_, coldBase := startServer(t, opts)
+	coldReq := req
+	coldReq.Resume = ""
+	_, coldID := submit(t, coldBase, coldReq)
+	cold := waitDone(t, coldBase, coldID)
+	if want.Status != statusDone || cold.Status != statusDone {
+		t.Fatalf("live runs failed: %q, %q", want.Error, cold.Error)
+	}
+	if fmt.Sprint(want.Result.Placement) == fmt.Sprint(cold.Result.Placement) {
+		t.Fatal("the resume did not change the result; the test shows nothing")
+	}
+
+	// Crash artifact: A finished, B accepted but not done.
+	recs := journaledRecords(t, dir, func(rec journalRecord) bool {
+		return rec.ID == idA && (rec.T == recJobAccept || rec.T == recJobDone) ||
+			rec.ID == idB && rec.T == recJobAccept
+	})
+	if len(recs) != 3 || recs[2].ID != idB {
+		t.Fatalf("journal holds %d of the 3 records wanted: %+v", len(recs), recs)
+	}
+	replay := func(accept journalRecord) JobStatus {
+		t.Helper()
+		crashed := t.TempDir()
+		appendRaw(t, crashed, recs[0], recs[1], accept)
+		_, base2, stop2 := startJournaled(t, crashed, opts)
+		defer stop2()
+		got := waitDone(t, base2, idB)
+		if got.Status != statusDone {
+			t.Fatalf("recovered job failed: %s", got.Error)
+		}
+		return got
+	}
+	got := replay(recs[2])
+	if got.Result.Cost != want.Result.Cost ||
+		fmt.Sprint(got.Result.Placement) != fmt.Sprint(want.Result.Placement) {
+		t.Errorf("recovered placement diverged from the resumed live run: cost %d vs %d",
+			got.Result.Cost, want.Result.Cost)
+	}
+
+	// A journal without the field, or with a start that is not a
+	// placement of the trace's items, replays from Propose's start.
+	old := recs[2]
+	old.Resume = nil
+	bad := recs[2]
+	bad.Resume = append([]int(nil), recs[2].Resume...)
+	bad.Resume[0] = bad.Resume[1]
+	for _, accept := range []journalRecord{old, bad} {
+		if got := replay(accept); fmt.Sprint(got.Result.Placement) != fmt.Sprint(cold.Result.Placement) {
+			t.Errorf("resume %v: replay did not run from the policy's start: cost %d, cold %d",
+				accept.Resume, got.Result.Cost, cold.Result.Cost)
+		}
+	}
+}
+
 // getRaw sends GET /v1/jobs/{id}, with ?wait=<wait> when wait is not
 // empty, and returns the 200 body as sent.
 func getRaw(t *testing.T, base, id, wait string) []byte {

@@ -313,10 +313,11 @@ func New(opts Options) (*Server, error) {
 // comes from the record; only a job from an older journal, whose record
 // lacks it, has its trace parsed to fill it. Neither the trace nor the
 // request text is kept. Unfinished jobs are re-run from the request and
-// the warm candidate their job.accept journaled: that pair is all a
-// job's result depends on, so re-deriving makes the recovered placement
-// byte-identical to an uninterrupted run. A candidate that is not a
-// placement of the trace's items is dropped (the job replays cold). A
+// the starts their job.accept journaled (the warm candidate and a
+// resumed job's resume start): those are all a job's result depends on,
+// so re-deriving makes the recovered placement byte-identical to an
+// uninterrupted run. A start that is not a placement of the trace's
+// items is dropped (the job replays from the policy's own start). A
 // requeued job carries no cache plan: runJob builds its store-only one
 // on a worker, so replay does no graph or Canon work. Journaled checkpoints
 // only pre-seed the recovered job's best-so-far, so cancelling right
@@ -364,6 +365,9 @@ func (s *Server) recover() ([]*task, error) {
 			t := &task{j: j, req: rec.req, tr: tr, enqueued: now}
 			if warm := layout.Placement(rec.warm); warm != nil && warm.Validate(tr.NumItems) == nil {
 				t.warm = warm
+			}
+			if resume := layout.Placement(rec.resume); resume != nil && resume.Validate(tr.NumItems) == nil {
+				t.resume = resume
 			}
 			requeue = append(requeue, t)
 		}
@@ -716,7 +720,7 @@ func (s *Server) admit(ctx context.Context, req *PlaceRequest, j *job, t *task, 
 		bare.Trace = ""
 		rec.T, rec.Req, rec.Result = recJobHit, &bare, hit
 	} else {
-		rec.Warm = t.warm
+		rec.Warm, rec.Resume = t.warm, t.resume
 	}
 	if err := s.jl.append(ctx, rec); err != nil {
 		return nil, outcomeUnavailable, fmt.Errorf("journal unavailable: %w", err)
@@ -1079,23 +1083,17 @@ func (s *Server) runJob(t *task) {
 		}
 	}
 	// Warm-start accounting fires only when execute actually adopts the
-	// cached near-match (it must beat the policy's own start): both the
-	// service counter and the cache's own warm-hit stat measure
-	// applications, not lookups. A recovered job re-applies a journaled
-	// candidate without consulting the cache (its store-only plan has no
-	// warm), so it is not counted.
+	// cached near-match (it must beat the policy's own start), so
+	// serve.cache.warmstarts counts applications, not lookups. A
+	// recovered job re-applies a journaled candidate without consulting
+	// the cache (its store-only plan has no warm), so it is not counted.
 	var prebuiltGraph *graph.Graph
 	var warmApplied func()
 	if t.plan != nil {
 		prebuiltGraph = t.plan.g
 	}
 	if t.plan != nil && t.plan.warm != nil {
-		warmApplied = func() {
-			obsCacheWarmstarts.Inc()
-			if s.cache != nil {
-				s.cache.NoteWarmApplied()
-			}
-		}
+		warmApplied = obsCacheWarmstarts.Inc
 	}
 	res, err := execute(ctx, t.req, t.tr, prebuiltGraph, t.resume, t.warm, warmApplied, checkpoint, j.recordProgress)
 	if err != nil {

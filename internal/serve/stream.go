@@ -13,7 +13,7 @@ package serve
 // through, because the session ingests deltas commutatively and runs its
 // improvement rounds at fixed access-count boundaries. The effective seed
 // is derived from (request seed, stream name, item count) with
-// bench.DeriveSeed, the same scheme the job path uses, so stream results
+// stats.DeriveNamedSeed, the same scheme the job path uses, so stream results
 // are decorrelated from batch jobs sharing a user seed.
 
 import (
@@ -21,9 +21,9 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/stats"
 )
 
 // maxItems bounds the item space a stream or a trace upload may
@@ -33,8 +33,10 @@ import (
 // the allocation it implies, so the service caps it far below the point
 // where the graph's rows or the identity placement alone would be
 // gigabytes. It bounds memory, not time: graph.Canon is quadratic in the
-// number of equivalent vertices, which a trace can declare without
-// touching them.
+// number of WL-equivalent vertices that have edges (the leaves of a
+// star, say). Items a trace declares without touching them are exempt,
+// so that cost grows with the accesses a request sends, not with its
+// item count.
 const maxItems = 1 << 22
 
 // StreamRequest is the body of POST /v1/streams.
@@ -121,7 +123,7 @@ func newStream(id string, req StreamRequest) (*stream, error) {
 	}
 	sess, err := core.NewSession(core.SessionOptions{
 		Items:           req.Items,
-		Seed:            bench.DeriveSeed(req.Seed, "stream/"+name, req.Items),
+		Seed:            stats.DeriveNamedSeed(req.Seed, "stream/"+name, req.Items),
 		RoundEvery:      req.RoundEvery,
 		RoundIterations: req.RoundIterations,
 		Restarts:        req.Restarts,

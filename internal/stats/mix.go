@@ -1,5 +1,7 @@
 package stats
 
+import "hash/fnv"
+
 // Mix64 is the splitmix64 finalizer: a cheap bijection on uint64 with
 // full avalanche. It is the one derivation primitive behind every
 // deterministic stream in the tree — per-row and per-chain seeds, fault
@@ -25,4 +27,23 @@ func FoldSeq(h, v uint64) uint64 { return Mix64(h*0x100000001B3 + v) }
 // stable across runs and independent of the order they are used in.
 func DeriveSeed(seed int64, i int) int64 {
 	return int64(Mix64(uint64(seed) + uint64(i)*0x9E3779B97F4A7C15))
+}
+
+// DeriveNamedSeed maps (seed, id, row) to an independent stream seed:
+// seed ^ FNV-1a(id, row), finalized with Mix64 so nearby rows land in
+// unrelated streams. The placement service derives every job's and
+// stream's seed here from the request (id "serve/<trace>" or
+// "stream/<name>"), which decorrelates service streams from library
+// streams that share a user seed; an experiment row that needs its own
+// randomness would derive it the same way (id = the experiment ID)
+// rather than share one sequential RNG across rows.
+func DeriveNamedSeed(seed int64, id string, row int) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = byte(row >> (8 * i))
+	}
+	h.Write(buf[:])
+	return int64(Mix64(uint64(seed) ^ h.Sum64()))
 }

@@ -113,3 +113,24 @@ func TestDeriveSeedPinned(t *testing.T) {
 		t.Errorf("DeriveSeed(7, 0) = %d, want %d", got, want)
 	}
 }
+
+// TestDeriveNamedSeedPinned pins the named derivation to values recorded
+// before it moved here from the experiment harness: every service job's
+// and stream's seed, and so every cached and journaled result, was
+// derived with it.
+func TestDeriveNamedSeedPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		id   string
+		row  int
+		want int64
+	}{
+		{7, "serve/fir", 1000, 2301512676198795027},
+		{-3, "stream/s", 16, -7024825108422240401},
+		{1, "E2", 0, -3026284798295768627},
+	} {
+		if got := DeriveNamedSeed(c.seed, c.id, c.row); got != c.want {
+			t.Errorf("DeriveNamedSeed(%d, %q, %d) = %d, want %d", c.seed, c.id, c.row, got, c.want)
+		}
+	}
+}
