@@ -24,8 +24,11 @@ vet:
 # production code that only tests call (testonly). Zero
 # unsuppressed diagnostics required; exemptions carry //dwmlint:ignore
 # justifications. The golden fixtures run first so a broken analyzer
-# can't silently pass an unsound tree.
+# can't silently pass an unsound tree. dash -n parses every script under
+# scripts/ (the smokes and the lib.sh they source) without running it,
+# so a syntax error fails here, before any smoke boots a daemon.
 lint:
+	dash -n scripts/*.sh
 	$(GO) test ./internal/analysis/... -run 'TestSeededRand|TestMapOrder|TestWallTime|TestBareGo|TestSliceShare|TestFrozenMut|TestGuardedField|TestCtxFlow|TestTestOnly'
 	$(GO) run ./cmd/dwmlint ./...
 
@@ -160,6 +163,11 @@ golden-check:
 		echo "golden-check: E8 algorithm, n or cost differs from $(GOLDEN):"; \
 		diff -u "$$d/e8-golden" "$$d/e8-run"; exit 1; \
 	fi
+
+# The six dwmserved smokes below source scripts/lib.sh: one boot (up to
+# 10 s for the address file), one job wait that only long-polls
+# GET /v1/jobs/{id}?wait= inside a 60 s budget, one /metrics scrape and
+# promlint run, and one SIGTERM drain that requires exit 0.
 
 # End-to-end service smoke: boot dwmserved on a kernel-chosen port,
 # submit the same job twice, require byte-identical results, and check

@@ -231,7 +231,7 @@ func E3TapeLength(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			naive, err := packedMultiPlacement(tr, contig, tapes)
+			naive, err := core.PackedPlacement(tr, contig, tapes)
 			if err != nil {
 				return nil, err
 			}
@@ -251,29 +251,6 @@ func E3TapeLength(cfg Config) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// packedMultiPlacement puts each tape's items into consecutive slots in
-// first-touch order, the layout of a placement-unaware allocator.
-func packedMultiPlacement(tr *trace.Trace, pt core.Partition, tapes int) (layout.MultiPlacement, error) {
-	po, err := core.ProgramOrder(tr)
-	if err != nil {
-		return layout.MultiPlacement{}, err
-	}
-	// Items in first-touch order.
-	order := make([]int, len(po))
-	for item, rank := range po {
-		order[rank] = item
-	}
-	mp := layout.NewMultiPlacement(tr.NumItems)
-	next := make([]int, tapes)
-	for _, item := range order {
-		tp := pt[item]
-		mp.Tape[item] = tp
-		mp.Slot[item] = next[tp]
-		next[tp]++
-	}
-	return mp, nil
 }
 
 // E4Ports reproduces the port-count sensitivity figure on a single tape:

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/obs"
 	"repro/internal/placecache"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -165,7 +166,9 @@ func TestConcurrentClientKeyOneJob(t *testing.T) {
 // durable — on both kinds of submission, an exact cache hit and a queued
 // miss. Each must answer 503 and leave nothing behind: the next job ID
 // stays unknown, the ClientKey stays free, and the queue depth does not
-// move.
+// move. A journal refusal is counted once, by the wal's own
+// <prefix>.append_errors, which each journal case opens under its own
+// prefix.
 func TestAdmitRefusalLeavesNoState(t *testing.T) {
 	hit := PlaceRequest{Trace: testTrace(t), Seed: 7, Iterations: 2000}
 	miss := PlaceRequest{Trace: testTrace(t), Seed: 8, Iterations: 2000}
@@ -179,7 +182,7 @@ func TestAdmitRefusalLeavesNoState(t *testing.T) {
 		t.Fatalf("primed cache does not answer the hit request: %v", err)
 	}
 
-	shuttingDown := func(t *testing.T) *Server {
+	shuttingDown := func(t *testing.T, _ string) *Server {
 		s, err := New(Options{Workers: 1, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
@@ -189,9 +192,9 @@ func TestAdmitRefusalLeavesNoState(t *testing.T) {
 		}
 		return s
 	}
-	brokenJournal := func(t *testing.T) *Server {
+	brokenJournal := func(t *testing.T, walPrefix string) *Server {
 		fs := faultfs.New(nil, faultfs.Options{Seed: 1, SyncErrPerMille: 1000})
-		jl, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: fs})
+		jl, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: fs, MetricsPrefix: walPrefix})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,24 +209,31 @@ func TestAdmitRefusalLeavesNoState(t *testing.T) {
 		return s
 	}
 	for _, tc := range []struct {
-		name    string
-		server  func(*testing.T) *Server
-		req     PlaceRequest
-		wantErr string
+		name      string
+		server    func(*testing.T, string) *Server
+		req       PlaceRequest
+		wantErr   string
+		walPrefix string
 	}{
-		{"shutdown/hit", shuttingDown, hit, "server is shutting down"},
-		{"shutdown/queued", shuttingDown, miss, "server is shutting down"},
-		{"journal/hit", brokenJournal, hit, "journal unavailable: "},
-		{"journal/queued", brokenJournal, miss, "journal unavailable: "},
+		{"shutdown/hit", shuttingDown, hit, "server is shutting down", ""},
+		{"shutdown/queued", shuttingDown, miss, "server is shutting down", ""},
+		{"journal/hit", brokenJournal, hit, "journal unavailable: ", "serve_test.refusal.hit"},
+		{"journal/queued", brokenJournal, miss, "journal unavailable: ", "serve_test.refusal.queued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.server(t)
+			s := tc.server(t, tc.walPrefix)
 			req := tc.req
 			req.ClientKey = "refused-" + tc.name
 			s.mu.Lock()
 			next := fmt.Sprintf("job-%06d", s.nextID+1)
 			s.mu.Unlock()
 			depth := obsQueueDepth.Value()
+			var appendErrs *obs.Counter
+			var errsBefore int64
+			if tc.walPrefix != "" {
+				appendErrs = obs.GetCounter(tc.walPrefix + ".append_errors")
+				errsBefore = appendErrs.Value()
+			}
 
 			rec := serveDirect(t, s, http.MethodPost, "/v1/place", req)
 			var body apiError
@@ -248,6 +258,11 @@ func TestAdmitRefusalLeavesNoState(t *testing.T) {
 			}
 			if got := obsQueueDepth.Value(); got != depth {
 				t.Errorf("serve.queue.depth %d → %d across a refusal", depth, got)
+			}
+			if appendErrs != nil {
+				if got := appendErrs.Value() - errsBefore; got != 1 {
+					t.Errorf("%s.append_errors rose by %d across one refused request, want 1", tc.walPrefix, got)
+				}
 			}
 		})
 	}

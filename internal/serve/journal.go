@@ -74,16 +74,14 @@ const (
 	recStreamDelete  = "stream.delete"
 )
 
-// Replay-side metrics (the wal's own serve.wal.appends / fsync_ms /
-// torn_truncations / quarantines series are registered by the log
-// itself under its metrics prefix).
+// Replay-side metrics (the wal's own serve.wal.appends / append_errors
+// / fsync_ms / torn_truncations / quarantines series are registered by
+// the log itself under its metrics prefix).
 var (
 	obsReplayedJobs    = obs.GetCounter("serve.wal.replayed_jobs")
 	obsReplayedStreams = obs.GetCounter("serve.wal.replayed_streams")
 	obsRequeuedJobs    = obs.GetCounter("serve.wal.requeued_jobs")
 	obsRecordSkips     = obs.GetCounter("serve.wal.record_skips")
-	obsJournalErrors   = obs.GetCounter("serve.wal.journal_errors")
-	obsDeduped         = obs.GetCounter("serve.jobs.deduped")
 )
 
 // journalRecord is the JSON payload of one wal record. Exactly the
@@ -151,12 +149,10 @@ func (jl *journal) append(ctx context.Context, rec journalRecord) error {
 	span.SetAttr("type", rec.T).SetAttr("id", rec.ID)
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		obsJournalErrors.Inc()
 		span.SetAttr("failed", true)
 		return fmt.Errorf("journal: marshal %s: %w", rec.T, err)
 	}
 	if err := jl.log.Append(payload); err != nil {
-		obsJournalErrors.Inc()
 		span.SetAttr("failed", true)
 		return fmt.Errorf("journal: %w", err)
 	}

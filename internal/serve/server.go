@@ -36,7 +36,6 @@ import (
 // millisecond histograms.
 var (
 	obsAccepted    = obs.GetCounter("serve.jobs.accepted")
-	obsRejected    = obs.GetCounter("serve.jobs.rejected")
 	obsDone        = obs.GetCounter("serve.jobs.done")
 	obsFailed      = obs.GetCounter("serve.jobs.failed")
 	obsPartial     = obs.GetCounter("serve.jobs.partial")
@@ -636,12 +635,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	countRequest(req, outcome)
 	switch outcome {
 	case outcomeDeduped:
-		obsDeduped.Inc()
 		writeJSON(w, http.StatusOK, owner.snapshot(time.Now()))
 	case outcomeUnavailable:
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
 	case outcomeRejected:
-		obsRejected.Inc()
 		// Retry-After carries deterministic jitter derived from the
 		// request's identity hash: a thundering herd of distinct retriers
 		// spreads out, while any given request always hears the same

@@ -8,111 +8,40 @@
 #      /debug/events.
 #   3. A finished job's status carries the live-progress block.
 # Run from the repository root (the Makefile obs-smoke target).
-set -eu
-
-GO=${GO:-go}
-dir=$(mktemp -d)
-pid=""
-cleanup() {
-	if [ -n "$pid" ]; then
-		kill "$pid" 2>/dev/null || true
-		wait "$pid" 2>/dev/null || true
-	fi
-	rm -rf "$dir"
-}
-trap cleanup EXIT
+. "$(dirname "$0")/lib.sh"
 
 # --- leg 1: dwmbench tracing -------------------------------------------
-$GO build -o "$dir/dwmbench" ./cmd/dwmbench
-$GO build -o "$dir/promlint" ./cmd/promlint
-$GO build -o "$dir/dwmserved" ./cmd/dwmserved
+build dwmbench promlint dwmserved
 
 "$dir/dwmbench" -seed 1 -only E2,E5 >"$dir/plain.txt" 2>/dev/null
 "$dir/dwmbench" -seed 1 -only E2,E5 -trace "$dir/run.trace.json" >"$dir/traced.txt" 2>/dev/null
-if ! cmp -s "$dir/plain.txt" "$dir/traced.txt"; then
-	echo "obs-smoke: tables differ with tracing enabled:" >&2
-	diff -u "$dir/plain.txt" "$dir/traced.txt" >&2 || true
-	exit 1
-fi
+same "$dir/plain.txt" "$dir/traced.txt" "tables differ with tracing enabled:"
 nspans=$(jq '.traceEvents | length' "$dir/run.trace.json")
-if [ "$nspans" -lt 3 ]; then
-	echo "obs-smoke: trace has only $nspans events for a two-experiment run" >&2
-	exit 1
-fi
+[ "$nspans" -ge 3 ] || fail "trace has only $nspans events for a two-experiment run"
 jq -e '.traceEvents | all(has("name") and has("ph") and has("ts") and has("dur"))' \
-	>/dev/null "$dir/run.trace.json" || {
-	echo "obs-smoke: trace events missing required fields" >&2
-	exit 1
-}
+	>/dev/null "$dir/run.trace.json" || fail "trace events missing required fields"
 
 # --- leg 2: dwmserved metrics + events ---------------------------------
 $GO run ./cmd/tracegen -workload fir -o "$dir/trace.txt"
 jq -Rs '{trace: ., seed: 7, iterations: 20000}' <"$dir/trace.txt" >"$dir/req.json"
 
-"$dir/dwmserved" -addr 127.0.0.1:0 -addrfile "$dir/addr" -workers 2 -events 4096 >"$dir/log" &
-pid=$!
-i=0
-while [ ! -s "$dir/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "obs-smoke: daemon never wrote its address file" >&2
-		cat "$dir/log" >&2
-		exit 1
-	fi
-	sleep 0.05
-done
-base="http://$(cat "$dir/addr")"
+boot "$dir/addr" -workers 2 -events 4096
+id=$(submit "$dir/req.json")
+wait_job "$id" "$dir/job.json"
 
-id=$(curl -fsS -X POST -H 'Content-Type: application/json' \
-	--data @"$dir/req.json" "$base/v1/place" | jq -r .id)
-n=0
-while [ "$n" -le 600 ]; do
-	n=$((n + 1))
-	st=$(curl -fsS "$base/v1/jobs/$id")
-	case $(printf '%s' "$st" | jq -r .status) in
-	done) break ;;
-	failed)
-		echo "obs-smoke: job failed: $st" >&2
-		exit 1
-		;;
-	esac
-	sleep 0.05
-done
-
-curl -fsS "$base/metrics" >"$dir/metrics.txt"
-"$dir/promlint" "$dir/metrics.txt" || {
-	echo "obs-smoke: /metrics exposition failed conformance lint" >&2
-	exit 1
-}
-grep -q '^dwm_serve_job_wall_ms_bucket' "$dir/metrics.txt" || {
-	echo "obs-smoke: /metrics missing the job-wall histogram" >&2
-	exit 1
-}
-curl -fsS "$base/debug/pprof/" >/dev/null || {
-	echo "obs-smoke: /debug/pprof/ unreachable" >&2
-	exit 1
-}
+lint_metrics || fail "/metrics exposition failed conformance lint"
+grep -q '^dwm_serve_job_wall_ms_bucket' "$dir/metrics.txt" ||
+	fail "/metrics missing the job-wall histogram"
+curl -fsS "$base/debug/pprof/" >/dev/null || fail "/debug/pprof/ unreachable"
 events=$(curl -fsS "$base/debug/events")
-printf '%s' "$events" | jq -e '.enabled' >/dev/null || {
-	echo "obs-smoke: /debug/events reports tracing disabled despite -events" >&2
-	exit 1
-}
-printf '%s' "$events" | jq -e '[.spans[].name] | index("serve.job.run")' >/dev/null || {
-	echo "obs-smoke: no serve.job.run span in /debug/events: $events" >&2
-	exit 1
-}
+printf '%s' "$events" | jq -e '.enabled' >/dev/null ||
+	fail "/debug/events reports tracing disabled despite -events"
+printf '%s' "$events" | jq -e '[.spans[].name] | index("serve.job.run")' >/dev/null ||
+	fail "no serve.job.run span in /debug/events: $events"
 
 # --- leg 3: job progress block -----------------------------------------
-printf '%s' "$st" | jq -e '.progress and .progress.proposals > 0 and .progress.chains >= 1' >/dev/null || {
-	echo "obs-smoke: finished job carries no progress block: $st" >&2
-	exit 1
-}
+jq -e '.progress and .progress.proposals > 0 and .progress.chains >= 1' >/dev/null "$dir/job.json" ||
+	fail "finished job carries no progress block: $(cat "$dir/job.json")"
 
-kill -TERM "$pid"
-if ! wait "$pid"; then
-	echo "obs-smoke: daemon exited nonzero after SIGTERM" >&2
-	cat "$dir/log" >&2
-	exit 1
-fi
-pid=""
+drain
 echo "obs-smoke: ok (inert tracing, conformant exposition, live introspection)"

@@ -8,45 +8,13 @@
 # on /metrics and the endpoint stays promlint-clean; (d) SIGTERM drains
 # cleanly with a stream still live. Run from the repository root (the
 # Makefile stream-smoke target).
-set -eu
+. "$(dirname "$0")/lib.sh"
 
-GO=${GO:-go}
-dir=$(mktemp -d)
-pid=""
-cleanup() {
-	if [ -n "$pid" ]; then
-		kill "$pid" 2>/dev/null || true
-		wait "$pid" 2>/dev/null || true
-	fi
-	rm -rf "$dir"
-}
-trap cleanup EXIT
-
-$GO build -o "$dir/dwmserved" ./cmd/dwmserved
-$GO build -o "$dir/promlint" ./cmd/promlint
-
-"$dir/dwmserved" -addr 127.0.0.1:0 -addrfile "$dir/addr" -workers 2 >"$dir/log" &
-pid=$!
-
-i=0
-while [ ! -s "$dir/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "stream-smoke: daemon never wrote its address file" >&2
-		cat "$dir/log" >&2
-		exit 1
-	fi
-	sleep 0.05
-done
-base="http://$(cat "$dir/addr")"
+build dwmserved promlint
+boot "$dir/addr" -workers 2
 
 post() {
 	curl -fsS -X POST -H 'Content-Type: application/json' --data @- "$1"
-}
-
-# metric <name>: current value of a /metrics series (0 when absent).
-metric() {
-	curl -fsS "$base/metrics" | awk -v m="$1" '$1 == m { v = $2 } END { print v + 0 }'
 }
 
 # A fixed pseudo-random access sequence over 32 items, one per line.
@@ -72,19 +40,10 @@ for k in 1 137 63 200 99 1 250 149 100; do
 done
 curl -fsS "$base/v1/streams/$two" | jq -S 'del(.id)' >"$dir/two.json"
 
-if ! cmp -s "$dir/one.json" "$dir/two.json"; then
-	echo "stream-smoke: chunked stream diverged from one-shot:" >&2
-	diff -u "$dir/one.json" "$dir/two.json" >&2 || true
-	exit 1
-fi
-if [ "$(jq -r .accesses "$dir/one.json")" -ne 1000 ]; then
-	echo "stream-smoke: stream lost accesses: $(jq -r .accesses "$dir/one.json") != 1000" >&2
-	exit 1
-fi
-if [ "$(jq -r .rounds "$dir/one.json")" -eq 0 ]; then
-	echo "stream-smoke: stream ran no improvement rounds" >&2
-	exit 1
-fi
+same "$dir/one.json" "$dir/two.json" "chunked stream diverged from one-shot:"
+n=$(jq -r .accesses "$dir/one.json")
+[ "$n" -eq 1000 ] || fail "stream lost accesses: $n != 1000"
+[ "$(jq -r .rounds "$dir/one.json")" -ne 0 ] || fail "stream ran no improvement rounds"
 
 # Oversized trace: a header at the CSR vertex limit must be rejected at
 # submission with 400, not handed to a worker to blow up on.
@@ -92,50 +51,28 @@ printf 'dwmtrace 1\nname huge\nitems 2147483648\nR 0\nR 1\n' |
 	jq -Rs '{trace: .}' >"$dir/huge.json"
 code=$(curl -s -o "$dir/huge_resp" -w '%{http_code}' -X POST \
 	-H 'Content-Type: application/json' --data @"$dir/huge.json" "$base/v1/place")
-if [ "$code" != 400 ]; then
-	echo "stream-smoke: oversized trace got status $code, want 400:" >&2
-	cat "$dir/huge_resp" >&2
-	exit 1
-fi
+[ "$code" = 400 ] || fail "oversized trace got status $code, want 400:" "$dir/huge_resp"
+
+# want <series> <value> [note]: the /metrics series must read <value>.
+want() {
+	v=$(metric "$1")
+	[ "$v" -eq "$2" ] || fail "$1 = $v${3:-}, want $2"
+}
 
 # The stream series must land on /metrics with the right counts.
-if [ "$(metric dwm_serve_stream_live)" -ne 2 ]; then
-	echo "stream-smoke: dwm_serve_stream_live = $(metric dwm_serve_stream_live), want 2" >&2
-	exit 1
-fi
-if [ "$(metric dwm_serve_stream_appends)" -ne 10 ]; then
-	echo "stream-smoke: dwm_serve_stream_appends = $(metric dwm_serve_stream_appends), want 10" >&2
-	exit 1
-fi
-if [ "$(metric dwm_serve_stream_accesses)" -ne 2000 ]; then
-	echo "stream-smoke: dwm_serve_stream_accesses = $(metric dwm_serve_stream_accesses), want 2000" >&2
-	exit 1
-fi
+want dwm_serve_stream_live 2
+want dwm_serve_stream_appends 10
+want dwm_serve_stream_accesses 2000
 
 # Closing a stream returns its final status and frees the slot.
 final=$(curl -fsS -X DELETE "$base/v1/streams/$two")
-if [ "$(printf '%s' "$final" | jq -r .accesses)" -ne 1000 ]; then
-	echo "stream-smoke: DELETE returned wrong final status: $final" >&2
-	exit 1
-fi
-if [ "$(metric dwm_serve_stream_live)" -ne 1 ]; then
-	echo "stream-smoke: dwm_serve_stream_live = $(metric dwm_serve_stream_live) after close, want 1" >&2
-	exit 1
-fi
+[ "$(printf '%s' "$final" | jq -r .accesses)" -eq 1000 ] ||
+	fail "DELETE returned wrong final status: $final"
+want dwm_serve_stream_live 1 " after close"
 
 # The new series must not break /metrics conformance.
-curl -fsS "$base/metrics" >"$dir/metrics.txt"
-"$dir/promlint" "$dir/metrics.txt" || {
-	echo "stream-smoke: /metrics failed promlint" >&2
-	exit 1
-}
+lint_metrics || fail "/metrics failed promlint"
 
 # SIGTERM with a stream still live: the daemon must drain and exit 0.
-kill -TERM "$pid"
-if ! wait "$pid"; then
-	echo "stream-smoke: daemon exited nonzero after SIGTERM" >&2
-	cat "$dir/log" >&2
-	exit 1
-fi
-pid=""
+drain
 echo "stream-smoke: ok (chunk-invariant streams, oversized trace rejected, clean drain)"
