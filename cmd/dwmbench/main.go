@@ -1,9 +1,9 @@
-// Command dwmbench runs the reproduction's experiment suite (E1–E9) and
+// Command dwmbench runs the reproduction's experiment suite (E1–E22) and
 // prints each table/figure in paper form.
 //
 // Usage:
 //
-//	dwmbench [-seed N] [-csv] [-md] [-only E2,E5] [-workers N] [-timeout D]
+//	dwmbench [-seed N] [-md] [-only E2,E5] [-workers N] [-timeout D]
 //	         [-json FILE] [-metrics] [-trace FILE] [-cache DIR]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -68,7 +68,6 @@ import (
 func main() {
 	var opts options
 	flag.Int64Var(&opts.seed, "seed", 1, "seed for workloads and randomized policies")
-	flag.BoolVar(&opts.csv, "csv", false, "emit CSV instead of aligned tables")
 	flag.BoolVar(&opts.md, "md", false, "emit GitHub-flavored markdown instead of aligned tables")
 	flag.StringVar(&opts.only, "only", "", "comma-separated experiment IDs to run (default: all)")
 	flag.IntVar(&opts.workers, "workers", 0, "worker-pool size for experiments (0 = GOMAXPROCS, 1 = sequential)")
@@ -125,7 +124,7 @@ func main() {
 // options carries the CLI flags into run.
 type options struct {
 	seed      int64
-	csv, md   bool
+	md        bool
 	only      string
 	workers   int
 	timeout   time.Duration
@@ -282,20 +281,12 @@ func run(ctx context.Context, opts options) error {
 		if r.Table == nil {
 			continue
 		}
-		switch {
-		case opts.csv:
-			if err := r.Table.CSV(&out); err != nil {
-				return err
-			}
-			fmt.Fprintln(&out)
-		case opts.md:
-			if err := r.Table.Markdown(&out); err != nil {
-				return err
-			}
-		default:
-			if err := r.Table.Format(&out); err != nil {
-				return err
-			}
+		render := r.Table.Format
+		if opts.md {
+			render = r.Table.Markdown
+		}
+		if err := render(&out); err != nil {
+			return err
 		}
 	}
 	renderSpan.SetAttr("experiments", len(results)).End()

@@ -9,33 +9,33 @@ import (
 	"testing"
 )
 
-func testOpts(seed int64, csv, md bool, workers int, only, jsonPath string) options {
-	return options{seed: seed, csv: csv, md: md, workers: workers, only: only, jsonPath: jsonPath}
+func testOpts(seed int64, md bool, workers int, only, jsonPath string) options {
+	return options{seed: seed, md: md, workers: workers, only: only, jsonPath: jsonPath}
 }
 
 func TestRunOnlyFastExperiments(t *testing.T) {
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1", "")); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1", "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), testOpts(1, true, false, 1, "e1,E5", "")); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "e1,E5", "")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMarkdown(t *testing.T) {
-	if err := run(context.Background(), testOpts(1, false, true, 1, "E1", "")); err != nil {
+	if err := run(context.Background(), testOpts(1, true, 1, "E1", "")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWorkers(t *testing.T) {
-	if err := run(context.Background(), testOpts(1, false, false, 4, "E1,E5,E19", "")); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 4, "E1,E5,E19", "")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunNoMatch(t *testing.T) {
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E99", "")); err == nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E99", "")); err == nil {
 		t.Error("unknown experiment ID accepted")
 	}
 }
@@ -55,7 +55,7 @@ func readReport(t *testing.T, path string) benchReport {
 
 func TestRunJSONReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1,E5", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1,E5", path)); err != nil {
 		t.Fatal(err)
 	}
 	rep := readReport(t, path)
@@ -70,7 +70,7 @@ func TestRunJSONReport(t *testing.T) {
 	}
 
 	// Second run against the stored report yields per-experiment deltas.
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1,E5", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1,E5", path)); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range readReport(t, path).Experiments {
@@ -86,7 +86,7 @@ func TestRunJSONReport(t *testing.T) {
 // be preserved from the prior report.
 func TestRunJSONOnlyMergesPriorEntries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1,E5", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1,E5", path)); err != nil {
 		t.Fatal(err)
 	}
 	before := readReport(t, path)
@@ -101,7 +101,7 @@ func TestRunJSONOnlyMergesPriorEntries(t *testing.T) {
 	}
 
 	// Run only E1: E5's entry must survive, byte-for-byte wall time.
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1", path)); err != nil {
 		t.Fatal(err)
 	}
 	after := readReport(t, path)
@@ -139,14 +139,14 @@ func TestRunJSONOnlyMergesPriorEntries(t *testing.T) {
 // leave the prior report's history intact (the SIGINT path).
 func TestRunCanceledPreservesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1,E5", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1,E5", path)); err != nil {
 		t.Fatal(err)
 	}
 	before := readReport(t, path)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := run(ctx, testOpts(1, false, false, 1, "E1,E5", path)); err == nil {
+	if err := run(ctx, testOpts(1, false, 1, "E1,E5", path)); err == nil {
 		t.Fatal("canceled run must return an error")
 	}
 	after := readReport(t, path)
@@ -168,7 +168,7 @@ func TestRunCanceledPreservesReport(t *testing.T) {
 // has, since dwmbench never measures the lint run itself.
 func TestRunCarriesLintBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1", path)); err != nil {
 		t.Fatal(err)
 	}
 	rep := readReport(t, path)
@@ -181,7 +181,7 @@ func TestRunCarriesLintBench(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run(context.Background(), testOpts(1, false, false, 1, "E1", path)); err != nil {
+	if err := run(context.Background(), testOpts(1, false, 1, "E1", path)); err != nil {
 		t.Fatal(err)
 	}
 	after := readReport(t, path)
@@ -226,7 +226,7 @@ func stdoutOf(t *testing.T, fn func() error) []byte {
 // nothing were ever read back.
 func TestRunCacheWarmRerun(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts(1, false, false, 1, "E5", filepath.Join(dir, "bench.json"))
+	opts := testOpts(1, false, 1, "E5", filepath.Join(dir, "bench.json"))
 	opts.cacheDir = filepath.Join(dir, "cache")
 	var tables [][]byte
 	for _, want := range []string{"miss", "hit"} {

@@ -11,18 +11,14 @@
 //
 // Usage:
 //
-//	dwmlint [-only analyzer,...] [-v] [-list] [-json] [-baseline FILE] [-bench FILE] [packages]
+//	dwmlint [-only analyzer,...] [-v] [-list] [-bench FILE] [packages]
 //
-// Packages default to ./..., in the `go list` pattern syntax. -json
-// emits the findings (suppressed ones included) as a JSON array usable
-// directly as a -baseline file; -baseline FILE fails only on findings
-// not present in FILE, so a new analyzer can land before its dogfood
-// cleanup is complete; -bench FILE upserts the run's wall time into a
-// dwmbench-style JSON report. testonly's reference index always spans
-// the whole module and the nested benchmark module, whatever packages
-// are named, so code only another package calls is never flagged. Exit
-// status is 1 when unsuppressed (or, with -baseline, new) diagnostics
-// remain, 2 on a loading or internal failure.
+// Packages default to ./..., in the `go list` pattern syntax. -bench
+// FILE upserts the run's wall time into a dwmbench-style JSON report.
+// testonly's reference index always spans the whole module and the
+// nested benchmark module, whatever packages are named, so code only
+// another package calls is never flagged. Exit status is 1 when
+// unsuppressed diagnostics remain, 2 on a loading or internal failure.
 package main
 
 import (
@@ -43,8 +39,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	verbose := flag.Bool("v", false, "also print suppressed diagnostics with their justifications")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	baseline := flag.String("baseline", "", "JSON findings file; fail only on findings not in it")
 	benchFile := flag.String("bench", "", "record the run's wall time under lint_bench in this JSON report")
 	flag.Parse()
 
@@ -76,77 +70,35 @@ func main() {
 	for _, f := range findings {
 		if f.Suppressed {
 			suppressed++
-		} else {
-			unsuppressed++
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "dwmlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			if f.Suppressed {
-				if *verbose {
-					fmt.Printf("%s (suppressed: %s)\n", f, f.Justification)
-				}
-				continue
+			if *verbose {
+				fmt.Printf("%s (suppressed: %s)\n", f, f.Justification)
 			}
-			fmt.Println(f)
+			continue
 		}
-		if *verbose || unsuppressed > 0 {
-			fmt.Printf("dwmlint: %d package(s), %d diagnostic(s), %d suppressed\n", npkgs, unsuppressed, suppressed)
-		}
+		unsuppressed++
+		fmt.Println(f)
 	}
-
-	if *baseline != "" {
-		fresh, err := newFindings(*baseline, findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwmlint: -baseline:", err)
-			os.Exit(2)
-		}
-		if len(fresh) > 0 {
-			if !*jsonOut {
-				for _, f := range fresh {
-					fmt.Printf("new since baseline: %s\n", f)
-				}
-			}
-			os.Exit(1)
-		}
-		return
+	if *verbose || unsuppressed > 0 {
+		fmt.Printf("dwmlint: %d package(s), %d diagnostic(s), %d suppressed\n", npkgs, unsuppressed, suppressed)
 	}
 	if unsuppressed > 0 {
 		os.Exit(1)
 	}
 }
 
-// finding is the machine-readable form of one diagnostic.
+// finding is one diagnostic with its resolved position.
 type finding struct {
-	File          string `json:"file"`
-	Line          int    `json:"line"`
-	Col           int    `json:"col"`
-	Analyzer      string `json:"analyzer"`
-	Message       string `json:"message"`
-	Suppressed    bool   `json:"suppressed"`
-	Justification string `json:"justification,omitempty"`
+	File          string
+	Line          int
+	Col           int
+	Analyzer      string
+	Message       string
+	Suppressed    bool
+	Justification string
 }
 
 func (f finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-}
-
-// key identifies a finding across runs for baseline comparison. Line
-// and column are excluded on purpose: unrelated edits move findings
-// without making them new.
-func (f finding) key() string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
 }
 
 // collect loads the packages, runs the analyzers with a module-wide
@@ -226,37 +178,6 @@ func addRefs(loader *load.Loader, facts *analysis.Facts) error {
 		facts.AddRefs(pkg.Files, pkg.Info)
 	}
 	return nil
-}
-
-// newFindings returns the unsuppressed findings not covered by the
-// baseline file (a JSON array in -json format). The comparison is a
-// multiset on (analyzer, file, message): two identical findings in one
-// file need two baseline entries.
-func newFindings(path string, findings []finding) ([]finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var base []finding
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	budget := map[string]int{}
-	for _, f := range base {
-		budget[f.key()]++
-	}
-	var fresh []finding
-	for _, f := range findings {
-		if f.Suppressed {
-			continue
-		}
-		if budget[f.key()] > 0 {
-			budget[f.key()]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, nil
 }
 
 // recordBench upserts a lint_bench entry into a dwmbench-style JSON

@@ -79,52 +79,6 @@ func TestUnknownAnalyzerFails(t *testing.T) {
 	}
 }
 
-// TestBaselineFiltersKnownFindings checks the multiset semantics of
-// -baseline: findings present in the baseline are not new, an extra
-// occurrence of a known finding is, and suppressed findings never count.
-func TestBaselineFiltersKnownFindings(t *testing.T) {
-	known := finding{File: "a.go", Line: 3, Analyzer: "walltime", Message: "reads the wall clock"}
-	moved := known
-	moved.Line = 99 // same finding after unrelated edits moved it
-	other := finding{File: "b.go", Line: 1, Analyzer: "barego", Message: "naked goroutine"}
-	quiet := finding{File: "c.go", Line: 2, Analyzer: "maporder", Message: "map range", Suppressed: true}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(path, []byte(`[{"file":"a.go","line":3,"analyzer":"walltime","message":"reads the wall clock"}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := newFindings(path, []finding{moved, other, quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) != 1 || fresh[0].Analyzer != "barego" {
-		t.Fatalf("newFindings = %v, want just the barego finding", fresh)
-	}
-
-	// A second occurrence of the baselined finding is new: the baseline
-	// budget is a multiset, not a set.
-	fresh, err = newFindings(path, []finding{known, moved})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) != 1 {
-		t.Fatalf("duplicate baselined finding not reported as new: %v", fresh)
-	}
-}
-
-func TestBaselineRejectsCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newFindings(path, nil); err == nil {
-		t.Fatal("corrupt baseline accepted")
-	}
-}
-
 // TestRecordBenchPreservesReport checks the carry contract: writing
 // lint_bench into an existing dwmbench report must not drop its other
 // keys, and a rerun replaces the entry.

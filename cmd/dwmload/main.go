@@ -1,17 +1,18 @@
 // Command dwmload is the scenario-driven load generator and SLO harness
 // for dwmserved (DESIGN.md §16). It expands a declarative scenario into
 // a deterministic request plan (scenario.go), offers it through the
-// resilient API client under a worker pool with optional rps pacing,
-// measures client-side latency, scrapes /metrics around the run, and
-// emits an SLO report (report.go) as JSON and a rendered table.
+// resilient API client under a worker pool, measures client-side
+// latency, scrapes /metrics around the run, and emits an SLO report
+// (report.go) as JSON and a rendered table.
 //
-//	dwmload -preset smoke -addr http://127.0.0.1:8080 -out BENCH_dwmload.json
+//	dwmload [-scenario FILE] -addr http://127.0.0.1:8080 -out BENCH_dwmload.json
 //
-// Exit status: 0 on success, 1 when the scenario's SLO budget is
-// violated, 2 on setup/usage errors.
+// Without -scenario it runs the built-in smoke scenario. The whole run
+// must finish within runTimeout. Exit status: 0 on success, 1 when the
+// scenario's SLO budget is violated, 2 on setup/usage errors.
 //
 // This file is the package's only impure one — it reads the wall clock
-// (latency measurement, pacing) and launches the worker goroutines; the
+// (latency measurement) and launches the worker goroutines; the
 // plan and report it feeds stay pure functions of their inputs.
 package main
 
@@ -30,6 +31,9 @@ import (
 	"repro/internal/serve/client"
 )
 
+// runTimeout bounds the whole run: plan, load and both metric scrapes.
+const runTimeout = 5 * time.Minute
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -38,16 +42,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dwmload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the dwmserved instance under test")
-	scenarioPath := fs.String("scenario", "", "path to a scenario JSON file (overrides -preset)")
-	preset := fs.String("preset", "smoke", "built-in scenario to run when -scenario is not given")
+	scenarioPath := fs.String("scenario", "", "path to a scenario JSON file (default: the built-in smoke scenario)")
 	out := fs.String("out", "BENCH_dwmload.json", "path for the JSON SLO report (empty to skip)")
-	table := fs.Bool("table", true, "render the report as a table on stdout")
-	timeout := fs.Duration("timeout", 5*time.Minute, "overall run deadline")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 
-	sc, err := loadScenario(*scenarioPath, *preset)
+	sc, err := loadScenario(*scenarioPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "dwmload: %v\n", err)
 		return 2
@@ -58,7 +59,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), runTimeout)
 	defer cancel()
 
 	var retries retryCounter
@@ -89,9 +90,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *table {
-		fmt.Fprint(stdout, RenderTable(report))
-	}
+	fmt.Fprint(stdout, RenderTable(report))
 	if report.SLO != nil && !report.SLO.Pass {
 		fmt.Fprintf(stderr, "dwmload: SLO violated (%d violations)\n", len(report.SLO.Violations))
 		return 1
@@ -99,22 +98,18 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// loadScenario resolves -scenario / -preset into a validated scenario.
-func loadScenario(path, preset string) (*Scenario, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ParseScenario(f)
-	}
-	switch preset {
-	case "smoke":
+// loadScenario parses the -scenario file, or returns the built-in smoke
+// scenario when path is empty.
+func loadScenario(path string) (*Scenario, error) {
+	if path == "" {
 		return SmokeScenario(), nil
-	default:
-		return nil, fmt.Errorf("unknown preset %q (have: smoke)", preset)
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ParseScenario(f)
 }
 
 // retryCounter classifies OnRetry callbacks into the report's buckets.
@@ -147,16 +142,6 @@ func (rc *retryCounter) snapshot() RetryCount {
 // per request, keyed by request index so worker scheduling never changes
 // the report's content. Returns the samples and the run's wall time.
 func drive(ctx context.Context, cli *client.Client, sc *Scenario, plan []PlannedRequest) ([]Sample, int64) {
-	// Release offsets from the ramp: request i may not be offered before
-	// t0+offset[i]. An unpaced stage (rps 0) contributes no delay.
-	offsets := make([]time.Duration, len(plan))
-	for i := 1; i < len(plan); i++ {
-		offsets[i] = offsets[i-1]
-		if rps := sc.RPSFor(i - 1); rps > 0 {
-			offsets[i] += time.Duration(float64(time.Second) / rps)
-		}
-	}
-
 	samples := make([]Sample, len(plan))
 	indices := make(chan int)
 	var wg sync.WaitGroup
@@ -166,12 +151,6 @@ func drive(ctx context.Context, cli *client.Client, sc *Scenario, plan []Planned
 		go func() {
 			defer wg.Done()
 			for idx := range indices {
-				if d := time.Until(t0.Add(offsets[idx])); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-					}
-				}
 				samples[idx] = oneRequest(ctx, cli, plan[idx])
 			}
 		}()

@@ -86,19 +86,6 @@ func TestSmokeScenarioShape(t *testing.T) {
 	}
 }
 
-func TestRPSForRamp(t *testing.T) {
-	sc := &Scenario{Ramp: []RampStage{{Requests: 2, RPS: 1}, {Requests: 3, RPS: 10}}}
-	want := []float64{1, 1, 10, 10, 10, 10, 10}
-	for i, w := range want {
-		if got := sc.RPSFor(i); got != w {
-			t.Errorf("RPSFor(%d) = %g, want %g", i, got, w)
-		}
-	}
-	if got := (&Scenario{}).RPSFor(0); got != 0 {
-		t.Errorf("no ramp: RPSFor = %g, want 0", got)
-	}
-}
-
 func TestParseScenarioRejectsBadInput(t *testing.T) {
 	for name, payload := range map[string]string{
 		"unknown field":  `{"name":"x","requests":1,"mix":[{"kind":"place","weight":1}],"bogus":1}`,
@@ -109,6 +96,8 @@ func TestParseScenarioRejectsBadInput(t *testing.T) {
 		"zero weight":    `{"name":"x","requests":1,"mix":[{"kind":"place","weight":0}]}`,
 		"negative ramp":  `{"name":"x","requests":1,"mix":[{"kind":"place","weight":1}],"ramp":[{"requests":1,"rps":-1}]}`,
 		"zero ramp reqs": `{"name":"x","requests":1,"mix":[{"kind":"place","weight":1}],"ramp":[{"requests":0,"rps":1}]}`,
+		"valid ramp":     `{"name":"x","requests":1,"mix":[{"kind":"place","weight":1}],"ramp":[{"requests":1,"rps":5}]}`,
+		"mix policy":     `{"name":"x","requests":1,"mix":[{"kind":"place","weight":1,"policy":"proposed"}]}`,
 	} {
 		if _, err := ParseScenario(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -234,7 +223,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 	out := filepath.Join(t.TempDir(), "BENCH_dwmload.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-addr", base, "-preset", "smoke", "-out", out, "-table=true"}, &stdout, &stderr)
+	code := run([]string{"-addr", base, "-out", out}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("dwmload exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -284,14 +273,17 @@ func TestLoadScenarioFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := loadScenario(path, "ignored")
+	sc, err := loadScenario(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Name != "file" || sc.Requests != 3 {
 		t.Fatalf("loaded %+v", sc)
 	}
-	if _, err := loadScenario("", "nope"); err == nil {
-		t.Fatal("unknown preset accepted")
+	if sc, err := loadScenario(""); err != nil || !reflect.DeepEqual(sc, SmokeScenario()) {
+		t.Fatalf("empty path: got %+v, %v; want the smoke scenario", sc, err)
+	}
+	if _, err := loadScenario(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("missing scenario file accepted")
 	}
 }

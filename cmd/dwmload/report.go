@@ -31,7 +31,7 @@ type Sample struct {
 	// ElapsedMS; 0 for cache hits and streams) — the attribution split:
 	// ClientMS - ServerMS is queueing, polling, and transport.
 	ServerMS int64 `json:"server_ms"`
-	// CacheHit / Deduped mark fast-path outcomes.
+	// CacheHit marks a request the placement cache answered.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Err is the terminal failure, empty on success.
 	Err string `json:"err,omitempty"`
@@ -88,7 +88,6 @@ type Report struct {
 	Throughput  float64 `json:"throughput_rps"`
 	Errors      int     `json:"errors"`
 	CacheHits   int     `json:"cache_hits"`
-	Deduped     int     `json:"deduped"`
 
 	Retries RetryCount `json:"retries"`
 

@@ -3,20 +3,20 @@ package main
 // Scenario schema and plan derivation — the pure half of the load
 // generator (DESIGN.md §16). A scenario declares WHAT load to offer
 // (request counts, a weighted mix of request kinds, tenants, an
-// optional rps ramp, an optional SLO budget); BuildPlan expands it into
-// a fully materialized request list deterministically, with every
-// random-looking choice (mix pick, tenant, per-request seed) drawn from
-// a splitmix64 chain over (scenario seed, request index). Two runs of
-// the same scenario therefore offer byte-identical requests in the same
-// order — the load is reproducible, and because the server's results
-// are pure functions of requests, so are the placements it computes
-// under load. Only the timing (worker interleaving, rps pacing) varies,
-// which is exactly the part a load test is supposed to measure.
+// optional SLO budget); BuildPlan expands it into a fully materialized
+// request list deterministically, with every random-looking choice (mix
+// pick, tenant, per-request seed) drawn from a splitmix64 chain over
+// (scenario seed, request index). Two runs of the same scenario
+// therefore offer byte-identical requests in the same order — the load
+// is reproducible, and because the server's results are pure functions
+// of requests, so are the placements it computes under load. Only the
+// timing (worker interleaving) varies, which is exactly the part a load
+// test is supposed to measure.
 //
 // Durations are expressed in request counts, not seconds: a scenario
 // "ends" when its Requests have all completed, so the plan needs no
-// clock. The wall clock enters only in main.go (pacing and latency
-// measurement), which is the package's single walltime-allowlisted file.
+// clock. The wall clock enters only in main.go (latency measurement),
+// which is the package's single walltime-allowlisted file.
 
 import (
 	"encoding/json"
@@ -54,11 +54,6 @@ type Scenario struct {
 	// Mix is the weighted blend of request kinds; it must be non-empty
 	// and weights must be positive.
 	Mix []MixEntry `json:"mix"`
-	// Ramp, when non-empty, paces offered load: stage k applies its RPS
-	// to the next Requests requests, in order. A zero RPS stage is
-	// unpaced (as fast as the workers drain). Requests past the last
-	// stage reuse it.
-	Ramp []RampStage `json:"ramp,omitempty"`
 	// SLO, when set, is evaluated over the run's report; a violated
 	// budget makes dwmload exit nonzero.
 	SLO *SLOBudget `json:"slo,omitempty"`
@@ -77,25 +72,16 @@ type MixEntry struct {
 	// Workload names the trace generator (internal/workload) for place
 	// and cache_hit kinds; empty selects "fir".
 	Workload string `json:"workload,omitempty"`
-	// Policy, Iterations, Restarts tune the placement request; zero
-	// values select the server defaults.
-	Policy     string `json:"policy,omitempty"`
-	Iterations int    `json:"iterations,omitempty"`
-	Restarts   int    `json:"restarts,omitempty"`
+	// Iterations, Restarts tune the placement request; zero values
+	// select the server defaults.
+	Iterations int `json:"iterations,omitempty"`
+	Restarts   int `json:"restarts,omitempty"`
 	// Items, Appends, Batch shape stream requests: an Items-wide
 	// session fed Appends batches of Batch accesses. Zero selects
 	// 64 items, 4 appends, 256 accesses.
 	Items   int `json:"items,omitempty"`
 	Appends int `json:"appends,omitempty"`
 	Batch   int `json:"batch,omitempty"`
-}
-
-// RampStage paces one slice of the request sequence.
-type RampStage struct {
-	// Requests is how many requests this stage covers.
-	Requests int `json:"requests"`
-	// RPS is the offered rate for the stage; 0 means unpaced.
-	RPS float64 `json:"rps"`
 }
 
 // SLOBudget is the pass/fail contract evaluated over the report.
@@ -149,14 +135,6 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario: mix[%d] has unknown kind %q", i, m.Kind)
 		}
 	}
-	for i, st := range s.Ramp {
-		if st.Requests <= 0 {
-			return fmt.Errorf("scenario: ramp[%d] requests must be positive, got %d", i, st.Requests)
-		}
-		if st.RPS < 0 {
-			return fmt.Errorf("scenario: ramp[%d] rps must be >= 0, got %g", i, st.RPS)
-		}
-	}
 	return nil
 }
 
@@ -186,21 +164,6 @@ func (m MixEntry) batch() int {
 		return m.Batch
 	}
 	return 256
-}
-
-// RPSFor returns the offered rate for request index i under the ramp
-// (0 = unpaced). Requests past the last stage reuse its rate.
-func (s *Scenario) RPSFor(i int) float64 {
-	if len(s.Ramp) == 0 {
-		return 0
-	}
-	for _, st := range s.Ramp {
-		if i < st.Requests {
-			return st.RPS
-		}
-		i -= st.Requests
-	}
-	return s.Ramp[len(s.Ramp)-1].RPS
 }
 
 // ParseScenario decodes a scenario from JSON and validates it.
@@ -300,7 +263,6 @@ func BuildPlan(s *Scenario) ([]PlannedRequest, error) {
 			}
 			req := &serve.PlaceRequest{
 				Trace:      sb.String(),
-				Policy:     entry.Policy,
 				Seed:       reqSeed,
 				Iterations: entry.Iterations,
 				Restarts:   entry.Restarts,
@@ -334,8 +296,8 @@ func BuildPlan(s *Scenario) ([]PlannedRequest, error) {
 	return plan, nil
 }
 
-// SmokeScenario is the built-in deterministic scenario behind
-// -preset smoke and the load-smoke CI target: small enough to finish in
+// SmokeScenario is the built-in deterministic scenario dwmload runs
+// when no -scenario is given, as the load-smoke CI target does: small enough to finish in
 // seconds, broad enough to exercise every request kind, two tenants,
 // and a lenient SLO that still catches a wedged server.
 func SmokeScenario() *Scenario {

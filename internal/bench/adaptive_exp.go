@@ -2,9 +2,7 @@ package bench
 
 import (
 	"repro/internal/adaptive"
-	"repro/internal/core"
 	"repro/internal/dwm"
-	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -34,25 +32,15 @@ func E10Adaptive(cfg Config) (*Table, error) {
 		{"stationary", workload.Zipf(64, 16384, 1.3, cfg.Seed)},
 	}
 	for _, c := range cases {
-		g, err := graph.FromTrace(c.tr)
+		po, pp, err := programAndProposed(c.tr)
 		if err != nil {
 			return nil, err
 		}
 		starts := []struct {
 			name string
-			p    func() (layout.Placement, error)
-		}{
-			{"program", func() (layout.Placement, error) { return core.ProgramOrder(c.tr) }},
-			{"proposed", func() (layout.Placement, error) {
-				p, _, err := core.Propose(c.tr, g)
-				return p, err
-			}},
-		}
+			p    layout.Placement
+		}{{"program", po}, {"proposed", pp}}
 		for _, st := range starts {
-			start, err := st.p()
-			if err != nil {
-				return nil, err
-			}
 			run := func(pol adaptive.Policy) (int64, error) {
 				dev, err := dwm.NewDevice(dwm.Geometry{
 					Tapes: 1, DomainsPerTape: c.tr.NumItems, PortsPerTape: 1,
@@ -60,7 +48,7 @@ func E10Adaptive(cfg Config) (*Table, error) {
 				if err != nil {
 					return 0, err
 				}
-				s, err := adaptive.NewSimulator(dev, start, pol)
+				s, err := adaptive.NewSimulator(dev, st.p, pol)
 				if err != nil {
 					return 0, err
 				}

@@ -553,14 +553,6 @@ func TestTableFormatAndCSV(t *testing.T) {
 	if !strings.Contains(out, "EX — demo") || !strings.Contains(out, "note: a note") {
 		t.Errorf("format output missing pieces:\n%s", out)
 	}
-	buf.Reset()
-	if err := tb.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	csv := buf.String()
-	if !strings.Contains(csv, `"x,y"`) || !strings.Contains(csv, `"he said ""hi"""`) {
-		t.Errorf("csv quoting wrong:\n%s", csv)
-	}
 }
 
 func TestTableMarkdown(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/graph"
 	"repro/internal/workload"
 )
 
@@ -47,20 +45,12 @@ func E11CacheFilter(cfg Config) (*Table, error) {
 				})
 				continue
 			}
-			gr, err := graph.FromTrace(filtered)
-			if err != nil {
-				return nil, err
-			}
-			po, err := core.ProgramOrder(filtered)
+			po, pp, err := programAndProposed(filtered)
 			if err != nil {
 				return nil, err
 			}
 			ports := []int{filtered.NumItems / 2}
 			base, err := cost.MultiPort(filtered.Items(), po, ports, filtered.NumItems)
-			if err != nil {
-				return nil, err
-			}
-			pp, _, err := core.Propose(filtered, gr)
 			if err != nil {
 				return nil, err
 			}

@@ -380,6 +380,23 @@ func ratio(x, base int64) float64 {
 	return float64(x) / float64(base)
 }
 
+// programAndProposed returns the two placements most tables compare:
+// tr's program (first-touch) order and the proposed placement of its
+// access graph.
+func programAndProposed(tr *trace.Trace) (po, pp layout.Placement, err error) {
+	gr, err := graph.FromTrace(tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if po, err = core.ProgramOrder(tr); err != nil {
+		return nil, nil, err
+	}
+	if pp, _, err = core.Propose(tr, gr); err != nil {
+		return nil, nil, err
+	}
+	return po, pp, nil
+}
+
 // E6LatencyEnergy reproduces the latency/energy table: program order
 // versus the proposed greedy+2-opt placement, full device accounting.
 func E6LatencyEnergy(cfg Config) (*Table, error) {
@@ -392,19 +409,11 @@ func E6LatencyEnergy(cfg Config) (*Table, error) {
 	}
 	for _, g := range workload.Suite() {
 		tr := g.Make(cfg.Seed)
-		gr, err := graph.FromTrace(tr)
-		if err != nil {
-			return nil, err
-		}
-		po, err := core.ProgramOrder(tr)
+		po, pp, err := programAndProposed(tr)
 		if err != nil {
 			return nil, err
 		}
 		baseRes, err := simulateSingleTape(tr, po, tr.NumItems, 1)
-		if err != nil {
-			return nil, err
-		}
-		pp, _, err := core.Propose(tr, gr)
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dwm"
-	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,15 +43,7 @@ func E18ShiftFaults(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		tr := g.Make(cfg.Seed)
-		gr, err := graph.FromTrace(tr)
-		if err != nil {
-			return nil, err
-		}
-		po, err := core.ProgramOrder(tr)
-		if err != nil {
-			return nil, err
-		}
-		pp, _, err := core.Propose(tr, gr)
+		po, pp, err := programAndProposed(tr)
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -26,20 +24,12 @@ func E12Robustness(cfg Config) (*Table, error) {
 		for s := int64(0); s < runs; s++ {
 			seed := cfg.Seed + s
 			tr := g.Make(seed)
-			gr, err := graph.FromTrace(tr)
-			if err != nil {
-				return nil, err
-			}
-			po, err := core.ProgramOrder(tr)
+			po, pp, err := programAndProposed(tr)
 			if err != nil {
 				return nil, err
 			}
 			ports := []int{tr.NumItems / 2}
 			base, err := cost.MultiPort(tr.Items(), po, ports, tr.NumItems)
-			if err != nil {
-				return nil, err
-			}
-			pp, _, err := core.Propose(tr, gr)
 			if err != nil {
 				return nil, err
 			}

@@ -1,5 +1,5 @@
 // Package bench implements the evaluation harness: one runner per
-// reconstructed table/figure of the paper (E1–E9), each producing a Table
+// reconstructed table/figure of the paper (E1–E22), each producing a Table
 // that cmd/dwmbench prints and bench_test.go wraps in testing.B targets.
 //
 // Every experiment is deterministic for a given Config seed, so the
@@ -98,31 +98,6 @@ func (t *Table) Markdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// CSV renders the table as comma-separated values (quotes any cell
-// containing a comma or quote).
-func (t *Table) CSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			out[i] = c
-		}
-		_, err := fmt.Fprintln(w, strings.Join(out, ","))
-		return err
-	}
-	if err := writeRow(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(normRow(row, len(t.Headers))); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cell formatting helpers shared by the experiments.

@@ -69,21 +69,6 @@ func TestTableFormatRaggedRows(t *testing.T) {
 	}
 }
 
-func TestTableCSVRaggedRows(t *testing.T) {
-	var buf strings.Builder
-	if err := raggedTable().CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if n := strings.Count(l, ",") + 1; n != 3 {
-			t.Errorf("CSV line %d (%q) has %d fields, want 3", i, l, n)
-		}
-	}
-	if strings.Contains(buf.String(), "r3d") {
-		t.Error("CSV long row not truncated")
-	}
-}
-
 // Well-formed tables must render byte-identically to the pre-fix code:
 // normalization only touches ragged rows.
 func TestTableNormalizationNoOpOnWellFormed(t *testing.T) {
@@ -94,14 +79,11 @@ func TestTableNormalizationNoOpOnWellFormed(t *testing.T) {
 		Rows:    [][]string{{"1", "2"}, {"3", "4"}},
 		Notes:   []string{"note"},
 	}
-	var md, txt, csv strings.Builder
+	var md, txt strings.Builder
 	if err := tb.Markdown(&md); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Format(&txt); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.CSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	wantMD := "## EY — well formed\n\n| x | y |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |\n\n> note\n\n"
@@ -110,9 +92,5 @@ func TestTableNormalizationNoOpOnWellFormed(t *testing.T) {
 	}
 	if !strings.Contains(txt.String(), "1  2") {
 		t.Errorf("Format output unexpected: %q", txt.String())
-	}
-	wantCSV := "x,y\n1,2\n3,4\n"
-	if csv.String() != wantCSV {
-		t.Errorf("CSV = %q, want %q", csv.String(), wantCSV)
 	}
 }

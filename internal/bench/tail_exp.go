@@ -26,15 +26,7 @@ func E15TailLatency(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		tr := g.Make(cfg.Seed)
-		gr, err := graph.FromTrace(tr)
-		if err != nil {
-			return nil, err
-		}
-		po, err := core.ProgramOrder(tr)
-		if err != nil {
-			return nil, err
-		}
-		pp, _, err := core.Propose(tr, gr)
+		po, pp, err := programAndProposed(tr)
 		if err != nil {
 			return nil, err
 		}

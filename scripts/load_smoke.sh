@@ -1,7 +1,7 @@
 #!/bin/sh
 # load-smoke: end-to-end check of the dwmload SLO harness against a live
 # journaled daemon. Four legs:
-#   1. dwmload's smoke preset runs clean: every request succeeds, the
+#   1. dwmload's built-in smoke scenario runs clean: every request succeeds, the
 #      SLO budget holds, and BENCH_dwmload.json lands with nonzero
 #      client-side percentiles.
 #   2. The per-tenant labeled series the run produced pass the promlint
@@ -19,7 +19,7 @@ build dwmserved dwmload promlint
 boot "$dir/addr" -workers 2 -queue 64 -events 8192 -journal "$dir/journal"
 
 # --- leg 1: the smoke scenario passes its SLO --------------------------
-"$dir/dwmload" -addr "$base" -preset smoke -out BENCH_dwmload.json ||
+"$dir/dwmload" -addr "$base" -out BENCH_dwmload.json ||
 	fail "dwmload exited nonzero (SLO violation or error)" "$dir/log"
 jq -e '.slo.pass' >/dev/null BENCH_dwmload.json || {
 	jq .slo BENCH_dwmload.json >"$dir/slo.json"
