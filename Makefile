@@ -78,14 +78,17 @@ bench-smoke:
 
 # About ten seconds of native fuzzing per target: the trace decoders
 # (FuzzDecode checks Decode against the refDecode oracle, trace and error
-# text) and the PlaceRequest handler (any body is a 2xx or 4xx, and a 4xx
-# adds no job and no journal record). One fuzz worker each keeps memory
+# text), the PlaceRequest handler (any body is a 2xx or 4xx, and a 4xx
+# adds no job and no journal record) and the stream-append handler (a 4xx
+# leaves the stream as it was, an undecodable body journals nothing, a 200
+# advances the stream by the batch). One fuzz worker each keeps memory
 # small. A failing input lands in the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -parallel 1 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAddr$$' -fuzztime 10s -parallel 1 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 10s -parallel 1 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlePlace$$' -fuzztime 10s -parallel 1 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleStreamAppend$$' -fuzztime 10s -parallel 1 ./internal/serve
 
 # Refresh BENCH_dwmbench.json (per-experiment wall times with deltas vs
 # the committed report).

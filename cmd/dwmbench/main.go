@@ -269,7 +269,7 @@ func run(ctx context.Context, opts options) error {
 		defer pc.Close()
 		fmt.Fprintf(os.Stderr, "dwmbench: placement cache in %s (%d entries loaded)\n",
 			opts.cacheDir, pc.Len())
-		cfg.Cache = pc.ForAnneal("linear")
+		cfg.Cache = pc.ForAnneal()
 	}
 	results, runErr := bench.RunContext(ctx, cfg, selected...)
 

@@ -537,7 +537,7 @@ func TestAllRunnersRegistered(t *testing.T) {
 	}
 }
 
-func TestTableFormatAndCSV(t *testing.T) {
+func TestTableFormat(t *testing.T) {
 	tb := &Table{
 		ID:      "EX",
 		Title:   "demo",

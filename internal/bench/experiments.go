@@ -103,13 +103,17 @@ func E1Characteristics(cfg Config) (*Table, error) {
 	for _, g := range workload.Suite() {
 		tr := g.Make(cfg.Seed)
 		s := tr.Summarize()
+		tg, err := graph.FromTrace(tr)
+		if err != nil {
+			return nil, err
+		}
 		reuse := "n/a"
 		if s.MeanReuse >= 0 {
 			reuse = f1(s.MeanReuse)
 		}
 		t.Rows = append(t.Rows, []string{
 			g.Name, itoa(int64(s.Length)), itoa(int64(s.NumItems)), itoa(int64(s.Touched)),
-			itoa(s.Reads), itoa(s.Writes), itoa(int64(s.Transitions)), reuse,
+			itoa(s.Reads), itoa(s.Writes), itoa(int64(tg.NumEdges())), reuse,
 		})
 	}
 	return t, nil
@@ -353,7 +357,7 @@ func E5OptimalityGap(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, ac, err := core.GreedyAnnealContext(cfg.Context(), g, core.AnnealOptions{Seed: cfg.Seed, Cache: cfg.Cache})
+		_, ac, err := core.AnnealContext(cfg.Context(), g, gp, core.AnnealOptions{Seed: cfg.Seed, Cache: cfg.Cache})
 		if err != nil {
 			return nil, err
 		}

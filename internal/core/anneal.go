@@ -356,14 +356,3 @@ func acceptUphill(u float64, d int64, temp, invTemp float64) bool {
 	}
 	return u < math.Exp(-float64(d)/temp)
 }
-
-// GreedyAnnealContext runs greedy chain construction followed by
-// simulated annealing, the slower but occasionally stronger alternative
-// to GreedyTwoOpt. See AnnealContext for the partial-result contract.
-func GreedyAnnealContext(ctx context.Context, g *graph.Graph, opts AnnealOptions) (layout.Placement, int64, error) {
-	p, err := GreedyChain(g, SeedHeaviestEdge)
-	if err != nil {
-		return nil, 0, err
-	}
-	return AnnealContext(ctx, g, p, opts)
-}

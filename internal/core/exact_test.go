@@ -223,7 +223,7 @@ func TestExactNeverWorseThanHeuristics(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, ac, err := GreedyAnnealContext(context.Background(), g, AnnealOptions{Seed: seed, Iterations: 500 * n})
+		_, ac, err := AnnealContext(context.Background(), g, gp, AnnealOptions{Seed: seed, Iterations: 500 * n})
 		if err != nil {
 			return false
 		}

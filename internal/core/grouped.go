@@ -62,20 +62,19 @@ func GroupedPropose(t *trace.Trace, group []int) (layout.Placement, int64, error
 		return nil, 0, err
 	}
 
-	// Within each group: first-touch order, untouched members appended in
-	// ID order (exactly the ProgramOrder rule, restricted to the group).
-	members := make([][]int, numGroups)
-	seen := make([]bool, t.NumItems)
-	for _, a := range t.Accesses {
-		if !seen[a.Item] {
-			seen[a.Item] = true
-			members[group[a.Item]] = append(members[group[a.Item]], a.Item)
-		}
+	// Within each group, members keep their ProgramOrder rank: touched
+	// items in first-touch order, then untouched items in ID order.
+	base, err := ProgramOrder(t)
+	if err != nil {
+		return nil, 0, err
 	}
-	for item, gid := range group {
-		if !seen[item] {
-			members[gid] = append(members[gid], item)
-		}
+	baseOrder, err := base.Order()
+	if err != nil {
+		return nil, 0, err
+	}
+	members := make([][]int, numGroups)
+	for _, item := range baseOrder {
+		members[group[item]] = append(members[group[item]], item)
 	}
 
 	p := make(layout.Placement, t.NumItems)

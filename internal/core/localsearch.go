@@ -20,6 +20,20 @@ type TwoOptOptions struct {
 	Window int
 }
 
+// stageOrder checks a refinement stage's input once: p must be a
+// permutation of [0, n). It returns p's inverse view (order[s] is the
+// item in slot s), and every rejection carries the stage's error prefix.
+func stageOrder(stage string, p layout.Placement, n int) ([]int, error) {
+	if len(p) != n {
+		return nil, fmt.Errorf("core: %s: placement covers %d items, graph has %d", stage, len(p), n)
+	}
+	order, err := p.Order()
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", stage, err)
+	}
+	return order, nil
+}
+
 // TwoOpt refines a placement by first-improvement pairwise swaps under the
 // Linear (MinLA) objective. A pass visits the slot pairs (s1, s2), s1 < s2
 // (within the window, if one is set), in lexicographic order and applies
@@ -42,19 +56,16 @@ type TwoOptOptions struct {
 // priced exactly in O(deg v). The visit order and every applied swap are
 // therefore those of pricing each pair in full.
 func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Placement, int64, error) {
-	if err := p.Validate(g.N()); err != nil {
-		return nil, 0, fmt.Errorf("core: TwoOpt: %w", err)
-	}
 	n := g.N()
+	itemAt, err := stageOrder("TwoOpt", p, n)
+	if err != nil {
+		return nil, 0, err
+	}
 	maxPasses := opts.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 50 * n // effectively "until converged"
 	}
 	pos := p.Clone()
-	itemAt, err := pos.Order()
-	if err != nil {
-		return nil, 0, err
-	}
 	curCost, err := cost.Linear(g, pos)
 	if err != nil {
 		return nil, 0, err
@@ -182,18 +193,15 @@ func TwoOpt(g *graph.Graph, p layout.Placement, opts TwoOptOptions) (layout.Plac
 // pass costs at most O(n·E + Σ deg²), with no full re-cost. Returns the
 // refined placement and its cost.
 func Insertion(g *graph.Graph, p layout.Placement, maxPasses int) (layout.Placement, int64, error) {
-	if err := p.Validate(g.N()); err != nil {
-		return nil, 0, fmt.Errorf("core: Insertion: %w", err)
-	}
 	n := g.N()
+	order, err := stageOrder("Insertion", p, n)
+	if err != nil {
+		return nil, 0, err
+	}
 	if maxPasses <= 0 {
 		maxPasses = 10
 	}
 	cur := p.Clone()
-	order, err := cur.Order()
-	if err != nil {
-		return nil, 0, err
-	}
 	curCost, err := cost.Linear(g, cur)
 	if err != nil {
 		return nil, 0, err

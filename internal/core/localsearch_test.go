@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,46 @@ func TestTwoOptRejectsBadPlacement(t *testing.T) {
 	g := randGraph(rng, 5, 10)
 	if _, _, err := TwoOpt(g, layout.Placement{0, 0, 1, 2, 3}, TwoOptOptions{}); err == nil {
 		t.Error("invalid placement accepted")
+	}
+}
+
+// TestStagesRejectWithPrefix: TwoOpt, Insertion and WindowDP take only a
+// permutation of [0, g.N()), and every rejection names the stage,
+// whichever way the placement is wrong.
+func TestStagesRejectWithPrefix(t *testing.T) {
+	g := randGraph(rand.New(rand.NewSource(19)), 5, 10)
+	stages := map[string]func(layout.Placement) error{
+		"TwoOpt": func(p layout.Placement) error {
+			_, _, err := TwoOpt(g, p, TwoOptOptions{})
+			return err
+		},
+		"Insertion": func(p layout.Placement) error {
+			_, _, err := Insertion(g, p, 0)
+			return err
+		},
+		"WindowDP": func(p layout.Placement) error {
+			_, _, err := WindowDP(g, p, WindowDPOptions{})
+			return err
+		},
+	}
+	bad := []layout.Placement{
+		nil,
+		{0, 0, 1, 2, 3}, // shared slot
+		{0, 1, 2, 3, 5}, // slot outside [0,5)
+		{0, 1, 2},       // too few items: a permutation of [0,3)
+		{0, 1, 2, 4},    // too few items, slots inside [0,5)
+		{0, 1, 2, 3, 4, 5},
+	}
+	for name, run := range stages {
+		for _, p := range bad {
+			err := run(p)
+			if err == nil || !strings.HasPrefix(err.Error(), "core: "+name+": ") {
+				t.Errorf("%s(%v) = %v, want an error prefixed %q", name, p, err, "core: "+name+": ")
+			}
+		}
+		if err := run(layout.Identity(5)); err != nil {
+			t.Errorf("%s(identity) = %v", name, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cost"
+	"repro/internal/dwm"
 	"repro/internal/layout"
 )
 
@@ -25,7 +26,7 @@ func OptimizePorts(seq []int, p layout.Placement, k, tapeLen int) ([]int, int64,
 	if err := p.Validate(tapeLen); err != nil {
 		return nil, 0, fmt.Errorf("core: OptimizePorts: %w", err)
 	}
-	ports := spreadPorts(tapeLen, k)
+	ports := dwm.SpreadPorts(tapeLen, k)
 	cur, err := cost.MultiPort(seq, p, ports, tapeLen)
 	if err != nil {
 		return nil, 0, err
@@ -94,14 +95,4 @@ func OptimizePorts(seq []int, p layout.Placement, k, tapeLen int) ([]int, int64,
 	}
 	sort.Ints(ports)
 	return ports, cur, nil
-}
-
-// spreadPorts mirrors dwm.SpreadPorts without importing the device
-// package (core depends only on the cost model).
-func spreadPorts(n, k int) []int {
-	ports := make([]int, k)
-	for i := range ports {
-		ports[i] = (2*i + 1) * n / (2 * k)
-	}
-	return ports
 }

@@ -27,8 +27,9 @@ type WindowDPOptions struct {
 // single relocations cannot. Complexity is O(n · Window! · deg) per pass.
 func WindowDP(g *graph.Graph, p layout.Placement, opts WindowDPOptions) (layout.Placement, int64, error) {
 	n := g.N()
-	if err := p.Validate(n); err != nil {
-		return nil, 0, fmt.Errorf("core: WindowDP: %w", err)
+	order, err := stageOrder("WindowDP", p, n)
+	if err != nil {
+		return nil, 0, err
 	}
 	w := opts.Window
 	if w == 0 {
@@ -46,10 +47,6 @@ func WindowDP(g *graph.Graph, p layout.Placement, opts WindowDPOptions) (layout.
 	}
 
 	cur := p.Clone()
-	order, err := cur.Order()
-	if err != nil {
-		return nil, 0, err
-	}
 
 	// Per-window precomputation: a boundary table bc[k][j] = cost of the
 	// k-th window item's outside edges when it sits at window position j,

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -21,7 +22,6 @@ var (
 type record struct {
 	FP         string `json:"fp"` // 32 hex digits, Fingerprint.String
 	Policy     string `json:"policy"`
-	Device     string `json:"device"`
 	Seed       int64  `json:"seed"`
 	Iterations int    `json:"iterations"`
 	Restarts   int    `json:"restarts"`
@@ -74,14 +74,13 @@ func (c *Cache) openLog(dir string) (*wal.Log, error) {
 			return nil
 		}
 		fp, err := parseFP(rec.FP)
-		if err != nil || !validPlacement(rec.Placement) {
+		if err != nil || layout.Placement(rec.Placement).Validate(len(rec.Placement)) != nil {
 			obsPersistSkipped.Inc()
 			return nil
 		}
 		k := Key{
 			FP:         fp,
 			Policy:     rec.Policy,
-			Device:     rec.Device,
 			Seed:       rec.Seed,
 			Iterations: rec.Iterations,
 			Restarts:   rec.Restarts,
@@ -98,22 +97,6 @@ func (c *Cache) openLog(dir string) (*wal.Log, error) {
 	return l, nil
 }
 
-// validPlacement checks that a loaded placement is a permutation of
-// [0, n) — the invariant Decanonize and downstream consumers rely on.
-func validPlacement(pl []int) bool {
-	if len(pl) == 0 {
-		return false
-	}
-	seen := make([]bool, len(pl))
-	for _, s := range pl {
-		if s < 0 || s >= len(pl) || seen[s] {
-			return false
-		}
-		seen[s] = true
-	}
-	return true
-}
-
 // appendRecord writes one record to the log. Put calls it under the
 // cache lock, so the log's order is the stores' order. A failed write
 // only costs the entry its persistence; the wal counts it in
@@ -125,7 +108,6 @@ func (c *Cache) appendRecord(k Key, e Entry) {
 	payload, _ := json.Marshal(record{
 		FP:         k.FP.String(),
 		Policy:     k.Policy,
-		Device:     k.Device,
 		Seed:       k.Seed,
 		Iterations: k.Iterations,
 		Restarts:   k.Restarts,

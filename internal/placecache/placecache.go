@@ -3,10 +3,11 @@
 // The key insight (paper §III) is that the access-transition graph — and
 // therefore the optimal placement problem — is invariant under item
 // renumbering. The cache keys entries by the canonical fingerprint of
-// the graph (graph.Canon) together with the device/objective descriptor
-// and the policy's reproducibility inputs (policy name, seed, iteration
-// budget, restarts, and an auxiliary hash covering anything else the
-// result depends on). Placements are stored in canonical vertex space,
+// the graph (graph.Canon) together with the policy's reproducibility
+// inputs (policy name, seed, iteration budget, restarts, and an
+// auxiliary hash covering anything else the result depends on). Every
+// entry optimizes one objective, the single-tape Linear shift count, so
+// the key names no device. Placements are stored in canonical vertex space,
 // so a hit computed under one numbering is decanonicalized into the
 // requesting numbering through the requester's own labeling.
 //
@@ -48,9 +49,6 @@ type Key struct {
 	FP graph.Fingerprint
 	// Policy names the placement policy that produced the entry.
 	Policy string
-	// Device describes the device/objective the placement was optimized
-	// for ("linear" for the single-tape Linear shift objective).
-	Device string
 	// Seed, Iterations, Restarts are the policy's reproducibility inputs.
 	Seed       int64
 	Iterations int
@@ -294,24 +292,21 @@ func annealAux(canonStart []int, initialTemp, cooling float64) uint64 {
 // annealAdapter adapts the cache to core.PlacementCache for plain
 // AnnealOptions-driven calls (the dwmbench sweep path).
 type annealAdapter struct {
-	c      *Cache
-	device string
+	c *Cache
 }
 
-// ForAnneal returns a core.PlacementCache view of the cache for the
-// given device descriptor. The adapter keys on the graph fingerprint,
-// the canonicalized start placement, and every AnnealOptions field the
-// result depends on, so a Lookup hit replays exactly what a fresh run
-// would compute.
-func (c *Cache) ForAnneal(device string) core.PlacementCache {
-	return &annealAdapter{c: c, device: device}
+// ForAnneal returns a core.PlacementCache view of the cache. The
+// adapter keys on the graph fingerprint, the canonicalized start
+// placement, and every AnnealOptions field the result depends on, so a
+// Lookup hit replays exactly what a fresh run would compute.
+func (c *Cache) ForAnneal() core.PlacementCache {
+	return &annealAdapter{c: c}
 }
 
 func (a *annealAdapter) key(cn *graph.Canonical, start layout.Placement, opts core.AnnealOptions) Key {
 	return Key{
 		FP:         cn.FP,
 		Policy:     "core.anneal",
-		Device:     a.device,
 		Seed:       opts.Seed,
 		Iterations: opts.Iterations,
 		Restarts:   opts.Restarts,

@@ -19,7 +19,6 @@ func testKey(i int) Key {
 	return Key{
 		FP:     graph.Fingerprint{uint64(i), uint64(i) * 31},
 		Policy: "core.anneal",
-		Device: "linear",
 		Seed:   int64(i),
 	}
 }
@@ -280,7 +279,7 @@ func TestPersistenceSkipsInvalidRecords(t *testing.T) {
 	}
 	good := func(i int) []byte {
 		raw, err := json.Marshal(record{FP: testKey(i).FP.String(), Policy: "core.anneal",
-			Device: "linear", Seed: int64(i), Placement: []int{2, 0, 1}})
+			Seed: int64(i), Placement: []int{2, 0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,6 +305,31 @@ func TestPersistenceSkipsInvalidRecords(t *testing.T) {
 	defer re.Close()
 	if got := obsPersistSkipped.Value() - skipped; got != 3 {
 		t.Fatalf("placecache.persist.skipped rose by %d, want 3", got)
+	}
+}
+
+// TestPersistenceLoadsDeviceRecord: a log written while keys still
+// carried a device descriptor, always "linear", loads and is hit under
+// the device-free key; the extra JSON key is ignored.
+func TestPersistenceLoadsDeviceRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "placecache"), Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := `{"fp":"` + testKey(3).FP.String() + `","policy":"core.anneal","device":"linear",` +
+		`"seed":3,"iterations":0,"restarts":0,"aux":0,"profile":9,"cost":30,"placement":[2,0,1]}`
+	if err := l.Append([]byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := reopen(t, dir, 3)
+	defer c.Close()
+	e, _ := c.Get(testKey(3))
+	if e.Cost != 30 || e.Profile != 9 || len(e.Placement) != 3 || e.Placement[0] != 2 {
+		t.Fatalf("loaded entry %+v, want cost 30, profile 9, placement [2 0 1]", e)
 	}
 }
 
@@ -335,7 +359,7 @@ func TestForAnnealHitIsByteIdenticalToCold(t *testing.T) {
 
 	c := NewMemory(8)
 	withCache := opts
-	withCache.Cache = c.ForAnneal("linear")
+	withCache.Cache = c.ForAnneal()
 	miss, missCost, err := core.Anneal(g, start, withCache)
 	if err != nil {
 		t.Fatal(err)
@@ -362,12 +386,12 @@ func TestForAnnealKeySensitivity(t *testing.T) {
 	g := buildGraph(t, 22, 16, 1500)
 	start := layout.Identity(16)
 	c := NewMemory(16)
-	cache := c.ForAnneal("linear")
+	cache := c.ForAnneal()
 	base := core.AnnealOptions{Seed: 1, Iterations: 1000, Cache: cache}
 	if _, _, err := core.Anneal(g, start, base); err != nil {
 		t.Fatal(err)
 	}
-	// Different seed, iterations, start, and device must all miss.
+	// Different seed, iterations and start must all miss.
 	for name, opts := range map[string]core.AnnealOptions{
 		"seed":       {Seed: 2, Iterations: 1000, Cache: cache},
 		"iterations": {Seed: 1, Iterations: 2000, Cache: cache},
@@ -390,13 +414,5 @@ func TestForAnnealKeySensitivity(t *testing.T) {
 	}
 	if c.Len() != before+1 {
 		t.Fatal("start-placement change did not produce a fresh entry")
-	}
-	otherDevice := core.AnnealOptions{Seed: 1, Iterations: 1000, Cache: c.ForAnneal("other")}
-	before = c.Len()
-	if _, _, err := core.Anneal(g, start, otherDevice); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != before+1 {
-		t.Fatal("device change did not produce a fresh entry")
 	}
 }

@@ -60,7 +60,7 @@ func primeCache(t *testing.T, cache *placecache.Cache, req PlaceRequest) {
 // TestConcurrentClientKeyOneJob releases identical submissions together.
 // They share a ClientKey, so exactly one job may exist afterwards: every
 // caller gets its ID, the journal holds one acceptance, and
-// serve.jobs.accepted moves by one.
+// serve.tenant.requests{outcome="accepted"} moves by one.
 func TestConcurrentClientKeyOneJob(t *testing.T) {
 	const callers = 16
 	dir := t.TempDir()
@@ -78,7 +78,8 @@ func TestConcurrentClientKeyOneJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := obsAccepted.Value()
+	acceptedSeries := obsTenantRequests.With(tenantLabel(req.Tenant), policyLabel(req.Policy), outcomeAccepted)
+	accepted := acceptedSeries.Value()
 
 	start := make(chan struct{})
 	ids := make([]string, callers)
@@ -122,8 +123,8 @@ func TestConcurrentClientKeyOneJob(t *testing.T) {
 	if fresh != 1 {
 		t.Errorf("%d callers were answered 202, want exactly 1 (the rest deduped with 200)", fresh)
 	}
-	if got := obsAccepted.Value() - accepted; got != 1 {
-		t.Errorf("serve.jobs.accepted moved by %d, want 1", got)
+	if got := acceptedSeries.Value() - accepted; got != 1 {
+		t.Errorf("serve.tenant.requests{outcome=\"accepted\"} moved by %d, want 1", got)
 	}
 
 	// Only the journal matters from here on: cancel the job so the

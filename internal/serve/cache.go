@@ -25,17 +25,12 @@ package serve
 // are never stored.
 
 import (
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/placecache"
 	"repro/internal/trace"
 )
-
-// serveDevice is the cache key's device/objective descriptor: the
-// service optimizes the single-tape Linear shift objective.
-const serveDevice = "linear"
 
 // servePolicyKey namespaces the service's entries so they never collide
 // with core-level adapter entries for the same graph.
@@ -77,7 +72,6 @@ func newPlan(req PlaceRequest, tr *trace.Trace) (*cachePlan, error) {
 		key: placecache.Key{
 			FP:         cn.FP,
 			Policy:     servePolicyKey,
-			Device:     serveDevice,
 			Seed:       effectiveSeed(req, tr),
 			Iterations: req.Iterations,
 			Restarts:   req.Restarts,
@@ -119,11 +113,7 @@ func mintResult(tr *trace.Trace, g *graph.Graph, p layout.Placement) (*Result, e
 	if err := p.Validate(tr.NumItems); err != nil {
 		return nil, err
 	}
-	base, err := core.ProgramOrder(tr)
-	if err != nil {
-		return nil, err
-	}
-	baseCost, err := cost.Linear(g, base)
+	baseCost, err := baselineCost(tr, g)
 	if err != nil {
 		return nil, err
 	}

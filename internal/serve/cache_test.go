@@ -184,7 +184,6 @@ func TestCacheWarmstartRejectedNotCounted(t *testing.T) {
 	s.cache.Put(placecache.Key{
 		FP:     cn.FP,
 		Policy: servePolicyKey,
-		Device: serveDevice,
 		Seed:   12345, // never matches any effective seed below
 	}, placecache.Entry{
 		Placement: placecache.Canonize(bad, cn.Labeling),

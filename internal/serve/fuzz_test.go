@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,19 +16,18 @@ import (
 	"repro/internal/wal"
 )
 
-// jobRecordTap is a wal.FS that counts the job.accept and job.hit
-// records written through it: the ones admission writes (workers
-// append job.done and job.ckpt concurrently, so a raw record count is
-// not stable). The log writes each record as one frame in one Write, so
-// the count moves exactly when such a record is appended, whatever job
-// ID it carries, and reading it costs nothing however long the journal
-// has grown.
-type jobRecordTap struct {
+// recordTap is a wal.FS that counts the records of the given types
+// written through it. The log writes each record as one frame in one
+// Write, so the count moves exactly when such a record is appended,
+// whatever ID it carries, and reading it costs nothing however long the
+// journal has grown.
+type recordTap struct {
 	wal.FS
-	n atomic.Int64
+	types []string
+	n     atomic.Int64
 }
 
-func (t *jobRecordTap) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, error) {
+func (t *recordTap) OpenFile(name string, flag int, perm fs.FileMode) (wal.File, error) {
 	f, err := t.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -36,7 +37,7 @@ func (t *jobRecordTap) OpenFile(name string, flag int, perm fs.FileMode) (wal.Fi
 
 type tapFile struct {
 	wal.File
-	tap *jobRecordTap
+	tap *recordTap
 }
 
 // Write passes the frame on and, once it is written whole, decodes the
@@ -47,11 +48,45 @@ func (f tapFile) Write(p []byte) (int, error) {
 		var rec struct {
 			T string `json:"t"`
 		}
-		if json.Unmarshal(p[8:], &rec) == nil && (rec.T == recJobAccept || rec.T == recJobHit) {
+		if json.Unmarshal(p[8:], &rec) == nil && slices.Contains(f.tap.types, rec.T) {
 			f.tap.n.Add(1)
 		}
 	}
 	return n, err
+}
+
+// openTapped opens a SyncNever journal in dir whose writes pass through
+// tap, and a server on it. stop shuts both down; cleanup calls it too.
+func openTapped(tb testing.TB, dir string, tap *recordTap, opts Options) (s *Server, stop func()) {
+	tb.Helper()
+	jl, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, FS: tap})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.Journal = jl
+	s, err = New(opts)
+	if err != nil {
+		jl.Close()
+		tb.Fatal(err)
+	}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+			jl.Close()
+		})
+	}
+	tb.Cleanup(stop)
+	return s, stop
+}
+
+// serveBody answers one request with s's handler.
+func serveBody(s *Server, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
 }
 
 // FuzzHandlePlace feeds arbitrary bodies to POST /v1/place. Every body
@@ -84,21 +119,10 @@ func FuzzHandlePlace(f *testing.F) {
 	f.Add([]byte(`{"trace":"dwmtrace 1\nitems 1\nR 0\n","iterations":-5,"restarts":-1,"deadline_ms":-3}`))
 	f.Add([]byte("not json"))
 
-	tap := &jobRecordTap{FS: wal.OS()}
-	jl, err := wal.Open(wal.Options{Dir: f.TempDir(), Policy: wal.SyncNever, FS: tap})
-	if err != nil {
-		f.Fatal(err)
-	}
-	s, err := New(Options{Workers: 1, QueueCap: 4, MaxDeadline: 50 * time.Millisecond, Journal: jl})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-		jl.Close()
-	})
+	// Workers append job.done and job.ckpt concurrently, so the tap
+	// counts only the records admission writes.
+	tap := &recordTap{FS: wal.OS(), types: []string{recJobAccept, recJobHit}}
+	s, _ := openTapped(f, f.TempDir(), tap, Options{Workers: 1, QueueCap: 4, MaxDeadline: 50 * time.Millisecond})
 	jobCount := func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -107,8 +131,7 @@ func FuzzHandlePlace(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		jobs0, recs0 := jobCount(), tap.n.Load()
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body)))
+		rec := serveBody(s, http.MethodPost, "/v1/place", body)
 		switch {
 		case rec.Code >= 200 && rec.Code < 300:
 		case rec.Code >= 400 && rec.Code < 500:
@@ -117,6 +140,77 @@ func FuzzHandlePlace(f *testing.F) {
 			}
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzHandleStreamAppend feeds arbitrary bodies to POST
+// /v1/streams/{id}/append on one journaled stream. Every body must be
+// answered 2xx or 4xx without a panic. A 4xx leaves the stream's status
+// byte-identical, and a body that does not decode also leaves the
+// journal without a new stream.append record. A 200 advances the
+// stream's accesses by exactly the batch's length and journals one
+// record for a non-empty batch, none for an empty one.
+func FuzzHandleStreamAppend(f *testing.F) {
+	for _, seed := range []string{
+		"not json",
+		`{"accesses":[8]}`,
+		`{"accesses":[-1,2]}`,
+		`{"accesses":[]}`,
+		`{"accesses":[99999999999999999999]}`,
+		`{"accesses":[1,2,3,1,0,7]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	tap := &recordTap{FS: wal.OS(), types: []string{recStreamAppend}}
+	s, _ := openTapped(f, f.TempDir(), tap, Options{Workers: 1})
+	create, err := json.Marshal(StreamRequest{Name: "fuzz", Items: 8, Seed: 1, RoundEvery: 4, RoundIterations: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := serveBody(s, http.MethodPost, "/v1/streams", create)
+	var st StreamStatus
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		f.Fatalf("create stream: %d %s", rec.Code, rec.Body)
+	}
+	status := func(t *testing.T) ([]byte, StreamStatus) {
+		rec := serveBody(s, http.MethodGet, "/v1/streams/"+st.ID, nil)
+		var got StreamStatus
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+			t.Fatalf("get stream: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes(), got
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw0, st0 := status(t)
+		recs0 := tap.n.Load()
+		rec := serveBody(s, http.MethodPost, "/v1/streams/"+st.ID+"/append", body)
+		// The handler decodes the first JSON value of the body, as here.
+		var req StreamAppendRequest
+		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil
+		raw1, st1 := status(t)
+		switch {
+		case rec.Code == http.StatusOK:
+			if st1.Accesses != st0.Accesses+int64(len(req.Accesses)) {
+				t.Fatalf("200 moved accesses %d -> %d for a batch of %d", st0.Accesses, st1.Accesses, len(req.Accesses))
+			}
+			if want := int64(min(len(req.Accesses), 1)); tap.n.Load()-recs0 != want {
+				t.Fatalf("200 for a batch of %d added %d stream.append records, want %d",
+					len(req.Accesses), tap.n.Load()-recs0, want)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			if !bytes.Equal(raw0, raw1) {
+				t.Fatalf("%d answer changed the stream:\n pre: %s\npost: %s", rec.Code, raw0, raw1)
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if !decoded {
+			if recs := tap.n.Load(); recs != recs0 {
+				t.Fatalf("undecodable body (answered %d) added %d stream.append records", rec.Code, recs-recs0)
+			}
 		}
 	})
 }

@@ -349,6 +349,16 @@ func effectiveSeed(req PlaceRequest, tr *trace.Trace) int64 {
 	return stats.DeriveNamedSeed(req.Seed, "serve/"+tr.Name, tr.Len())
 }
 
+// baselineCost is a Result's BaselineCost: the Linear cost, on g, of the
+// trace's program-order placement.
+func baselineCost(tr *trace.Trace, g *graph.Graph) (int64, error) {
+	base, err := core.ProgramOrder(tr)
+	if err != nil {
+		return 0, err
+	}
+	return cost.Linear(g, base)
+}
+
 // execute computes the job's placement. It is a pure function of
 // (request, resume placement, warm placement); ctx cuts the annealing
 // stage short, in which case the best-so-far placement comes back
@@ -369,11 +379,7 @@ func execute(ctx context.Context, req PlaceRequest, tr *trace.Trace, g *graph.Gr
 		}
 		g = built
 	}
-	base, err := core.ProgramOrder(tr)
-	if err != nil {
-		return nil, err
-	}
-	baseCost, err := cost.Linear(g, base)
+	baseCost, err := baselineCost(tr, g)
 	if err != nil {
 		return nil, err
 	}

@@ -468,6 +468,46 @@ func TestStreamReplayedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEmptyAppendJournalsNothing: an empty batch is answered with the
+// stream's unchanged status and journals no stream.append record, so a
+// restart has no record to count in serve.wal.record_skips.
+func TestEmptyAppendJournalsNothing(t *testing.T) {
+	dir := t.TempDir()
+	tap := &recordTap{FS: wal.OS(), types: []string{recStreamAppend}}
+	s, stop := openTapped(t, dir, tap, Options{})
+	create, _ := json.Marshal(StreamRequest{Items: 8, Seed: 3})
+	rec := serveBody(s, http.MethodPost, "/v1/streams", create)
+	var st StreamStatus
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	path := "/v1/streams/" + st.ID
+	if rec := serveBody(s, http.MethodPost, path+"/append", []byte(`{"accesses":[1,2,3,1]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body)
+	}
+	want := serveBody(s, http.MethodGet, path, nil).Body.String()
+	recs := tap.n.Load()
+	for _, body := range []string{`{"accesses":[]}`, `{}`} {
+		rec := serveBody(s, http.MethodPost, path+"/append", []byte(body))
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Errorf("empty append %s: %d %s, want 200 %s", body, rec.Code, rec.Body, want)
+		}
+	}
+	if got := tap.n.Load() - recs; got != 0 {
+		t.Errorf("empty appends journaled %d stream.append records, want 0", got)
+	}
+	stop()
+
+	skips := obsRecordSkips.Value()
+	s2, _ := openTapped(t, dir, tap, Options{})
+	if got := obsRecordSkips.Value() - skips; got != 0 {
+		t.Errorf("replay counted %d record skips, want 0", got)
+	}
+	if got := serveBody(s2, http.MethodGet, path, nil).Body.String(); got != want {
+		t.Errorf("stream after restart:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestDeletedStreamNeverResurrected (run under -race in ci): DELETE
 // racing in-flight appends must never leave a journaled-but-orphaned
 // session after replay. Whatever interleaving the race takes, a

@@ -461,8 +461,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 	b.ReadFrom(resp.Body)
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE dwm_serve_jobs_accepted counter",
-		"dwm_serve_jobs_done",
+		"# TYPE dwm_serve_jobs_done counter",
 		"dwm_core_anneal_iterations",
 	} {
 		if !strings.Contains(out, want) {

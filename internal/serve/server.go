@@ -35,7 +35,6 @@ import (
 // in the Prometheus text format. Job queue wait and run time are
 // millisecond histograms.
 var (
-	obsAccepted    = obs.GetCounter("serve.jobs.accepted")
 	obsDone        = obs.GetCounter("serve.jobs.done")
 	obsFailed      = obs.GetCounter("serve.jobs.failed")
 	obsPartial     = obs.GetCounter("serve.jobs.partial")
@@ -647,12 +646,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
 		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
 	case outcomeCacheHit:
-		obsAccepted.Inc()
 		obsDone.Inc()
 		obsCacheHits.Inc()
 		writeJSON(w, http.StatusAccepted, j.snapshot(time.Now()))
 	default:
-		obsAccepted.Inc()
 		writeJSON(w, http.StatusAccepted, JobStatus{
 			ID:      j.id,
 			Status:  statusQueued,
@@ -872,6 +869,12 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, 64<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid request body: " + err.Error()})
+		return
+	}
+	if len(req.Accesses) == 0 {
+		// An empty batch changes nothing, so it is neither journaled nor
+		// applied: replay would count its record as damage.
+		writeJSON(w, http.StatusOK, st.status())
 		return
 	}
 	start := time.Now()

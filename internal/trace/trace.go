@@ -5,8 +5,8 @@
 // produced by the workload generators (standing in for compiler-extracted
 // variable access dumps), can be saved to and loaded from a line-oriented
 // text format, and expose the statistics the placement algorithms and the
-// evaluation harness need (frequencies, transition counts, reuse
-// distances).
+// evaluation harness need (frequencies, reuse distances). Transition
+// counts are the edge weights of the graph that graph.FromTrace builds.
 package trace
 
 import (
@@ -118,25 +118,6 @@ func (t *Trace) ReadWriteCounts() (reads, writes int64) {
 	return reads, writes
 }
 
-// Transitions returns the symmetric transition-count map: for every pair
-// of consecutive accesses to distinct items u != v, the count of the
-// unordered pair {u,v}. This is the edge-weight function of the access
-// transition graph.
-func (t *Trace) Transitions() map[[2]int]int64 {
-	m := make(map[[2]int]int64)
-	for i := 1; i < len(t.Accesses); i++ {
-		u, v := t.Accesses[i-1].Item, t.Accesses[i].Item
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		m[[2]int{u, v}]++
-	}
-	return m
-}
-
 // ReuseDistances returns the distribution of reuse distances: for each
 // access to an item seen before, the number of *distinct* other items
 // accessed since its previous access. The result maps distance to count.
@@ -171,27 +152,25 @@ func (t *Trace) ReuseDistances() map[int]int64 {
 
 // Stats summarizes a trace for reporting.
 type Stats struct {
-	Name        string
-	Length      int
-	NumItems    int
-	Touched     int
-	Reads       int64
-	Writes      int64
-	Transitions int     // distinct adjacent pairs
-	MeanReuse   float64 // mean reuse distance over non-cold accesses (-1 if none)
+	Name      string
+	Length    int
+	NumItems  int
+	Touched   int
+	Reads     int64
+	Writes    int64
+	MeanReuse float64 // mean reuse distance over non-cold accesses (-1 if none)
 }
 
 // Summarize computes the descriptive statistics used in experiment E1.
 func (t *Trace) Summarize() Stats {
 	r, w := t.ReadWriteCounts()
 	s := Stats{
-		Name:        t.Name,
-		Length:      t.Len(),
-		NumItems:    t.NumItems,
-		Touched:     len(t.Touched()),
-		Reads:       r,
-		Writes:      w,
-		Transitions: len(t.Transitions()),
+		Name:     t.Name,
+		Length:   t.Len(),
+		NumItems: t.NumItems,
+		Touched:  len(t.Touched()),
+		Reads:    r,
+		Writes:   w,
 	}
 	var sum, cnt int64
 	for d, c := range t.ReuseDistances() {

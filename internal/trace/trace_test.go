@@ -99,19 +99,6 @@ func TestFrequenciesAndRW(t *testing.T) {
 	}
 }
 
-func TestTransitions(t *testing.T) {
-	tr := buildTrace("t", 3, 0, 1, 0, 0, 2, 1)
-	m := tr.Transitions()
-	want := map[[2]int]int64{
-		{0, 1}: 2, // 0->1 and 1->0
-		{0, 2}: 1,
-		{1, 2}: 1,
-	}
-	if !reflect.DeepEqual(m, want) {
-		t.Errorf("Transitions = %v, want %v", m, want)
-	}
-}
-
 func TestReuseDistances(t *testing.T) {
 	// Sequence: a b c a  -> reuse of a at stack distance 2.
 	tr := buildTrace("t", 3, 0, 1, 2, 0)
@@ -136,9 +123,6 @@ func TestSummarize(t *testing.T) {
 	if s.Reads+s.Writes != 4 {
 		t.Errorf("Stats rw = %d+%d, want 4 total", s.Reads, s.Writes)
 	}
-	if s.Transitions != 2 { // pairs {0,1} and {0,2}
-		t.Errorf("Stats.Transitions = %d, want 2", s.Transitions)
-	}
 	if s.MeanReuse != 1 { // single reuse of item 0 at distance 1
 		t.Errorf("Stats.MeanReuse = %g, want 1", s.MeanReuse)
 	}
@@ -154,34 +138,6 @@ func TestHotItems(t *testing.T) {
 	want := []int{3, 1, 0, 2} // 2 unaccessed, ties by ID
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("HotItems = %v, want %v", got, want)
-	}
-}
-
-// Property: sum of frequencies equals trace length; transition counts sum
-// to at most Len-1.
-func TestFrequencyTransitionInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20) + 1
-		tr := New("p", n)
-		for i := 0; i < 300; i++ {
-			tr.Read(rng.Intn(n))
-		}
-		var fs int64
-		for _, c := range tr.Frequencies() {
-			fs += c
-		}
-		if fs != int64(tr.Len()) {
-			return false
-		}
-		var ts int64
-		for _, c := range tr.Transitions() {
-			ts += c
-		}
-		return ts <= int64(tr.Len()-1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

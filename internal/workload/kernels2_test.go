@@ -82,14 +82,9 @@ func TestMarkovStaysInRangeAndLocal(t *testing.T) {
 	// hidden space. Verify through the transition graph instead: the
 	// graph of a locality walk has bounded degree (each hidden position
 	// has <= 6 neighbors).
-	m := tr.Transitions()
-	deg := map[int]int{}
-	for k := range m {
-		deg[k[0]]++
-		deg[k[1]]++
-	}
-	for item, d := range deg {
-		if d > 6 {
+	g := transitionGraph(t, tr)
+	for item := 0; item < g.N(); item++ {
+		if d := g.Degree(item); d > 6 {
 			t.Fatalf("item %d has %d distinct neighbors, want <= 6", item, d)
 		}
 	}

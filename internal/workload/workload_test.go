@@ -5,7 +5,21 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/trace"
 )
+
+// transitionGraph builds tr's access-transition graph, whose edge
+// weights are the trace's transition counts.
+func transitionGraph(t *testing.T, tr *trace.Trace) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 func TestSuiteAllValidAndDeterministic(t *testing.T) {
 	for _, g := range Suite() {
@@ -67,12 +81,12 @@ func TestFIRShape(t *testing.T) {
 		t.Errorf("Len = %d, want %d", tr.Len(), want)
 	}
 	// Delay-line neighbors must be adjacent in the trace.
-	trans := tr.Transitions()
-	if trans[[2]int{0, 1}] == 0 {
+	g := transitionGraph(t, tr)
+	if g.Weight(0, 1) == 0 {
 		t.Error("expected d[0]-d[1] adjacency")
 	}
 	// d[i] and c[i] are adjacent in the MAC loop.
-	if trans[[2]int{1, taps + 1}] == 0 {
+	if g.Weight(1, taps+1) == 0 {
 		t.Error("expected d[1]-c[1] adjacency")
 	}
 }
@@ -87,8 +101,7 @@ func TestIIRShape(t *testing.T) {
 	}
 	// No cross-section adjacency except at the section boundary
 	// (w1 of sec0 -> a1 of sec1).
-	trans := tr.Transitions()
-	if trans[[2]int{0, 7 + 5}] == 0 {
+	if transitionGraph(t, tr).Weight(0, 7+5) == 0 {
 		t.Error("expected sec0.w1 - sec1.a1 boundary adjacency")
 	}
 }
