@@ -92,11 +92,17 @@ func Markov(n, length int, seed int64) *trace.Trace {
 			u -= w
 		}
 		cur += step
-		if cur < 0 {
-			cur = -cur
-		}
-		if cur >= n {
-			cur = 2*(n-1) - cur
+		// Reflect at the ends. A walk of fewer items than the longest
+		// step can bounce off both, so repeat until cur is inside.
+		for cur < 0 || cur >= n {
+			switch {
+			case n == 1:
+				cur = 0
+			case cur < 0:
+				cur = -cur
+			default:
+				cur = 2*(n-1) - cur
+			}
 		}
 	}
 	return tr

@@ -90,6 +90,21 @@ func TestMarkovStaysInRangeAndLocal(t *testing.T) {
 	}
 }
 
+// TestMarkovShortWalks covers walks with fewer items than the longest
+// step (3), where one step can cross both ends: each access must stay a
+// valid item. Markov panicked with an out-of-range index for n = 2 and 3
+// before the reflection repeated.
+func TestMarkovShortWalks(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		for seed := int64(1); seed <= 20; seed++ {
+			tr := Markov(n, 500, seed)
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+		}
+	}
+}
+
 func TestMarkovSeedChangesRelabeling(t *testing.T) {
 	a := Markov(16, 200, 1)
 	b := Markov(16, 200, 2)
