@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build bench-vet vet lint lint-self lint-bench fmt-check test race race-repeat bench-smoke fuzz-smoke bench-report merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos ci
+.PHONY: all build bench-vet vet lint lint-self lint-bench fmt-check inline-check test race race-repeat bench-smoke fuzz-smoke bench-report merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos ci
 
 all: ci
 
@@ -46,6 +46,20 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The per-proposal paths of the anneal chain must stay inlinable: the
+# histogram bucket lookup, the local Observe that wraps it, and the
+# draw source's per-draw functions. Each sits a few units under the
+# inliner's budget of 80, and a lost inline costs a call per proposal
+# without changing any result, so no other check would notice.
+INLINE_FUNCS = '(*Histogram).bucket' '(*LocalHistogram).Observe' '(*drawSource).next' '(*drawSource).intn' '(*drawSource).float64'
+
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/obs ./internal/core 2>&1)" || { echo "$$out"; exit 1; }; \
+	for f in $(INLINE_FUNCS); do \
+		echo "$$out" | grep -qF "can inline $$f" || \
+			{ echo "inline-check: $$f is no longer inlinable"; exit 1; }; \
+	done
+
 test:
 	$(GO) test ./...
 
@@ -60,18 +74,21 @@ race:
 race-repeat:
 	$(GO) test -race -count=10 -timeout 120s -run 'TestConcurrentClientKeyOneJob|TestAdmit|TestFinishedJobRetention|TestWaitAndCancelRaceFinish' ./internal/serve
 
-# One iteration of the heaviest experiment benchmark, of the Propose and
-# anneal-chain layer benchmarks, of every graph and cost benchmark
-# (BenchmarkCanon included), and of the serving hit path's layers (trace
-# decode, in-process handlePlace cache hit): catches regressions (or a
-# broken or panicking benchmark) that only show up under the full
-# pipeline without paying for a statistically meaningful run.
+# One iteration of the heaviest experiment benchmark, of the Propose,
+# anneal-chain, simulator-run and histogram-observe layer benchmarks, of
+# every graph and cost benchmark (BenchmarkCanon included), and of the
+# serving hit path's layers (trace decode, in-process handlePlace cache
+# hit): catches regressions (or a broken or panicking benchmark) that
+# only show up under the full pipeline without paying for a
+# statistically meaningful run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE2MainComparison$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPropose$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTwoOpt$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTwoOptWindowed$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkAnnealChain$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalHistogramObserve$$' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/cost
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode$$' -benchtime 1x -benchmem ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkHandlePlaceHit$$' -benchtime 1x -benchmem ./internal/serve
@@ -80,8 +97,8 @@ bench-smoke:
 # (FuzzDecode checks Decode against the refDecode oracle, trace and error
 # text), the PlaceRequest handler (any body is a 2xx or 4xx, and a 4xx
 # adds no job and no journal record) and the stream-append handler (a 4xx
-# leaves the stream as it was, an undecodable body journals nothing, a 200
-# advances the stream by the batch). One fuzz worker each keeps memory
+# leaves the stream as it was and journals nothing, a 200 advances the
+# stream by the batch). One fuzz worker each keeps memory
 # small. A failing input lands in the package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -parallel 1 ./internal/trace
@@ -223,4 +240,4 @@ load-smoke:
 chaos:
 	CHAOS_SEEDS=128 $(GO) test ./internal/faultfs/ -run TestChaosAtomicity -count=1
 
-ci: fmt-check vet lint lint-self build bench-vet race race-repeat bench-smoke fuzz-smoke merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos
+ci: fmt-check vet lint lint-self build bench-vet inline-check race race-repeat bench-smoke fuzz-smoke merge-smoke determinism-smoke golden-check serve-smoke obs-smoke cache-smoke stream-smoke crash-smoke load-smoke chaos

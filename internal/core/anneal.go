@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cost"
@@ -210,7 +209,7 @@ func annealChain(ctx context.Context, g *graph.Graph, p layout.Placement, opts A
 	if n < 2 {
 		return ev.Placement(), ev.Cost(), nil
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := newDrawSource(opts.Seed, n)
 	iters := opts.Iterations
 	if iters <= 0 {
 		iters = 2000 * n
@@ -226,7 +225,7 @@ func annealChain(ctx context.Context, g *graph.Graph, p layout.Placement, opts A
 		var sum float64
 		samples := 50
 		for i := 0; i < samples; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
+			u, v := rng.intn(), rng.intn()
 			if u == v {
 				continue
 			}
@@ -275,6 +274,10 @@ func annealChain(ctx context.Context, g *graph.Graph, p layout.Placement, opts A
 		return finish(0, err)
 	}
 	invTemp := 1 / temp // acceptUphill's bracket scale, refreshed on cooling
+	// cool counts down the proposals of a block of n; it reads 0 after
+	// the block's last one, when i%n == n-1. A u == v proposal uses up its
+	// step but skips the cooling it would do (frozen schedule).
+	cool := n
 	for i := 0; i < iters; i++ {
 		if i%cancelCheckEvery == cancelCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
@@ -288,13 +291,17 @@ func annealChain(ctx context.Context, g *graph.Graph, p layout.Placement, opts A
 			}
 			report(i+1, false)
 		}
-		u, v := rng.Intn(n), rng.Intn(n)
+		if cool == 0 {
+			cool = n
+		}
+		cool--
+		u, v := rng.intn(), rng.intn()
 		if u == v {
-			continue // skips this proposal's cooling step too (frozen schedule)
+			continue
 		}
 		d := ev.SwapDelta(u, v)
 		deltas.Observe(d)
-		if d <= 0 || acceptUphill(rng.Float64(), d, temp, invTemp) {
+		if d <= 0 || acceptUphill(rng.float64(), d, temp, invTemp) {
 			ev.SwapKnown(u, v, d)
 			accepted++
 			if c := ev.Cost(); c < bestCost {
@@ -302,7 +309,7 @@ func annealChain(ctx context.Context, g *graph.Graph, p layout.Placement, opts A
 				best = ev.Placement()
 			}
 		}
-		if i%n == n-1 {
+		if cool == 0 {
 			temp *= cooling
 			if temp < 1e-6 {
 				temp = 1e-6

@@ -127,13 +127,11 @@ func NewSession(opts SessionOptions) (*Session, error) {
 // that need the determinism contract should treat an interrupted session
 // as dead rather than retry the same accesses.
 func (s *Session) Append(ctx context.Context, accesses []int) error {
+	if err := s.CheckAccesses(accesses); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range accesses {
-		if a < 0 || a >= s.opts.Items {
-			return fmt.Errorf("core: access %d outside [0,%d)", a, s.opts.Items)
-		}
-	}
 	for _, a := range accesses {
 		if s.last >= 0 && s.last != a {
 			s.addPending(s.last, a)
@@ -158,6 +156,19 @@ func (s *Session) Append(ctx context.Context, accesses []int) error {
 	}
 	obsSessionAccesses.Add(int64(len(accesses)))
 	s.publish()
+	return nil
+}
+
+// CheckAccesses reports the first access outside [0, Items), the error
+// Append returns for such a batch before it ingests any of it. A caller
+// that records a batch before applying it (the serving layer's journal)
+// checks it first, so a batch Append would reject is never recorded.
+func (s *Session) CheckAccesses(accesses []int) error {
+	for _, a := range accesses {
+		if a < 0 || a >= s.opts.Items {
+			return fmt.Errorf("core: access %d outside [0,%d)", a, s.opts.Items)
+		}
+	}
 	return nil
 }
 

@@ -81,3 +81,36 @@ func TestBucketSearchMatchesFloatOnOddBounds(t *testing.T) {
 	checkBucketSearch(t, "tiny", []float64{0.1, 0.2, 0.3})
 	checkBucketSearch(t, "single", []float64{0})
 }
+
+// TestBucketTableMatchesSearch is the oracle of the class table: on the
+// two histograms whose bounds are 0 and powers of two it must return
+// what the binary search returns at every bound and its neighbours, at
+// 2^k and 2^k ± 1 for every k, and at the int64 extremes. Histograms with
+// other bounds must keep the search.
+func TestBucketTableMatchesSearch(t *testing.T) {
+	hists := obs.Default().Snapshot().Histograms
+	for _, name := range []string{"core.anneal.proposal_delta", "sim.shift_distance"} {
+		h := obs.NewRegistry().Histogram(name, hists[name].Bounds)
+		if !obs.HasTable(h) {
+			t.Fatalf("%s (bounds %v) has no class table", name, hists[name].Bounds)
+		}
+		vals := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+		for _, b := range hists[name].Bounds {
+			vals = append(vals, int64(b)-1, int64(b), int64(b)+1)
+		}
+		for k := 0; k < 63; k++ {
+			p := int64(1) << k
+			vals = append(vals, p-1, p, p+1, -p)
+		}
+		for _, v := range vals {
+			if got, want := obs.BucketOf(h, v), obs.SearchOf(h, v); got != want {
+				t.Fatalf("%s: table bucket(%d) = %d, search = %d", name, v, got, want)
+			}
+		}
+	}
+	for _, bounds := range [][]float64{obs.LatencyBoundsMS, {0, 1, 3, 4}, {0.5, 3}, {-1, 0, 1}} {
+		if h := obs.NewRegistry().Histogram("other", bounds); obs.HasTable(h) {
+			t.Errorf("bounds %v got a class table; a class spans two of their buckets", bounds)
+		}
+	}
+}

@@ -1,16 +1,21 @@
 package obs
 
 // Fixed-bucket histograms. A Histogram is as cheap to update as a
-// Counter (one integer binary search over a handful of bounds plus two
-// atomic adds), so the hot layers keep theirs on unconditionally: the
-// simulator observes per-access shift distances, the annealer its
-// proposal deltas, and the serving layer queue-wait and job latency. Distributions — not
-// totals — are how the placement papers diagnose quality, and how a
-// perf regression in the tail shows up before it moves a mean.
+// Counter (a bucket lookup plus two atomic adds), so the hot layers keep
+// theirs on unconditionally: the simulator observes per-access shift
+// distances, the annealer its proposal deltas, and the serving layer
+// queue-wait and job latency. The lookup is one table load for bounds
+// of 0 and powers of two, which the two per-step histograms have, and an
+// integer binary search over a handful of bounds for the rest; the
+// per-step callers buffer through a LocalHistogram, which needs no
+// atomics. Distributions — not totals — are how the placement papers
+// diagnose quality, and how a perf regression in the tail shows up
+// before it moves a mean.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -25,8 +30,12 @@ type Histogram struct {
 	// int64 v, v <= bounds[i] exactly when v <= ibounds[i], so the bucket
 	// search runs on integers (see bucket).
 	ibounds []int64
-	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	sum     atomic.Int64
+	// table, when non-nil, maps each class of v (see class) to its
+	// bucket; newHistogram builds it when every class falls in one
+	// bucket.
+	table  *[classes]uint8
+	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	sum    atomic.Int64
 	// exemplars holds, per bucket, the most recent traced observation
 	// (see ObserveTrace) — the breadcrumb that links a latency bucket
 	// back to a concrete request in /debug/events. Last-write-wins; nil
@@ -72,7 +81,50 @@ func newHistogram(bounds []float64) *Histogram {
 	for i, b := range bounds {
 		h.ibounds[i] = floorInt64(b)
 	}
+	h.table = classTable(h)
 	return h
+}
+
+// classes is the number of values class takes.
+const classes = 65
+
+// class sorts v into one of 65 ranges, with one bits.Len64 (an LZCNT or
+// BSR): 64 for v <= 0, 0 for v = 1, and k for 2^(k-1) < v <= 2^k. Bounds
+// of 0 and powers of two, like those of core.anneal.proposal_delta and
+// sim.shift_distance, never split a class, so for them the class decides
+// the bucket.
+func class(v int64) int {
+	return bits.Len64(uint64(max(v, 0) - 1))
+}
+
+// classTable returns the class-to-bucket table of h, or nil when some
+// class spans two buckets. h must not have a table yet, so that
+// h.bucket searches. The search is monotone in v, so a class lies in one
+// bucket exactly when its smallest and largest values do.
+func classTable(h *Histogram) *[classes]uint8 {
+	if len(h.counts) > math.MaxUint8+1 {
+		return nil
+	}
+	var t [classes]uint8
+	for c := range t {
+		var lo, hi int64
+		switch {
+		case c == classes-1:
+			lo, hi = math.MinInt64, 0
+		case c == 0:
+			lo, hi = 1, 1
+		case c == classes-2:
+			lo, hi = 1<<(c-1)+1, math.MaxInt64
+		default:
+			lo, hi = 1<<(c-1)+1, 1<<c
+		}
+		b := h.bucket(lo)
+		if h.bucket(hi) != b {
+			return nil
+		}
+		t[c] = uint8(b)
+	}
+	return &t
 }
 
 // floorInt64 is floor(b) saturated to the int64 range. Saturation keeps
@@ -90,18 +142,25 @@ func floorInt64(b float64) int64 {
 }
 
 // bucket returns the index of the bucket holding v: the first i with
-// v <= bounds[i], or len(bounds) for the overflow bucket. It is the
-// integer form of sort.SearchFloat64s(bounds, float64(v)) and agrees
-// with it whenever float64(v) is exact (|v| < 2⁵³); beyond that the
-// float search rounds v first and this one does not. The hot loops
-// (anneal proposals, simulated accesses) call it once per step; integer
-// compares spare them the float conversion and sort.Search's callback.
+// v <= bounds[i], or len(bounds) for the overflow bucket. The hot loops
+// (anneal proposals, simulated accesses) call it once per step, on
+// histograms whose bounds let it be one table load (see class). Every
+// other histogram takes a binary search over the integer bounds: the
+// integer form of sort.SearchFloat64s(bounds, float64(v)), which it
+// agrees with whenever float64(v) is exact (|v| < 2⁵³); beyond that the
+// float search rounds v first and this one does not. Integer compares
+// spare the caller the float conversion and sort.Search's callback.
+//
+// The search is written out here, not called: a call would cost the
+// inliner more than bucket's whole budget, and bucket must stay
+// inlinable into LocalHistogram.Observe (make inline-check).
 func (h *Histogram) bucket(v int64) int {
-	ib := h.ibounds
-	lo, hi := 0, len(ib)
+	if h.table != nil {
+		return int(h.table[class(v)])
+	}
+	lo, hi := 0, len(h.ibounds)
 	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ib[m] < v {
+		if m := int(uint(lo+hi) >> 1); h.ibounds[m] < v {
 			lo = m + 1
 		} else {
 			hi = m
@@ -158,8 +217,7 @@ type LocalHistogram struct {
 
 // Observe records one value into the local buffer.
 func (l *LocalHistogram) Observe(v int64) {
-	i := l.h.bucket(v)
-	l.counts[i]++
+	l.counts[l.h.bucket(v)]++
 	l.sum += v
 }
 

@@ -147,10 +147,11 @@ func FuzzHandlePlace(f *testing.F) {
 // FuzzHandleStreamAppend feeds arbitrary bodies to POST
 // /v1/streams/{id}/append on one journaled stream. Every body must be
 // answered 2xx or 4xx without a panic. A 4xx leaves the stream's status
-// byte-identical, and a body that does not decode also leaves the
-// journal without a new stream.append record. A 200 advances the
-// stream's accesses by exactly the batch's length and journals one
-// record for a non-empty batch, none for an empty one.
+// byte-identical and the journal without a new stream.append record,
+// whether the body did not decode or held an access outside the
+// stream's items. A 200 advances the stream's accesses by exactly the
+// batch's length and journals one record for a non-empty batch, none
+// for an empty one.
 func FuzzHandleStreamAppend(f *testing.F) {
 	for _, seed := range []string{
 		"not json",
@@ -204,13 +205,11 @@ func FuzzHandleStreamAppend(f *testing.F) {
 			if !bytes.Equal(raw0, raw1) {
 				t.Fatalf("%d answer changed the stream:\n pre: %s\npost: %s", rec.Code, raw0, raw1)
 			}
+			if recs := tap.n.Load(); recs != recs0 {
+				t.Fatalf("%d answer (decoded: %v) added %d stream.append records", rec.Code, decoded, recs-recs0)
+			}
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
-		if !decoded {
-			if recs := tap.n.Load(); recs != recs0 {
-				t.Fatalf("undecodable body (answered %d) added %d stream.append records", rec.Code, recs-recs0)
-			}
 		}
 	})
 }

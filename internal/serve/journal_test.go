@@ -508,6 +508,54 @@ func TestEmptyAppendJournalsNothing(t *testing.T) {
 	}
 }
 
+// TestRejectedAppendJournalsNothing: a batch with an access outside the
+// stream's items is answered 400 before it reaches the journal, so it
+// costs no record and no fsync. A journal that already holds such a
+// record, as one written before the handler checked first may, replays
+// to the same stream with no record skip: the session re-rejects it.
+func TestRejectedAppendJournalsNothing(t *testing.T) {
+	dir := t.TempDir()
+	tap := &recordTap{FS: wal.OS(), types: []string{recStreamAppend}}
+	s, stop := openTapped(t, dir, tap, Options{})
+	create, _ := json.Marshal(StreamRequest{Items: 8, Seed: 3})
+	rec := serveBody(s, http.MethodPost, "/v1/streams", create)
+	var st StreamStatus
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	path := "/v1/streams/" + st.ID
+	if rec := serveBody(s, http.MethodPost, path+"/append", []byte(`{"accesses":[1,2,3,1]}`)); rec.Code != http.StatusOK {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body)
+	}
+	want := serveBody(s, http.MethodGet, path, nil).Body.String()
+	recs := tap.n.Load()
+	if rec := serveBody(s, http.MethodPost, path+"/append", []byte(`{"accesses":[1,8]}`)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("out-of-range append: %d %s, want 400", rec.Code, rec.Body)
+	}
+	if got := tap.n.Load() - recs; got != 0 {
+		t.Errorf("rejected append journaled %d stream.append records, want 0", got)
+	}
+	stop()
+
+	l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &journal{log: l}
+	if err := old.append(context.Background(), journalRecord{T: recStreamAppend, ID: st.ID, Accesses: []int{1, 8}}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	skips := obsRecordSkips.Value()
+	s2, _ := openTapped(t, dir, tap, Options{})
+	if got := obsRecordSkips.Value() - skips; got != 0 {
+		t.Errorf("replay counted %d record skips, want 0", got)
+	}
+	if got := serveBody(s2, http.MethodGet, path, nil).Body.String(); got != want {
+		t.Errorf("stream after replaying a rejected batch:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestDeletedStreamNeverResurrected (run under -race in ci): DELETE
 // racing in-flight appends must never leave a journaled-but-orphaned
 // session after replay. Whatever interleaving the race takes, a

@@ -390,10 +390,12 @@ func (s *Server) recover() ([]*task, error) {
 			continue
 		}
 		for _, acc := range rec.appends {
-			// Re-apply in journal order. A batch the session rejected live
-			// was answered 400 and never entered the session; the session
-			// re-rejects it identically here (validation is deterministic),
-			// so skipping on error reproduces the live state.
+			// Re-apply in journal order. The handler journals no batch the
+			// session rejects, but a journal written before it checked
+			// first may hold one: answered 400 live, it never entered the
+			// session, and the session re-rejects it identically here
+			// (validation is deterministic), so skipping on error
+			// reproduces the live state.
 			//dwmlint:ignore ctxflow replay runs before the HTTP surface exists; there is no request context to inherit
 			_ = sst.sess.Append(context.Background(), acc)
 		}
@@ -881,12 +883,17 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	sctx, span := obs.StartSpan(traceRequestContext(r), "serve.stream.append")
 	defer span.End()
 	span.SetAttr("stream", st.id).SetAttr("accesses", len(req.Accesses))
+	// A batch the session would reject is answered before it reaches the
+	// journal: journaled, it would cost an fsync and be replayed, and
+	// re-rejected, on every restart.
+	if err := st.sess.CheckAccesses(req.Accesses); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
 	// Journal-then-apply, both under the stream's own lock: the journal's
 	// record order is exactly the session's apply order, which is what
 	// lets replay rebuild the session byte-identically. A journal failure
-	// is a clean 503 — nothing was applied, the client can retry. A batch
-	// the session rejects was journaled but is harmless: replay re-rejects
-	// it identically (session validation is deterministic).
+	// is a clean 503 — nothing was applied, the client can retry.
 	st.mu.Lock()
 	if err := s.jl.append(sctx, journalRecord{T: recStreamAppend, ID: st.id, Accesses: req.Accesses}); err != nil {
 		st.mu.Unlock()
