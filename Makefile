@@ -158,14 +158,6 @@ determinism-smoke:
 	if ! cmp -s "$$a" "$$c"; then \
 		echo "determinism-smoke: tables differ with tracing enabled:"; \
 		diff -u "$$a" "$$c"; exit 1; \
-	fi; \
-	d="$$(mktemp)"; e="$$(mktemp)"; pc="$$(mktemp -d)"; \
-	trap 'rm -f "$$a" "$$b" "$$c" "$$t" "$$g" "$$d" "$$e"; rm -rf "$$pc"' EXIT; \
-	$(GO) run ./cmd/dwmbench -seed 1 -workers 8 -only E2 -cache "$$pc" > "$$d" 2>/dev/null && \
-	$(GO) run ./cmd/dwmbench -seed 1 -workers 8 -only E2 -cache "$$pc" > "$$e" 2>/dev/null && \
-	if ! cmp -s "$$d" "$$e"; then \
-		echo "determinism-smoke: warm-cache E2 table differs from cold:"; \
-		diff -u "$$d" "$$e"; exit 1; \
 	fi
 	$(GO) test ./internal/faultfs/ -run 'TestScheduleDeterministic' -count=2
 

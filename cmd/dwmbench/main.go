@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dwmbench [-seed N] [-md] [-only E2,E5] [-workers N] [-timeout D]
-//	         [-json FILE] [-metrics] [-trace FILE] [-cache DIR]
+//	         [-json FILE] [-metrics] [-trace FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Experiments execute on a worker pool of -workers goroutines (default
@@ -17,14 +17,6 @@
 // already finished still print, the -json report is still written for
 // them, and the process exits nonzero.
 //
-// -cache DIR memoizes the anneal stages of the suite in a persistent
-// placement cache, a segment log under DIR/placecache/ (see
-// internal/placecache and internal/wal):
-// re-running a sweep replays cached anneal results byte-exactly instead
-// of re-searching. Each -json report row records whether its experiment
-// ran against the cache ("hit"/"miss"/"off") so repeated runs stay
-// distinguishable in the BENCH history.
-//
 // -json writes a machine-readable BENCH report with per-experiment wall
 // times, ns deltas against the previous run, and a metrics snapshot
 // (see internal/obs). When the file already exists, entries for
@@ -34,16 +26,14 @@
 //
 // -metrics prints the observability snapshot to stderr after the run:
 // one line per instrument of the obs registry (simulator, annealer,
-// graph delta and canonicalization, placement cache and runner), each
-// event counted once. With -cache, the anneal cache's lookups appear as
-// placecache.hits and placecache.misses. -cpuprofile and -memprofile
-// write pprof profiles for the whole invocation.
+// graph delta and canonicalization, and runner), each event counted
+// once. -cpuprofile and -memprofile write pprof profiles for the whole
+// invocation.
 //
 // -trace enables the span tracer for the run and writes the collected
-// spans at exit: Chrome trace_event JSON by default (load it in
-// Perfetto or chrome://tracing), or one span per line when the file
-// name ends in .jsonl. Tracing is observational only — tables are
-// byte-identical with and without it.
+// spans at exit as a validated Chrome trace_event JSON file (load it in
+// Perfetto or chrome://tracing). Tracing is observational only — tables
+// are byte-identical with and without it.
 package main
 
 import (
@@ -62,7 +52,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
-	"repro/internal/placecache"
 )
 
 func main() {
@@ -74,8 +63,7 @@ func main() {
 	flag.DurationVar(&opts.timeout, "timeout", 0, "per-experiment wall-time limit (0 = none)")
 	flag.StringVar(&opts.jsonPath, "json", "", "write a machine-readable benchmark report to this file")
 	flag.BoolVar(&opts.metrics, "metrics", false, "print the observability snapshot to stderr after the run")
-	flag.StringVar(&opts.tracePath, "trace", "", "collect spans and write a Chrome trace_event file (.jsonl = one span per line)")
-	flag.StringVar(&opts.cacheDir, "cache", "", "memoize anneal results in a persistent placement cache under this directory")
+	flag.StringVar(&opts.tracePath, "trace", "", "collect spans and write a Chrome trace_event file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -131,7 +119,6 @@ type options struct {
 	jsonPath  string
 	metrics   bool
 	tracePath string
-	cacheDir  string
 }
 
 // benchReport is the schema of the -json report (BENCH_dwmbench.json).
@@ -189,29 +176,6 @@ type expReport struct {
 	// in the report previously stored at the -json path (negative =
 	// faster); omitted when there is no prior sample.
 	DeltaPct *float64 `json:"delta_pct,omitempty"`
-	// Cache records how this row ran against the placement cache: "hit"
-	// (every anneal lookup was served from the cache), "miss" (at least
-	// one lookup annealed cold), or "off" (no -cache, or the experiment
-	// has no anneal stage). Rows merged from reports written before the
-	// field existed omit it. Schema bump documented in EXPERIMENTS.md.
-	Cache string `json:"cache,omitempty"`
-}
-
-// cacheOutcome folds a RunResult's cache counters into the report
-// value: any cold lookup makes the row a "miss" (its wall time includes
-// real search work), an all-served row is a "hit", everything else is
-// "off".
-func cacheOutcome(r bench.RunResult) string {
-	switch {
-	case !r.CacheEnabled:
-		return "off"
-	case r.CacheMisses > 0:
-		return "miss"
-	case r.CacheHits > 0:
-		return "hit"
-	default:
-		return "off"
-	}
 }
 
 func run(ctx context.Context, opts options) error {
@@ -261,16 +225,6 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	cfg := bench.Config{Seed: opts.seed, Workers: opts.workers, Timeout: opts.timeout}
-	if opts.cacheDir != "" {
-		pc, err := placecache.New(placecache.Options{Dir: opts.cacheDir})
-		if err != nil {
-			return err
-		}
-		defer pc.Close()
-		fmt.Fprintf(os.Stderr, "dwmbench: placement cache in %s (%d entries loaded)\n",
-			opts.cacheDir, pc.Len())
-		cfg.Cache = pc.ForAnneal()
-	}
 	results, runErr := bench.RunContext(ctx, cfg, selected...)
 
 	// Print every completed table, even when a sibling failed or the
@@ -295,7 +249,7 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	if opts.metrics {
-		fmt.Fprint(os.Stderr, obs.Take().Format())
+		fmt.Fprint(os.Stderr, obs.Default().Snapshot().Format())
 	}
 
 	if opts.tracePath != "" {
@@ -318,24 +272,19 @@ func run(ctx context.Context, opts options) error {
 	return runErr
 }
 
-// writeTrace drains the span ring and writes it in the format the file
-// extension selects: .jsonl gets one span record per line, anything
-// else the Chrome trace_event array Perfetto loads directly.
+// writeTrace drains the span ring and writes it as the Chrome
+// trace_event array Perfetto loads directly.
 func writeTrace(path string) error {
 	spans, dropped := obs.DrainSpans()
 	if dropped > 0 {
 		fmt.Fprintf(os.Stderr, "dwmbench: trace ring overflowed, oldest %d spans dropped\n", dropped)
 	}
+	// Validate before writing: a trace file that Perfetto rejects is
+	// worse than an error, because nobody opens it until they need it.
 	var buf bytes.Buffer
-	var err error
-	if strings.HasSuffix(path, ".jsonl") {
-		err = obs.WriteSpansJSONL(&buf, spans)
-	} else {
-		// Validate before writing: a trace file that Perfetto rejects is
-		// worse than an error, because nobody opens it until they need it.
-		if err = obs.WriteTraceEvents(&buf, spans); err == nil {
-			err = obs.ValidateTraceEvents(buf.Bytes())
-		}
+	err := obs.WriteTraceEvents(&buf, spans)
+	if err == nil {
+		err = obs.ValidateTraceEvents(buf.Bytes())
 	}
 	if err == nil {
 		err = os.WriteFile(path, buf.Bytes(), 0o644)
@@ -365,7 +314,7 @@ func writeReport(opts options, prior map[string]expReport, priorOrder []string, 
 		if r.Err != nil || r.Table == nil {
 			continue // failed/canceled experiments keep their prior entry
 		}
-		er := expReport{ID: r.ID, Name: r.Name, WallNS: r.Elapsed.Nanoseconds(), Cache: cacheOutcome(r)}
+		er := expReport{ID: r.ID, Name: r.Name, WallNS: r.Elapsed.Nanoseconds()}
 		if old, ok := prior[r.ID]; ok && old.WallNS > 0 {
 			d := 100 * float64(er.WallNS-old.WallNS) / float64(old.WallNS)
 			er.DeltaPct = &d
@@ -387,7 +336,7 @@ func writeReport(opts options, prior map[string]expReport, priorOrder []string, 
 	for _, id := range priorOrder {
 		emit(id)
 	}
-	snap := obs.Take()
+	snap := obs.Default().Snapshot()
 	rep.Metrics = &snap
 	rep.DeltaBench = priorDelta
 	rep.LintBench = priorLint

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -190,53 +189,5 @@ func TestRunCarriesLintBench(t *testing.T) {
 	}
 	if after.LintBench.WallNS != 12345 || after.LintBench.Packages != 38 {
 		t.Errorf("lint_bench rewritten: %+v", after.LintBench)
-	}
-}
-
-// stdoutOf runs fn with os.Stdout redirected to a file and returns what
-// it printed.
-func stdoutOf(t *testing.T, fn func() error) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := os.Stdout
-	os.Stdout = f
-	runErr := fn()
-	os.Stdout = orig
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestRunCacheWarmRerun proves -cache persists between runs: the first
-// run anneals cold and stores its results, the second opens the same
-// directory and is served entirely from the log, and both print the
-// same table bytes. Comparing tables alone would pass even if
-// nothing were ever read back.
-func TestRunCacheWarmRerun(t *testing.T) {
-	dir := t.TempDir()
-	opts := testOpts(1, false, 1, "E5", filepath.Join(dir, "bench.json"))
-	opts.cacheDir = filepath.Join(dir, "cache")
-	var tables [][]byte
-	for _, want := range []string{"miss", "hit"} {
-		tables = append(tables, stdoutOf(t, func() error { return run(context.Background(), opts) }))
-		rep := readReport(t, opts.jsonPath)
-		if len(rep.Experiments) != 1 || rep.Experiments[0].Cache != want {
-			t.Fatalf("run %d: report rows %+v, want one E5 row with cache %q", len(tables), rep.Experiments, want)
-		}
-	}
-	if len(tables[0]) == 0 || !bytes.Equal(tables[0], tables[1]) {
-		t.Fatalf("warm rerun printed different tables:\n%s\nvs\n%s", tables[0], tables[1])
 	}
 }

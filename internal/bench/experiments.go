@@ -32,12 +32,6 @@ type Config struct {
 	// into Context, so cancellation-aware stages (core.AnnealContext)
 	// stop promptly instead of being abandoned mid-flight.
 	Timeout time.Duration
-	// Cache, when non-nil, memoizes the anneal stages of the experiments
-	// that run them (E2's anneal policy, E5, E9) through the placement
-	// cache. Hits replay the memoized result byte-exactly — a cached
-	// sweep produces the same tables as a cold one — so repeated
-	// invocations (dwmbench -cache DIR) skip the annealing cost.
-	Cache core.PlacementCache
 
 	// ctx is installed by the runner before an experiment executes, so
 	// long-running stages inside the experiment can observe the runner's
@@ -152,7 +146,7 @@ func simulateSingleTape(tr *trace.Trace, p layout.Placement, tapeLen, ports int)
 // set, with the reduction of the best proposed configuration over program
 // order.
 func E2MainComparison(cfg Config) (*Table, error) {
-	policies := core.PoliciesCached(cfg.Seed, cfg.Cache)
+	policies := core.Policies(cfg.Seed)
 	headers := []string{"workload"}
 	for _, p := range policies {
 		headers = append(headers, p.Name)
@@ -357,7 +351,7 @@ func E5OptimalityGap(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, ac, err := core.AnnealContext(cfg.Context(), g, gp, core.AnnealOptions{Seed: cfg.Seed, Cache: cfg.Cache})
+		_, ac, err := core.AnnealContext(cfg.Context(), g, gp, core.AnnealOptions{Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -572,7 +566,7 @@ func E8Runtime(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, []string{"greedy+2opt(w8)", itoa(int64(n)), f2(float64(tt.Microseconds()) / 1e3), itoa(tc)})
 
 		start = time.Now()
-		_, ac, err := core.AnnealContext(cfg.Context(), g, gp, core.AnnealOptions{Seed: cfg.Seed, Iterations: 100 * n, Cache: cfg.Cache})
+		_, ac, err := core.AnnealContext(cfg.Context(), g, gp, core.AnnealOptions{Seed: cfg.Seed, Iterations: 100 * n})
 		if err != nil {
 			return nil, err
 		}
@@ -693,7 +687,7 @@ func E9Ablation(cfg Config) (*Table, error) {
 
 		// Annealing cooling factor.
 		for _, cool := range []float64{0.90, 0.97, 0.99} {
-			_, c, err := core.AnnealContext(cfg.Context(), gr, base, core.AnnealOptions{Seed: cfg.Seed, Cooling: cool, Cache: cfg.Cache})
+			_, c, err := core.AnnealContext(cfg.Context(), gr, base, core.AnnealOptions{Seed: cfg.Seed, Cooling: cool})
 			if err != nil {
 				return nil, err
 			}

@@ -6,12 +6,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/layout"
 	"repro/internal/obs"
 )
 
@@ -44,37 +40,6 @@ type RunResult struct {
 	// Failures are isolated per experiment — one experiment failing does
 	// not discard its siblings' results.
 	Err error
-	// CacheEnabled reports whether a placement cache was threaded into
-	// this experiment; CacheHits/CacheMisses are the anneal-stage lookup
-	// outcomes attributed to it (zero for experiments with no anneal
-	// stage).
-	CacheEnabled bool
-	CacheHits    int64
-	CacheMisses  int64
-}
-
-// countingCache wraps a PlacementCache with per-experiment hit/miss
-// attribution. The process-wide obs counters aggregate across the whole
-// run; the report wants each experiment's own outcome, and experiments
-// run concurrently, so the wrapper counts with atomics local to one
-// experiment execution.
-type countingCache struct {
-	inner        core.PlacementCache
-	hits, misses atomic.Int64
-}
-
-func (cc *countingCache) Lookup(g *graph.Graph, start layout.Placement, opts core.AnnealOptions) (layout.Placement, int64, bool) {
-	p, cost, ok := cc.inner.Lookup(g, start, opts)
-	if ok {
-		cc.hits.Add(1)
-	} else {
-		cc.misses.Add(1)
-	}
-	return p, cost, ok
-}
-
-func (cc *countingCache) Store(g *graph.Graph, start layout.Placement, opts core.AnnealOptions, best layout.Placement, cost int64) {
-	cc.inner.Store(g, start, opts, best, cost)
 }
 
 // workers resolves the effective worker count.
@@ -182,11 +147,6 @@ func runOne(ctx context.Context, cfg Config, e Experiment) RunResult {
 	sctx, span := obs.StartSpan(ectx, "bench.experiment")
 	span.SetAttr("id", e.ID).SetAttr("name", e.Name)
 	cfg.ctx = sctx
-	var cc *countingCache
-	if cfg.Cache != nil {
-		cc = &countingCache{inner: cfg.Cache}
-		cfg.Cache = cc
-	}
 	type outcome struct {
 		tbl *Table
 		err error
@@ -224,13 +184,6 @@ func runOne(ctx context.Context, cfg Config, e Experiment) RunResult {
 		obsTimeouts.Inc()
 	}
 	res.Elapsed = time.Since(start)
-	if cc != nil {
-		// Atomic loads are safe even when the experiment goroutine was
-		// abandoned on timeout/cancel and is still winding down.
-		res.CacheEnabled = true
-		res.CacheHits = cc.hits.Load()
-		res.CacheMisses = cc.misses.Load()
-	}
 	obsExpWallMS.Observe(res.Elapsed.Milliseconds())
 	if res.Err != nil {
 		res.Table = nil

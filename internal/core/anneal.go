@@ -32,17 +32,6 @@ var (
 		[]float64{0, 1, 4, 16, 64, 256, 1024, 4096, 16384, 65536})
 )
 
-// PlacementCache memoizes anneal results by graph structure, start
-// placement, and options. internal/placecache provides the standard
-// implementation (ForAnneal); the interface lives here so core does not
-// depend on the cache package. Lookup must only report ok when replaying
-// the stored result is byte-identical to re-running the anneal — the
-// determinism contract extends through the cache.
-type PlacementCache interface {
-	Lookup(g *graph.Graph, start layout.Placement, opts AnnealOptions) (layout.Placement, int64, bool)
-	Store(g *graph.Graph, start layout.Placement, opts AnnealOptions, best layout.Placement, cost int64)
-}
-
 // cancelCheckEvery is how many proposals a chain runs between
 // context-cancellation checks. ctx.Err() is an atomic load, so the
 // check is cheap, but batching it keeps it out of the per-swap path.
@@ -90,10 +79,6 @@ type AnnealOptions struct {
 	// control flow depends on it. With Restarts > 1 it is called
 	// concurrently from every chain; keep per-chain state keyed on Chain.
 	Progress func(AnnealProgress)
-	// Cache, when non-nil, is consulted before annealing and updated
-	// with the result afterwards. A hit returns the memoized placement
-	// without running any chain.
-	Cache PlacementCache
 
 	// chain is the restart index annealChain reports in spans and
 	// Progress callbacks; AnnealContext sets it per restart.
@@ -132,17 +117,6 @@ func Anneal(g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Plac
 // error: placement != nil with errors.Is(err, ctx.Err()) means
 // "interrupted but usable".
 func AnnealContext(ctx context.Context, g *graph.Graph, p layout.Placement, opts AnnealOptions) (layout.Placement, int64, error) {
-	if cache := opts.Cache; cache != nil {
-		opts.Cache = nil // the chains below must not re-consult the cache
-		if best, bestCost, ok := cache.Lookup(g, p, opts); ok {
-			return best, bestCost, nil
-		}
-		best, bestCost, err := AnnealContext(ctx, g, p, opts)
-		if err == nil && best != nil {
-			cache.Store(g, p, opts, best, bestCost)
-		}
-		return best, bestCost, err
-	}
 	if opts.Restarts <= 1 {
 		return annealChain(ctx, g, p, opts)
 	}

@@ -27,15 +27,6 @@ type Policy struct {
 // Policies returns the standard policy set in evaluation order. The seed
 // feeds the randomized policies; equal seeds reproduce identical results.
 func Policies(seed int64) []Policy {
-	return PoliciesCached(seed, nil)
-}
-
-// PoliciesCached is Policies with a placement cache threaded into the
-// anneal policy (the only one expensive enough to memoize). A nil cache
-// is byte-identical to Policies; with a cache, hits replay the memoized
-// result and misses store theirs, which is also byte-identical by the
-// PlacementCache contract.
-func PoliciesCached(seed int64, cache PlacementCache) []Policy {
 	return []Policy{
 		{
 			Name:        "program",
@@ -108,7 +99,7 @@ func PoliciesCached(seed int64, cache PlacementCache) []Policy {
 				if err != nil {
 					return nil, err
 				}
-				p, _, err = Anneal(g, p, AnnealOptions{Seed: seed, Cache: cache})
+				p, _, err = Anneal(g, p, AnnealOptions{Seed: seed})
 				return p, err
 			},
 		},

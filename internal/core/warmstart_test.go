@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -62,85 +61,6 @@ func TestAnnealWarmstartInputNotMutated(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm, orig) {
 		t.Fatal("Anneal with restarts mutated the caller's start placement")
-	}
-}
-
-// fakeCache is a minimal PlacementCache for plumbing tests; the real
-// implementation (and its byte-identity tests) live in
-// internal/placecache.
-type fakeCache struct {
-	mu      sync.Mutex
-	lookups int
-	stores  int
-	best    layout.Placement
-	cost    int64
-}
-
-func (f *fakeCache) Lookup(_ *graph.Graph, _ layout.Placement, _ AnnealOptions) (layout.Placement, int64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lookups++
-	if f.best == nil {
-		return nil, 0, false
-	}
-	return f.best.Clone(), f.cost, true
-}
-
-func (f *fakeCache) Store(_ *graph.Graph, _ layout.Placement, _ AnnealOptions, best layout.Placement, cost int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stores++
-	f.best, f.cost = best.Clone(), cost
-}
-
-func TestAnnealCachePlumbing(t *testing.T) {
-	g := annealTestGraph(t)
-	fc := &fakeCache{}
-	opts := AnnealOptions{Seed: 2, Iterations: 3000, Cache: fc}
-	p1, c1, err := Anneal(g, layout.Identity(g.N()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.lookups != 1 || fc.stores != 1 {
-		t.Fatalf("miss path: lookups=%d stores=%d, want 1/1", fc.lookups, fc.stores)
-	}
-	p2, c2, err := Anneal(g, layout.Identity(g.N()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.lookups != 2 || fc.stores != 1 {
-		t.Fatalf("hit path: lookups=%d stores=%d, want 2/1", fc.lookups, fc.stores)
-	}
-	if c1 != c2 || !reflect.DeepEqual(p1, p2) {
-		t.Fatal("cache hit returned a different result than the miss that stored it")
-	}
-}
-
-func TestPoliciesCachedNilMatchesPolicies(t *testing.T) {
-	tr := workload.Zipf(32, 2500, 1.2, 3)
-	g, err := graph.FromTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := PolicyByName("anneal", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := a.Place(tr, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range PoliciesCached(7, nil) {
-		if p.Name != "anneal" {
-			continue
-		}
-		got, err := p.Place(tr, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("PoliciesCached(seed, nil) diverged from Policies(seed)")
-		}
 	}
 }
 

@@ -263,6 +263,3 @@ func GetCounterVec(name string, keys []string) *CounterVec {
 func GetHistogramVec(name string, keys []string, bounds []float64) *HistogramVec {
 	return defaultRegistry.HistogramVec(name, keys, bounds)
 }
-
-// Take returns a snapshot of the default registry.
-func Take() Snapshot { return defaultRegistry.Snapshot() }

@@ -154,15 +154,12 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 	GetCounter("x").Inc()
 	GetGauge("y").Set(2)
 	GetHistogram("z", LatencyBoundsMS).Observe(1)
-	s := Take()
+	s := Default().Snapshot()
 	if s.Counters["x"] != 1 || s.Gauges["y"] != 2 || s.Histograms["z"].Count != 1 {
 		t.Fatalf("default registry snapshot = %+v", s)
 	}
-	if Default() == nil {
-		t.Fatal("Default returned nil")
-	}
 	Default().Reset()
-	if Take().Counters["x"] != 0 {
+	if Default().Snapshot().Counters["x"] != 0 {
 		t.Fatal("Reset did not zero the default registry")
 	}
 }

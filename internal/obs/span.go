@@ -246,18 +246,6 @@ func SortSpans(spans []SpanRecord) {
 	})
 }
 
-// WriteSpansJSONL writes one JSON object per span per line, the
-// format of `dwmbench -trace out.jsonl`.
-func WriteSpansJSONL(w io.Writer, spans []SpanRecord) error {
-	enc := json.NewEncoder(w)
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // traceEvent is one Chrome trace_event complete ("ph":"X") event.
 type traceEvent struct {
 	Name string         `json:"name"`

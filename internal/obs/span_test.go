@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -125,29 +124,6 @@ func TestSpanConcurrent(t *testing.T) {
 			t.Fatalf("duplicate span ID %d", r.ID)
 		}
 		ids[r.ID] = true
-	}
-}
-
-func TestWriteSpansJSONL(t *testing.T) {
-	spans := []SpanRecord{
-		{ID: 1, Name: "a", StartNS: 10, DurNS: 5},
-		{ID: 2, Parent: 1, Name: "b", StartNS: 11, DurNS: 2,
-			Attrs: []Attr{{Key: "n", Value: 7}}},
-	}
-	var b bytes.Buffer
-	if err := WriteSpansJSONL(&b, spans); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var rec SpanRecord
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Name != "b" || rec.Parent != 1 || len(rec.Attrs) != 1 {
-		t.Fatalf("round-trip = %+v", rec)
 	}
 }
 

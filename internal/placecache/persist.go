@@ -25,7 +25,6 @@ type record struct {
 	Seed       int64  `json:"seed"`
 	Iterations int    `json:"iterations"`
 	Restarts   int    `json:"restarts"`
-	Aux        uint64 `json:"aux"`
 	Profile    uint64 `json:"profile"`
 	Cost       int64  `json:"cost"`
 	Placement  []int  `json:"placement"`
@@ -84,7 +83,6 @@ func (c *Cache) openLog(dir string) (*wal.Log, error) {
 			Seed:       rec.Seed,
 			Iterations: rec.Iterations,
 			Restarts:   rec.Restarts,
-			Aux:        rec.Aux,
 		}
 		c.put(k, Entry{Placement: rec.Placement, Cost: rec.Cost, Profile: rec.Profile})
 		obsPersistLoaded.Inc()
@@ -111,7 +109,6 @@ func (c *Cache) appendRecord(k Key, e Entry) {
 		Seed:       k.Seed,
 		Iterations: k.Iterations,
 		Restarts:   k.Restarts,
-		Aux:        k.Aux,
 		Profile:    e.Profile,
 		Cost:       e.Cost,
 		Placement:  e.Placement,

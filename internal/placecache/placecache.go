@@ -4,8 +4,7 @@
 // therefore the optimal placement problem — is invariant under item
 // renumbering. The cache keys entries by the canonical fingerprint of
 // the graph (graph.Canon) together with the policy's reproducibility
-// inputs (policy name, seed, iteration budget, restarts, and an
-// auxiliary hash covering anything else the result depends on). Every
+// inputs (policy name, seed, iteration budget and restarts). Every
 // entry optimizes one objective, the single-tape Linear shift count, so
 // the key names no device. Placements are stored in canonical vertex space,
 // so a hit computed under one numbering is decanonicalized into the
@@ -21,14 +20,11 @@ package placecache
 import (
 	"container/list"
 	"fmt"
-	"math"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -42,21 +38,19 @@ var (
 )
 
 // Key identifies one memoized result. Every field participates in
-// equality; two requests with equal keys are guaranteed (up to hash
-// collision on FP/Aux) to describe the same computation.
+// equality; two requests with equal keys are guaranteed (up to a
+// collision of the 128-bit fingerprint) to describe the same computation.
 type Key struct {
 	// FP is the canonical fingerprint of the access-transition graph.
 	FP graph.Fingerprint
-	// Policy names the placement policy that produced the entry.
+	// Policy names the placement policy that produced the entry. It
+	// keeps a loaded log's entries for other policies (older logs carry
+	// "core.anneal" records) out of the service's key space.
 	Policy string
 	// Seed, Iterations, Restarts are the policy's reproducibility inputs.
 	Seed       int64
 	Iterations int
 	Restarts   int
-	// Aux hashes any remaining inputs the result depends on — for the
-	// annealer, the canonical-space start placement and the float
-	// schedule parameters.
-	Aux uint64
 }
 
 // Entry is one memoized result.
@@ -275,67 +269,4 @@ func Decanonize(pc []int, labeling []int32) layout.Placement {
 		out[item] = pc[labeling[item]]
 	}
 	return out
-}
-
-// annealAux hashes the anneal inputs not covered by the key's named
-// fields: the canonical-space start placement and the bitwise float
-// schedule parameters.
-func annealAux(canonStart []int, initialTemp, cooling float64) uint64 {
-	h := stats.Mix64(uint64(len(canonStart)) ^ 0x9E3779B97F4A7C15)
-	for _, s := range canonStart {
-		h = stats.FoldSeq(h, uint64(s))
-	}
-	h = stats.FoldSeq(h, math.Float64bits(initialTemp))
-	return stats.FoldSeq(h, math.Float64bits(cooling))
-}
-
-// annealAdapter adapts the cache to core.PlacementCache for plain
-// AnnealOptions-driven calls (the dwmbench sweep path).
-type annealAdapter struct {
-	c *Cache
-}
-
-// ForAnneal returns a core.PlacementCache view of the cache. The
-// adapter keys on the graph fingerprint, the canonicalized start
-// placement, and every AnnealOptions field the result depends on, so a
-// Lookup hit replays exactly what a fresh run would compute.
-func (c *Cache) ForAnneal() core.PlacementCache {
-	return &annealAdapter{c: c}
-}
-
-func (a *annealAdapter) key(cn *graph.Canonical, start layout.Placement, opts core.AnnealOptions) Key {
-	return Key{
-		FP:         cn.FP,
-		Policy:     "core.anneal",
-		Seed:       opts.Seed,
-		Iterations: opts.Iterations,
-		Restarts:   opts.Restarts,
-		Aux:        annealAux(Canonize(start, cn.Labeling), opts.InitialTemp, opts.Cooling),
-	}
-}
-
-// Lookup implements core.PlacementCache.
-func (a *annealAdapter) Lookup(g *graph.Graph, start layout.Placement, opts core.AnnealOptions) (layout.Placement, int64, bool) {
-	if len(start) != g.N() {
-		return nil, 0, false
-	}
-	cn := g.Canon()
-	e, ok := a.c.Get(a.key(cn, start, opts))
-	if !ok || len(e.Placement) != g.N() {
-		return nil, 0, false
-	}
-	return Decanonize(e.Placement, cn.Labeling), e.Cost, true
-}
-
-// Store implements core.PlacementCache.
-func (a *annealAdapter) Store(g *graph.Graph, start layout.Placement, opts core.AnnealOptions, best layout.Placement, cost int64) {
-	if len(start) != g.N() || len(best) != g.N() {
-		return
-	}
-	cn := g.Canon()
-	a.c.Put(a.key(cn, start, opts), Entry{
-		Placement: Canonize(best, cn.Labeling),
-		Cost:      cost,
-		Profile:   cn.Profile,
-	})
 }

@@ -8,10 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/layout"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -333,86 +331,52 @@ func TestPersistenceLoadsDeviceRecord(t *testing.T) {
 	}
 }
 
-func buildGraph(t *testing.T, seed int64, items, length int) *graph.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	tr := trace.New("placecache-test", items)
-	for i := 0; i < length; i++ {
-		tr.Read(rng.Intn(items))
-	}
-	g, err := graph.FromTrace(tr)
+// TestPersistenceLoadsAnnealAdapterRecord: logs written by earlier
+// versions hold "core.anneal" records keyed on an extra "aux" hash of the
+// anneal's start placement and schedule, next to the service's own
+// "serve.anneal" records. Both still load and count as loaded; the aux key
+// is ignored, and a core.anneal record never answers a service lookup for
+// the same graph, while the old service record still hits.
+func TestPersistenceLoadsAnnealAdapterRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "placecache"), Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
-}
-
-func TestForAnnealHitIsByteIdenticalToCold(t *testing.T) {
-	g := buildGraph(t, 21, 24, 3000)
-	start := layout.Identity(24)
-	opts := core.AnnealOptions{Seed: 5, Iterations: 4000}
-
-	cold, coldCost, err := core.Anneal(g, start, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewMemory(8)
-	withCache := opts
-	withCache.Cache = c.ForAnneal()
-	miss, missCost, err := core.Anneal(g, start, withCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, hitCost, err := core.Anneal(g, start, withCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missCost != coldCost || hitCost != coldCost {
-		t.Fatalf("costs diverged: cold %d, miss %d, hit %d", coldCost, missCost, hitCost)
-	}
-	for i := range cold {
-		if miss[i] != cold[i] || hit[i] != cold[i] {
-			t.Fatalf("placement diverged at %d: cold %d, miss %d, hit %d",
-				i, cold[i], miss[i], hit[i])
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", c.Len())
-	}
-}
-
-func TestForAnnealKeySensitivity(t *testing.T) {
-	g := buildGraph(t, 22, 16, 1500)
-	start := layout.Identity(16)
-	c := NewMemory(16)
-	cache := c.ForAnneal()
-	base := core.AnnealOptions{Seed: 1, Iterations: 1000, Cache: cache}
-	if _, _, err := core.Anneal(g, start, base); err != nil {
-		t.Fatal(err)
-	}
-	// Different seed, iterations and start must all miss.
-	for name, opts := range map[string]core.AnnealOptions{
-		"seed":       {Seed: 2, Iterations: 1000, Cache: cache},
-		"iterations": {Seed: 1, Iterations: 2000, Cache: cache},
+	for _, payload := range []string{
+		`{"fp":"` + testKey(3).FP.String() + `","policy":"core.anneal","seed":3,"iterations":0,` +
+			`"restarts":0,"aux":11400714819323198485,"profile":9,"cost":30,"placement":[2,0,1]}`,
+		`{"fp":"` + testKey(4).FP.String() + `","policy":"serve.anneal","seed":4,"iterations":0,` +
+			`"restarts":0,"aux":0,"profile":9,"cost":40,"placement":[1,2,0]}`,
 	} {
-		before := c.Len()
-		if _, _, err := core.Anneal(g, start, opts); err != nil {
+		if err := l.Append([]byte(payload)); err != nil {
 			t.Fatal(err)
 		}
-		if c.Len() != before+1 {
-			t.Fatalf("%s change did not produce a fresh entry", name)
-		}
 	}
-	otherStart := make(layout.Placement, 16)
-	for i := range otherStart {
-		otherStart[i] = 15 - i
-	}
-	before := c.Len()
-	if _, _, err := core.Anneal(g, otherStart, base); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != before+1 {
-		t.Fatal("start-placement change did not produce a fresh entry")
+	loaded := obsPersistLoaded.Value()
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := obsPersistLoaded.Value() - loaded; got != 2 || c.Len() != 2 {
+		t.Fatalf("placecache.persist.loaded rose by %d with %d entries, want 2 and 2", got, c.Len())
+	}
+	serveKey := func(i int) Key {
+		k := testKey(i)
+		k.Policy = "serve.anneal"
+		return k
+	}
+	if e, ok := c.Get(serveKey(3)); ok {
+		t.Fatalf("core.anneal record answered a serve.anneal lookup: %+v", e)
+	}
+	if e, ok := c.Get(testKey(3)); !ok || e.Cost != 30 {
+		t.Fatalf("core.anneal record not loaded under its own key: %+v, %v", e, ok)
+	}
+	if e, ok := c.Get(serveKey(4)); !ok || e.Cost != 40 || e.Placement[0] != 1 {
+		t.Fatalf("old serve.anneal record does not hit: %+v, %v", e, ok)
 	}
 }

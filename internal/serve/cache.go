@@ -32,8 +32,9 @@ import (
 	"repro/internal/trace"
 )
 
-// servePolicyKey namespaces the service's entries so they never collide
-// with core-level adapter entries for the same graph.
+// servePolicyKey namespaces the service's entries, so a cache log that
+// also holds other policies' entries for the same graph (older logs
+// carry "core.anneal" records) never answers a service request with one.
 const servePolicyKey = "serve.anneal"
 
 // cachePlan is the outcome of consulting the cache for one request. The
